@@ -35,7 +35,6 @@ from .stochastic import (
     shift_path,
     verify_sublinear,
     weighted_forcing_integral,
-    z_eval,
 )
 from .integrators import (
     SolverConfig,
@@ -45,9 +44,6 @@ from .integrators import (
     energy_identity_residual,
     perturbation_envelope,
     solve,
-    step_conjugated,
-    step_deterministic,
-    step_stratonovich,
     uniform_estimates_check,
 )
 from .pullback import (

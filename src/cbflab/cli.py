@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +186,9 @@ def parse_config(text) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     merged = _merge_defaults(data)
+    workers = merged["workers"]
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers: expected an integer >= 1, got {workers!r}")
 
     dm = merged["domain"]
     try:
@@ -263,7 +266,7 @@ def parse_config(text) -> RunConfig:
         experiment=ex,
         epsilon_ladder=list(ladder) if ladder else [],
         out_dir=merged["output"]["dir"],
-        workers=int(merged["workers"]),
+        workers=workers,
     )
 
 
@@ -320,11 +323,7 @@ def _run_simulate(cfg, out, artifacts, summary):
     path = _path_from(ex, cfg.solver.dt) if system in ("conjugated", "stratonovich") else None
     solver = cfg.solver
     if system == "stratonovich" and solver.scheme != "heun_stratonovich":
-        solver = SolverConfig(
-            dt=solver.dt, scheme="heun_stratonovich", t_start=solver.t_start,
-            t_end=solver.t_end, record_stride=solver.record_stride,
-            include_B=solver.include_B, include_C=solver.include_C,
-        )
+        solver = replace(solver, scheme="heun_stratonovich")
     u0 = random_field(cfg.domain, seed=ex.get("seed", 0),
                       amplitude=ex.get("family", {}).get("radius", 1.0))
     traj = solve(system, u0, solver, cfg.params, cfg.profile, path=path)
@@ -416,8 +415,7 @@ def _run_tails(cfg, out, artifacts, summary):
         omega = _path_from(ex, cfg.solver.dt) if kind == "stoch" else None
         if omega is not None:
             omega = shift_path(omega, -horizon)
-        params = PhysicalParameters(cfg.params.d, cfg.params.mu, cfg.params.alpha,
-                                    cfg.params.beta, cfg.params.r, eps)
+        params = replace(cfg.params, epsilon=eps)
         starts = family.samples(cfg.domain, horizon)
         ends = [
             cocycle_eval(kind, horizon, ex.get("tau", 0.0) - horizon, omega, s,

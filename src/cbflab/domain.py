@@ -80,6 +80,7 @@ class TorusDomain:
     dealias_mask: np.ndarray = dc_field(init=False, repr=False)
     x_axis: np.ndarray = dc_field(init=False, repr=False)
     coords: np.ndarray = dc_field(init=False, repr=False)
+    phase: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -105,17 +106,14 @@ class TorusDomain:
         set_attr(self, "k_sq", np.sum(kvec**2, axis=0))
         cut = math.floor(self.dealias_fraction * (N // 2))
         set_attr(self, "mode_cut", cut)
-        mgrids = np.meshgrid(*([modes1] * d), indexing="ij")
-        mask = np.ones_like(mgrids[0], dtype=bool)
-        for mg in mgrids:
-            mask &= np.abs(mg) <= cut
-        set_attr(self, "dealias_mask", mask)
+        set_attr(self, "dealias_mask", _mode_box(self, cut))
         x1 = -L + self.dx * np.arange(N)
         set_attr(self, "x_axis", x1)
         xg = np.meshgrid(*([x1] * d), indexing="ij")
         set_attr(self, "coords", np.stack(xg))
         # centering phase (-1)^(sum m_i): FFT index space samples at x = 0,
         # the box is centered, so true e^{i k . x} coefficients carry it
+        mgrids = np.meshgrid(*([modes1] * d), indexing="ij")
         parity = np.zeros(mgrids[0].shape, dtype=int)
         for mg in mgrids:
             parity += np.abs(mg).astype(int)
@@ -142,6 +140,15 @@ class TorusDomain:
     def radius_sq_grid(self):
         """Pointwise ``|x|^2`` on the collocation grid."""
         return np.sum(self.coords**2, axis=0)
+
+
+def _mode_box(domain, max_mode):
+    """Mask of the modes with ``|m_i| <= max_mode`` on every axis."""
+    mgrids = np.meshgrid(*([domain.modes] * domain.d), indexing="ij")
+    keep = np.ones_like(mgrids[0], dtype=bool)
+    for mg in mgrids:
+        keep &= np.abs(mg) <= max_mode
+    return keep
 
 
 def make_domain(d, L, N, dealias_fraction=2.0 / 3.0) -> "TorusDomain":
@@ -241,6 +248,12 @@ def leray_project(domain, raw) -> SpectralVelocityField:
 # norms and inner products
 
 
+def _energy_sq(domain, coeffs):
+    """``(|u|^2, |grad u|^2)`` by Parseval, both from one ``|uhat|^2`` array."""
+    c2 = np.abs(coeffs) ** 2
+    return domain.measure * float(np.sum(c2)), domain.measure * float(np.sum(domain.k_sq * c2))
+
+
 def inner_h(a: SpectralVelocityField, b: SpectralVelocityField) -> float:
     """L^2 inner product of two fields over the box."""
     if a.domain is not b.domain and a.domain != b.domain:
@@ -261,10 +274,8 @@ def lebesgue_norm(field: SpectralVelocityField, p: float) -> float:
 def norms(field: SpectralVelocityField, p_list=()) -> NormReport:
     """Energy norms via Parseval; Lebesgue norms via grid quadrature."""
     dom = field.domain
-    c2 = np.abs(field.coeffs) ** 2
-    h = dom.measure * float(np.sum(c2))
-    grad = dom.measure * float(np.sum(dom.k_sq * c2))
-    vprime = dom.measure * float(np.sum(c2 / (1.0 + dom.k_sq)))
+    h, grad = _energy_sq(dom, field.coeffs)
+    vprime = dom.measure * float(np.sum(np.abs(field.coeffs) ** 2 / (1.0 + dom.k_sq)))
     lp = {float(p): lebesgue_norm(field, float(p)) for p in p_list}
     return NormReport(
         h_norm_sq=h,
@@ -359,12 +370,21 @@ def single_mode_field(domain, mode, amplitude=1.0) -> SpectralVelocityField:
     return SpectralVelocityField(domain, coeffs)
 
 
-def _conjugate_symmetrize(domain, raw):
-    """Enforce uhat(-k) = conj(uhat(k)) by averaging with the reflected array."""
+def _hermitian_gaussian(domain, rng, keep, weight=1.0):
+    """
+    Complex Gaussian coefficients times ``weight`` on the modes in ``keep``
+    (all modes when None), made Hermitian ``uhat(-k) = conj(uhat(k))`` by
+    averaging with the reflected array, then dealiased and projected.
+    """
+    raw = rng.standard_normal(domain.shape) + 1j * rng.standard_normal(domain.shape)
+    raw *= weight
+    if keep is not None:
+        raw *= keep
     axes = domain.spatial_axes
     flipped = np.conj(np.flip(raw, axis=axes))
     flipped = np.roll(flipped, shift=[1] * len(axes), axis=axes)
-    return 0.5 * (raw + flipped)
+    raw = 0.5 * (raw + flipped)
+    return project_coeffs(domain, dealias_coeffs(domain, raw))
 
 
 def random_field(domain, seed, amplitude=1.0, max_mode=None, spectral_slope=2.0) -> SpectralVelocityField:
@@ -375,19 +395,9 @@ def random_field(domain, seed, amplitude=1.0, max_mode=None, spectral_slope=2.0)
     conjugate-symmetrised, dealiased, projected, then rescaled so that the
     L^2 norm equals ``amplitude``.
     """
-    rng = np.random.default_rng(seed)
-    shape = domain.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    raw *= (1.0 + domain.k_sq) ** (-spectral_slope / 2.0)
-    if max_mode is not None:
-        mgrids = np.meshgrid(*([domain.modes] * domain.d), indexing="ij")
-        keep = np.ones_like(mgrids[0], dtype=bool)
-        for mg in mgrids:
-            keep &= np.abs(mg) <= max_mode
-        raw *= keep
-    raw = _conjugate_symmetrize(domain, raw)
-    raw = dealias_coeffs(domain, raw)
-    raw = project_coeffs(domain, raw)
+    keep = None if max_mode is None else _mode_box(domain, max_mode)
+    raw = _hermitian_gaussian(domain, np.random.default_rng(seed), keep,
+                              (1.0 + domain.k_sq) ** (-spectral_slope / 2.0))
     norm = math.sqrt(domain.measure) * np.linalg.norm(raw)
     if norm > 0:
         raw *= amplitude / norm
@@ -413,7 +423,7 @@ def bump_field(domain, center=None, width=1.0, amplitude=1.0, support_radius=Non
     if support_radius is not None:
         inner_r = support_radius / math.sqrt(2.0)
         s = r_sq / inner_r**2
-        psi = psi * (1.0 - _smoothstep(s))
+        psi = psi * (1.0 - cutoff_xi(s))
     psi_hat = dom.phase * np.fft.fftn(psi) / dom.N**dom.d
     k = dom.kvec
     coeffs = np.zeros(dom.shape, dtype=np.complex128)
@@ -427,10 +437,15 @@ def bump_field(domain, center=None, width=1.0, amplitude=1.0, support_radius=Non
     return leray_project(dom, raw)
 
 
-def _smoothstep(s):
-    """Quintic ramp: 0 for s <= 1, 1 for s >= 2, C^2 monotone in between."""
-    x = np.clip((np.asarray(s, dtype=float) - 1.0), 0.0, 1.0)
-    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
+def cutoff_xi(s):
+    """
+    Smooth radial cutoff: 0 on [0, 1], 1 on [2, inf), quintic ramp between
+    with bounded derivative.
+    """
+    s = np.asarray(s, dtype=float)
+    x = np.clip(s - 1.0, 0.0, 1.0)
+    out = x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
+    return out if out.ndim else float(out)
 
 
 def field_from_physical(domain, samples, project=True, dealias=True) -> SpectralVelocityField:

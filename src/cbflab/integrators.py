@@ -29,6 +29,7 @@ import numpy as np
 
 from .domain import (
     SpectralVelocityField,
+    _energy_sq,
     dealias_coeffs,
     project_coeffs,
     transform_inverse,
@@ -48,9 +49,6 @@ __all__ = [
     "Trajectory",
     "GapReport",
     "PerturbationReport",
-    "step_deterministic",
-    "step_conjugated",
-    "step_stratonovich",
     "solve",
     "energy_identity_residual",
     "continuity_gap",
@@ -101,18 +99,6 @@ class SolverConfig:
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
-    def with_times(self, t_start, t_end) -> "SolverConfig":
-        return SolverConfig(
-            dt=self.dt,
-            scheme=self.scheme,
-            t_start=t_start,
-            t_end=t_end,
-            record_stride=self.record_stride,
-            include_B=self.include_B,
-            include_C=self.include_C,
-            include_linear=self.include_linear,
-        )
-
 
 @dataclass
 class Trajectory:
@@ -154,9 +140,7 @@ def _state_aux(dom, coeffs, t, params, profile, z):
     """Norm row of the ledger for one state; reuses the physical samples."""
     u_phys = transform_inverse(dom, coeffs)
     speed_sq = np.sum(u_phys**2, axis=0)
-    c2 = np.abs(coeffs) ** 2
-    h_sq = dom.measure * float(np.sum(c2))
-    grad_sq = dom.measure * float(np.sum(dom.k_sq * c2))
+    h_sq, grad_sq = _energy_sq(dom, coeffs)
     lr_pow = dom.dx**dom.d * float(np.sum(speed_sq ** ((params.r + 1.0) / 2.0)))
     if profile is None or profile.is_zero:
         f_pair = 0.0
@@ -175,10 +159,9 @@ def _state_aux(dom, coeffs, t, params, profile, z):
     }
 
 
-def _explicit_rhs(dom, coeffs, t, params, profile, z, include_B, include_C, aux=None):
+def _explicit_rhs(dom, coeffs, t, params, profile, z, include_B, include_C):
     """Dealiased, projected coefficients of the explicit terms at weight z."""
-    if aux is None:
-        aux = _state_aux(dom, coeffs, t, params, profile, z)
+    aux = _state_aux(dom, coeffs, t, params, profile, z)
     u_phys = aux.pop("u_phys")
     n_hat = np.zeros(dom.shape, dtype=np.complex128)
     if include_B:
@@ -237,38 +220,6 @@ def _heun_advance(dom, coeffs, t, dt, params, profile, path, epsilon,
     g1, _ = drift(pred, t + dt)
     new = coeffs + 0.5 * dt * (g0 + g1) + 0.5 * (epsilon * dw) * (coeffs + pred)
     return new, aux
-
-
-# ---------------------------------------------------------------------------
-# public single steps
-
-
-def step_deterministic(u: SpectralVelocityField, t, dt, params, profile=None, prev_rhs=None):
-    """One IMEX step of the deterministic system; returns ``(u_next, rhs)``."""
-    dom = u.domain
-    e1, e2 = _linear_factors(dom, params, dt, True)
-    new, n0, _ = _imex_advance(
-        dom, u.coeffs, t, dt, params, profile, lambda s: 1.0, e1, e2, prev_rhs, True, True, True
-    )
-    return SpectralVelocityField(dom, new), n0
-
-
-def step_conjugated(v: SpectralVelocityField, t, dt, params, profile, proc: ConjugationProcess,
-                    prev_rhs=None):
-    """One IMEX step of the conjugated system with weights from ``proc``."""
-    dom = v.domain
-    e1, e2 = _linear_factors(dom, params, dt, True)
-    new, n0, _ = _imex_advance(
-        dom, v.coeffs, t, dt, params, profile, proc.value, e1, e2, prev_rhs, True, True, True
-    )
-    return SpectralVelocityField(dom, new), n0
-
-
-def step_stratonovich(u: SpectralVelocityField, t, dt, params, profile, path: WienerPath, epsilon):
-    """One Heun step of the noisy system using the path increment over [t, t+dt]."""
-    dom = u.domain
-    new, _ = _heun_advance(dom, u.coeffs, t, dt, params, profile, path, epsilon, True, True, True)
-    return SpectralVelocityField(dom, new)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +420,7 @@ def continuity_gap(traj1: Trajectory, traj2: Trajectory, params: PhysicalParamet
     times = traj1.times
     dom = traj1.domain
     gap = np.array([
-        dom.measure * float(np.sum(np.abs(s1.coeffs - s2.coeffs) ** 2))
-        for s1, s2 in zip(traj1.states, traj2.states)
+        _energy_sq(dom, s1.coeffs - s2.coeffs)[0] for s1, s2 in zip(traj1.states, traj2.states)
     ])
     led_t = traj1.ledger["t"]
     gap0 = gap[0]
@@ -573,16 +523,13 @@ def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
 
     i_p1 = _cumtrap(p1, t)
     i_p2 = _cumtrap(p2, t)
-    gap0 = dom.measure * float(
-        np.sum(np.abs(conj_traj.states[0].coeffs - det_traj.states[0].coeffs) ** 2)
-    )
-    env_dense = (gap0 + i_p2) * np.exp(i_p1)
-
-    times = det_traj.times
     gap = np.array([
-        dom.measure * float(np.sum(np.abs(sv.coeffs - su.coeffs) ** 2))
+        _energy_sq(dom, sv.coeffs - su.coeffs)[0]
         for su, sv in zip(det_traj.states, conj_traj.states)
     ])
+    env_dense = (gap[0] + i_p2) * np.exp(i_p1)
+
+    times = det_traj.times
     env = np.interp(times, t, env_dense)
     return PerturbationReport(times=times, gap_sq=gap, envelope=env)
 

@@ -18,12 +18,19 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domain import SpectralVelocityField, project_coeffs, dealias_coeffs, transform_inverse
+from .domain import (
+    SpectralVelocityField,
+    _energy_sq,
+    _hermitian_gaussian,
+    _mode_box,
+    cutoff_xi,
+    transform_inverse,
+)
 from .integrators import SolverConfig, Trajectory, solve
 from .operators import PhysicalParameters
 from .stochastic import (
@@ -105,22 +112,13 @@ class TemperedFamily:
         rho = float(self.radius_fn(age))
         age_bits = int(np.float64(age).view(np.uint64))
         rng = np.random.default_rng([self.sampler_seed, age_bits])
-        mgrids = np.meshgrid(*([domain.modes] * domain.d), indexing="ij")
-        keep = np.ones_like(mgrids[0], dtype=bool)
-        for mg in mgrids:
-            keep &= np.abs(mg) <= self.max_mode
+        keep = _mode_box(domain, self.max_mode)
         n_modes = int(keep.sum())
         n_dof = (domain.d - 1) * max(n_modes - 1, 0) + domain.d
         out = []
         n_random = self.sample_count - (1 if self.include_boundary else 0)
         for _ in range(max(n_random, 0)):
-            raw = rng.standard_normal(domain.shape) + 1j * rng.standard_normal(domain.shape)
-            raw *= keep
-            axes = domain.spatial_axes
-            flipped = np.conj(np.flip(raw, axis=axes))
-            flipped = np.roll(flipped, shift=[1] * len(axes), axis=axes)
-            raw = 0.5 * (raw + flipped)
-            raw = project_coeffs(domain, dealias_coeffs(domain, raw))
+            raw = _hermitian_gaussian(domain, rng, keep)
             norm = math.sqrt(domain.measure) * np.linalg.norm(raw)
             radius = rho * rng.uniform() ** (1.0 / n_dof)
             if norm > 0:
@@ -153,27 +151,20 @@ def cocycle_eval(kind, t, tau, omega: Optional[WienerPath], initial: SpectralVel
         raise ValueError("cocycle time must be >= 0")
     if t == 0:
         return initial.copy()
-    cfg = config.with_times(tau, tau + t)
-    if kind == "det":
-        traj = solve("deterministic", initial, cfg, params, profile)
-        return traj.states[-1]
-    if kind != "stoch":
-        raise ValueError(f"unknown cocycle kind {kind!r}")
-    if omega is None:
-        raise ValueError("the stochastic cocycle needs a sampled path")
-    shifted = shift_path(omega, -tau)
-    z_start = math.exp(-params.epsilon * shifted.value(tau))
-    wrapped = SpectralVelocityField(initial.domain, z_start * initial.coeffs)
-    traj = solve("conjugated", wrapped, cfg, params, profile, path=shifted)
-    z_end = math.exp(-params.epsilon * shifted.value(tau + t))
-    return SpectralVelocityField(initial.domain, traj.states[-1].coeffs / z_end)
+    traj = cocycle_trajectory(kind, t, tau, omega, initial, params, profile, config)
+    # z_at is 1 for the deterministic system, so the unwrap leaves it unchanged
+    return SpectralVelocityField(initial.domain, traj.states[-1].coeffs / traj.z_at(tau + t))
 
 
 def cocycle_trajectory(kind, t, tau, omega, initial, params, profile, config) -> Trajectory:
     """Full trajectory behind :func:`cocycle_eval` (conjugated variables for 'stoch')."""
-    cfg = config.with_times(tau, tau + t)
+    cfg = replace(config, t_start=tau, t_end=tau + t)
     if kind == "det":
         return solve("deterministic", initial, cfg, params, profile)
+    if kind != "stoch":
+        raise ValueError(f"unknown cocycle kind {kind!r}")
+    if omega is None:
+        raise ValueError("the stochastic cocycle needs a sampled path")
     shifted = shift_path(omega, -tau)
     z_start = math.exp(-params.epsilon * shifted.value(tau))
     wrapped = SpectralVelocityField(initial.domain, z_start * initial.coeffs)
@@ -250,8 +241,14 @@ def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalPara
 # absorption measurement and attractor sampling
 
 
-def _h_norm_sq(field: SpectralVelocityField) -> float:
-    return field.domain.measure * float(np.sum(np.abs(field.coeffs) ** 2))
+def _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain, workers):
+    """Endpoints at ``tau`` of the family's samples pulled back from ``tau - t``."""
+    pulled = shift_path(omega, -t) if kind == "stoch" else None
+    return _pmap(
+        lambda s: cocycle_eval(kind, t, tau - t, pulled, s, params, profile, config),
+        family.samples(domain, t),
+        workers,
+    )
 
 
 def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
@@ -271,22 +268,14 @@ def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
         est = absorbing_radius_det(tau, params, profile)
     else:
         est = absorbing_radius_stoch(tau, omega, epsilon, params, profile)
-        params = PhysicalParameters(params.d, params.mu, params.alpha, params.beta,
-                                    params.r, epsilon)
+        params = replace(params, epsilon=epsilon)
     if domain is None:
         raise ValueError("measure_absorption needs the spectral domain")
 
-    def endpoint_max(t):
-        starts = family.samples(domain, t)
-        pulled = shift_path(omega, -t) if kind == "stoch" else None
-        ends = _pmap(
-            lambda s: cocycle_eval(kind, t, tau - t, pulled, s, params, profile, config),
-            starts,
-            workers,
-        )
-        return max(_h_norm_sq(e) for e in ends)
-
-    max_norms = [endpoint_max(t) for t in horizons]
+    max_norms = []
+    for t in horizons:
+        ends = _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain, workers)
+        max_norms.append(max(_energy_sq(domain, e.coeffs)[0] for e in ends))
     threshold = est.radius_sq * (1.0 + slack)
     absorbed = [m <= threshold for m in max_norms]
     entry = None
@@ -345,19 +334,12 @@ def sample_attractor(kind, tau, omega, epsilon, params: PhysicalParameters,
     if domain is None:
         raise ValueError("sample_attractor needs the spectral domain")
     if kind == "stoch":
-        params = PhysicalParameters(params.d, params.mu, params.alpha, params.beta,
-                                    params.r, epsilon)
+        params = replace(params, epsilon=epsilon)
 
-    clouds = []
-    for t in horizons:
-        starts = family.samples(domain, t)
-        pulled = shift_path(omega, -t) if kind == "stoch" else None
-        ends = _pmap(
-            lambda s: cocycle_eval(kind, t, tau - t, pulled, s, params, profile, config),
-            starts,
-            workers,
-        )
-        clouds.append(_thin_cloud(ends))
+    clouds = [
+        _thin_cloud(_endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain, workers))
+        for t in horizons
+    ]
     diag = tuple(
         hausdorff_semidistance(clouds[i + 1], clouds[i]) for i in range(len(clouds) - 1)
     )
@@ -448,18 +430,7 @@ def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalPar
 
 
 # ---------------------------------------------------------------------------
-# smooth cutoff and tail mass
-
-
-def cutoff_xi(s):
-    """
-    Smooth radial cutoff: 0 on [0, 1], 1 on [2, inf), quintic ramp between
-    with bounded derivative.
-    """
-    s = np.asarray(s, dtype=float)
-    x = np.clip(s - 1.0, 0.0, 1.0)
-    out = x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
-    return out if out.ndim else float(out)
+# tail mass
 
 
 def tail_mass(field: SpectralVelocityField, k) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "path_from_values",
     "shift_path",
     "export_path_csv",
-    "z_eval",
     "verify_sublinear",
     "weighted_forcing_integral",
     "zero_forcing",
@@ -175,10 +174,6 @@ class ConjugationProcess:
         return math.exp(-self.epsilon * self.path.value(t))
 
 
-def z_eval(proc: ConjugationProcess, t) -> float:
-    return proc.value(t)
-
-
 @dataclass(frozen=True)
 class SublinearReport:
     t0_ladder: tuple
@@ -304,14 +299,6 @@ class ForcingProfile:
             return 0.0
         base = self.vprime_sq_template if norm_kind == "vprime" else self.h_sq_template
         return self.envelope(t) ** 2 * base
-
-    def pairing(self, t, field: SpectralVelocityField) -> float:
-        """Duality pairing ``<f(t), u>`` realised as the L^2 inner product."""
-        if self.is_zero:
-            return 0.0
-        dom = field.domain
-        raw = dom.measure * float(np.real(np.sum(self.template.coeffs * np.conj(field.coeffs))))
-        return self.envelope(t) * raw
 
 
 def zero_forcing() -> ForcingProfile:

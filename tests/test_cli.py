@@ -69,6 +69,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
 
+    @pytest.mark.parametrize("workers", ["x", None, 2.7, 0, -3, True])
+    def test_bad_workers_rejected(self, workers, tmp_path):
+        with pytest.raises(ConfigError, match="workers"):
+            parse_config(json.dumps({"workers": workers}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"workers": workers}))
+        assert main(["simulate", "--config", str(bad)]) == 2
+
 
 class TestRun:
     def test_simulate_unforced_energy_monotone(self, tmp_path):
@@ -186,6 +194,24 @@ class TestMoreExperiments:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["summary"]["cloud_size"] == 2
         assert any(a.startswith("cloud_") for a in manifest["artifacts"])
+
+    def test_workers_do_not_change_outputs(self, tmp_path):
+        raw = {
+            "domain": {"N": 8},
+            "params": {"epsilon": 0.5},
+            "solver": {"dt": 0.01},
+            "experiment": {"kind": "attractor", "horizons": [0.1, 0.2], "seed": 4,
+                           "family": {"radius": 0.5, "samples": 3},
+                           "path_window": [-1.0, 1.0]},
+        }
+        for workers in (1, 2):
+            raw.update(workers=workers, output={"dir": str(tmp_path / f"w{workers}")})
+            assert run(parse_config(json.dumps(raw))) == 0
+        names = sorted(p.name for p in (tmp_path / "w1").glob("*.csv"))
+        assert names == sorted(p.name for p in (tmp_path / "w2").glob("*.csv"))
+        assert names == ["attractor.csv", "cloud_000.csv", "cloud_001.csv", "cloud_002.csv"]
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
     def test_semicontinuity_experiment(self, tmp_path):
         out = tmp_path / "semi"

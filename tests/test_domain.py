@@ -1,13 +1,16 @@
 """Spectral domain: grids, transforms, projection, norms, snapshots."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cbflab.domain import (
+    DIV_TOL,
     ShapeMismatchError,
     SpectralVelocityField,
+    TorusDomain,
     check_interpolation,
     constant_field,
     field_from_physical,
@@ -25,6 +28,7 @@ from cbflab.domain import (
     transform_inverse,
     zero_field,
 )
+from cbflab.pullback import TemperedFamily
 
 
 def sin_y_field(dom):
@@ -59,6 +63,39 @@ class TestMakeDomain:
         b = make_domain(2, 2.0, 16)
         assert np.array_equal(a.kvec, b.kvec)
         assert np.array_equal(a.dealias_mask, b.dealias_mask)
+
+    def test_phase_is_declared_field(self):
+        assert "phase" in {f.name for f in dataclasses.fields(TorusDomain)}
+
+
+class TestLowModeSampler:
+    """Coefficients drawn by random_field and TemperedFamily.samples."""
+
+    @staticmethod
+    def assert_hermitian_low_mode(dom, coeffs, max_mode):
+        axes = dom.spatial_axes
+        reflected = np.roll(np.flip(coeffs, axis=axes), shift=[1] * len(axes), axis=axes)
+        assert np.array_equal(reflected, np.conj(coeffs))
+        mgrids = np.meshgrid(*([dom.modes] * dom.d), indexing="ij")
+        outside = np.any([np.abs(mg) > max_mode for mg in mgrids], axis=0)
+        assert not np.any(coeffs[:, outside])
+        div = np.abs(np.sum(dom.kvec * coeffs, axis=0)).max()
+        assert div <= DIV_TOL * np.linalg.norm(coeffs)
+
+    @pytest.mark.parametrize("d, max_mode", [(2, 1), (2, 3), (3, 2)])
+    def test_random_field(self, d, max_mode):
+        dom = make_domain(d, math.pi, 8 if d == 3 else 16)
+        u = random_field(dom, seed=(d, max_mode), max_mode=max_mode)
+        assert norms(u).h_norm_sq > 0.0
+        self.assert_hermitian_low_mode(dom, u.coeffs, max_mode)
+
+    @pytest.mark.parametrize("d, max_mode", [(2, 1), (2, 3), (3, 2)])
+    def test_family_samples(self, d, max_mode):
+        dom = make_domain(d, math.pi, 8 if d == 3 else 16)
+        fam = TemperedFamily(2.0, sample_count=3, sampler_seed=d, max_mode=max_mode)
+        for u in fam.samples(dom, 1.5):
+            assert norms(u).h_norm_sq > 0.0
+            self.assert_hermitian_low_mode(dom, u.coeffs, max_mode)
 
 
 class TestTransforms:

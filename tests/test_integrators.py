@@ -22,7 +22,6 @@ from cbflab.integrators import (
     energy_identity_residual,
     perturbation_envelope,
     solve,
-    step_deterministic,
     uniform_estimates_check,
 )
 from cbflab.operators import PhysicalParameters, empirical_constants
@@ -135,9 +134,9 @@ class TestStepping:
     def test_public_single_step(self):
         dom = make_domain(2, math.pi, 16)
         u = random_field(dom, seed=7, amplitude=0.3)
-        u1, rhs = step_deterministic(u, 0.0, 1e-3, PARAMS_2D, zero_forcing())
-        assert norms(u1).h_norm_sq < norms(u).h_norm_sq
-        u2, _ = step_deterministic(u1, 1e-3, 1e-3, PARAMS_2D, zero_forcing(), prev_rhs=rhs)
+        cfg = SolverConfig(dt=1e-3, t_start=0.0, t_end=2e-3, record_stride=1)
+        u0, u1, u2 = solve("deterministic", u, cfg, PARAMS_2D, zero_forcing()).states
+        assert norms(u1).h_norm_sq < norms(u0).h_norm_sq
         assert norms(u2).h_norm_sq < norms(u1).h_norm_sq
 
 
@@ -372,13 +371,10 @@ class TestTrajectoryReconstruction:
         assert np.array_equal(traj.reconstruct_u(-1).coeffs, traj.states[-1].coeffs)
 
     def test_public_conjugated_step(self):
-        from cbflab.integrators import step_conjugated
-
         dom = make_domain(2, math.pi, 16)
         u0 = random_field(dom, seed=43, amplitude=0.4)
         path = sample_path(44, -1.0, 1.0, 1e-3)
-        proc = ConjugationProcess(path, 0.5)
-        v1, rhs = step_conjugated(u0, 0.0, 1e-3, params_with_eps(0.5), zero_forcing(), proc)
-        v2, _ = step_conjugated(v1, 1e-3, 1e-3, params_with_eps(0.5), zero_forcing(), proc,
-                                prev_rhs=rhs)
-        assert norms(v2).h_norm_sq < norms(u0).h_norm_sq
+        cfg = SolverConfig(dt=1e-3, t_start=0.0, t_end=2e-3, record_stride=1)
+        traj = solve("conjugated", u0, cfg, params_with_eps(0.5), zero_forcing(), path=path)
+        assert len(traj.states) == 3
+        assert norms(traj.states[2]).h_norm_sq < norms(u0).h_norm_sq

@@ -18,7 +18,6 @@ from cbflab.stochastic import (
     shift_path,
     verify_sublinear,
     weighted_forcing_integral,
-    z_eval,
     zero_forcing,
 )
 
@@ -86,18 +85,18 @@ class TestShift:
 class TestConjugationProcess:
     def test_unit_at_origin(self):
         p = sample_path(11, -1.0, 1.0, 0.05)
-        assert z_eval(ConjugationProcess(p, 0.7), 0.0) == 1.0
+        assert ConjugationProcess(p, 0.7).value(0.0) == 1.0
 
     def test_zero_intensity(self):
         p = sample_path(12, -1.0, 1.0, 0.05)
         proc = ConjugationProcess(p, 0.0)
         for t in (-0.5, 0.25, 1.0):
-            assert z_eval(proc, t) == 1.0
+            assert proc.value(t) == 1.0
 
     def test_direct_exponentiation(self):
         p = path_from_values([0.0, -0.5, -0.3], dt_grid=0.5, n_neg=0)
         proc = ConjugationProcess(p, 1.0)
-        assert z_eval(proc, 0.5) == pytest.approx(math.exp(0.5), rel=1e-12)
+        assert proc.value(0.5) == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_heun_step_order(self):
         # one Heun step of the conjugation equation vs the exact exponential
