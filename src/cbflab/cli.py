@@ -26,7 +26,7 @@ from .integrators import SolverConfig, solve
 from .operators import PhysicalParameters, validate_params
 from .pullback import (
     TemperedFamily,
-    cocycle_eval,
+    _endpoint_cloud,
     measure_absorption,
     sample_attractor,
     semicontinuity_sweep,
@@ -38,7 +38,6 @@ from .stochastic import (
     decaying_forcing,
     periodic_forcing,
     sample_path,
-    shift_path,
     zero_forcing,
 )
 from .verification import run_all
@@ -406,22 +405,15 @@ def _run_tails(cfg, out, artifacts, summary):
     if not radii:
         raise ConfigError("experiment.tail_radii: required for the tails experiment")
     epsilons = ex.get("tail_epsilons", [cfg.params.epsilon])
-    horizons = ex["horizons"]
-    horizon = horizons[-1]
+    horizon = ex["horizons"][-1]
     family = _family_from(ex)
     rows = []
     for eps in epsilons:
         kind = "stoch" if eps > 0 else "det"
         omega = _path_from(ex, cfg.solver.dt) if kind == "stoch" else None
-        if omega is not None:
-            omega = shift_path(omega, -horizon)
-        params = replace(cfg.params, epsilon=eps)
-        starts = family.samples(cfg.domain, horizon)
-        ends = [
-            cocycle_eval(kind, horizon, ex.get("tau", 0.0) - horizon, omega, s,
-                         params, cfg.profile, cfg.solver)
-            for s in starts
-        ]
+        ends = _endpoint_cloud(kind, horizon, ex.get("tau", 0.0), omega, family,
+                               replace(cfg.params, epsilon=eps), cfg.profile, cfg.solver,
+                               cfg.domain, cfg.workers)
         for k in radii:
             worst = max(tail_mass(e, k) for e in ends)
             rows.append((float(eps), float(k), float(worst)))

@@ -189,19 +189,18 @@ class AbsorbingEstimate:
     horizons: Optional[tuple] = None
 
 
-def absorbing_radius_det(tau, params: PhysicalParameters, profile: ForcingProfile,
-                         rel_tol=1e-6) -> AbsorbingEstimate:
+def absorbing_radius_det(tau, params: PhysicalParameters, profile: ForcingProfile) -> AbsorbingEstimate:
     """Deterministic radius ``1 + (1/min(mu, a)) int e^{a(s - tau)} |f|^2_{V'} ds``."""
     if profile.is_zero:
         return AbsorbingEstimate(1.0, 1.0, 0.0, 0.0)
     mn = min(params.mu, params.alpha)
-    integ = weighted_forcing_integral(profile, tau, params.alpha, "vprime", rel_tol=rel_tol)
+    integ = weighted_forcing_integral(profile, tau, params.alpha, "vprime")
     term = math.exp(-params.alpha * tau) / mn * integ.value
     return AbsorbingEstimate(1.0 + term, 1.0, term, integ.tail_bound)
 
 
 def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalParameters,
-                           profile: ForcingProfile, rel_tol=1e-6) -> AbsorbingEstimate:
+                           profile: ForcingProfile) -> AbsorbingEstimate:
     """
     Pathwise radius
 
@@ -220,13 +219,11 @@ def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalPara
         return AbsorbingEstimate(m_eps, z_tau**-2.0, 0.0, 0.0, companion_radius_sq=companion)
     integ = weighted_forcing_integral(
         profile, tau, params.alpha, "vprime", path=shifted, epsilon=epsilon, weight="z2",
-        rel_tol=rel_tol,
     )
     term = z_tau**-2.0 * math.exp(-params.alpha * tau) / mn * integ.value
     m_eps = z_tau**-2.0 + term
     comp_int = weighted_forcing_integral(
         profile, tau, params.alpha, "vprime", path=omega, epsilon=epsilon, weight="exp_abs",
-        rel_tol=rel_tol,
     )
     companion = (
         math.exp(2.0 * abs(omega.value(-tau)))
@@ -254,7 +251,7 @@ def _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain
 def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
                        params: PhysicalParameters, profile: ForcingProfile,
                        horizons: Sequence[float], config: SolverConfig,
-                       domain=None, workers=1, slack=1e-6) -> AbsorbingEstimate:
+                       *, domain, workers=1, slack=1e-6) -> AbsorbingEstimate:
     """
     Pull the family back from ``tau - t`` for each horizon ``t`` and record
     the first ladder rung after which every endpoint stays inside the
@@ -269,8 +266,6 @@ def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
     else:
         est = absorbing_radius_stoch(tau, omega, epsilon, params, profile)
         params = replace(params, epsilon=epsilon)
-    if domain is None:
-        raise ValueError("measure_absorption needs the spectral domain")
 
     max_norms = []
     for t in horizons:
@@ -322,7 +317,7 @@ def _thin_cloud(points, cap=256):
 def sample_attractor(kind, tau, omega, epsilon, params: PhysicalParameters,
                      profile: ForcingProfile, horizons: Sequence[float],
                      family: TemperedFamily, config: SolverConfig,
-                     domain=None, workers=1) -> AttractorSample:
+                     *, domain, workers=1) -> AttractorSample:
     """
     Endpoint clouds of the family for increasing pullback horizons.  The
     Hausdorff distance between successive clouds is the convergence
@@ -331,8 +326,6 @@ def sample_attractor(kind, tau, omega, epsilon, params: PhysicalParameters,
     horizons = list(horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must increase strictly")
-    if domain is None:
-        raise ValueError("sample_attractor needs the spectral domain")
     if kind == "stoch":
         params = replace(params, epsilon=epsilon)
 
@@ -393,7 +386,7 @@ class SemicontinuitySweep:
 
 def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalParameters,
                          profile: ForcingProfile, horizons, family: TemperedFamily,
-                         config: SolverConfig, domain=None, workers=1) -> SemicontinuitySweep:
+                         config: SolverConfig, *, domain, workers=1) -> SemicontinuitySweep:
     """
     Distance from each noisy attractor sample to the noise-free sample along
     a decreasing intensity ladder, with the pathwise absorbing radius per

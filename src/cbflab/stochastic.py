@@ -78,14 +78,18 @@ class WienerPath:
 
     def _interp_base(self, t):
         nodes = self._node_times
-        if t < nodes[0] - 1e-12 or t > nodes[-1] + 1e-12:
+        t = np.asarray(t, dtype=float)
+        bad = t[(t < nodes[0] - 1e-12) | (t > nodes[-1] + 1e-12)]
+        if bad.size:
             raise OutOfWindowError(
-                f"time {t} outside sampled window [{nodes[0]}, {nodes[-1]}]"
+                f"time {bad.flat[0]} outside sampled window [{nodes[0]}, {nodes[-1]}]"
             )
-        return float(np.interp(t, nodes, self.values))
+        out = np.interp(t, nodes, self.values)
+        return float(out) if out.ndim == 0 else out
 
-    def value(self, t) -> float:
-        """Path value at time ``t`` (after accumulated shifts)."""
+    def value(self, t):
+        """Path value at time ``t`` (after accumulated shifts); a float for a
+        scalar ``t``, an array of pointwise values for an array ``t``."""
         return self._interp_base(t + self.shift) - self.anchor
 
     @property
@@ -159,8 +163,8 @@ def export_path_csv(path: WienerPath, filename):
     nodes = path._node_times - path.shift
     with open(filename, "w") as fh:
         fh.write("t,omega\n")
-        for t in nodes:
-            fh.write(f"{float(t)!r},{path.value(float(t))!r}\n")
+        for t, w in zip(nodes.tolist(), path.value(nodes).tolist()):
+            fh.write(f"{t!r},{w!r}\n")
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ def verify_sublinear(path: WienerPath, t0_ladder=None) -> SublinearReport:
     if t0_ladder is None:
         t0_ladder = (span / 100.0, span / 10.0)
     nodes = path._node_times - path.shift
-    vals = np.array([path.value(t) for t in nodes])
+    vals = path.value(nodes)
     ratios = []
     for t0 in t0_ladder:
         sel = np.abs(nodes) >= t0
@@ -321,19 +325,46 @@ def decaying_forcing(template, gamma, delta=0.0) -> ForcingProfile:
 # weighted improper integrals of the forcing
 
 
+# forcing quadrature: target relative error, halving cap, uniform grid of a unit weight
+_QUAD_REL_TOL = 1e-7
+_QUAD_MAX_HALVINGS = 4
+_QUAD_UNIFORM_INTERVALS = 2048
+
+
 @dataclass(frozen=True)
 class WeightedIntegral:
+    """
+    ``value`` integrates over ``[t_cut, tau]``; ``error_estimate`` is the sum
+    over the quadrature intervals of ``|S_half - S| / 15``, Simpson on each
+    interval against Simpson on its two halves.  ``tail_bound`` covers
+    ``(-inf, t_cut]``: without a path it is a true bound; with a path it is
+    an estimate extrapolated from the log-weight slope fitted near
+    ``t_cut``, because the path ends at its window.
+    """
+
     value: float
+    error_estimate: float
     tail_bound: float
     t_cut: float
 
 
-def _simpson(fn, a, b, n):
-    """Composite Simpson rule with n (even) intervals."""
-    xs = np.linspace(a, b, n + 1)
-    ys = np.array([fn(x) for x in xs])
-    h = (b - a) / n
-    return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
+def _composite_simpson(fn, edges):
+    """Simpson on each interval and its halves; halve every interval until the estimate is met."""
+    quarters = np.array([0.0, 0.25, 0.5, 0.75])
+    for _ in range(_QUAD_MAX_HALVINGS + 1):
+        h = np.diff(edges)
+        x = np.append((edges[:-1, None] + h[:, None] * quarters).ravel(), edges[-1])
+        y = fn(x)
+        y0, y1, y2, y3 = y[:-1].reshape(-1, 4).T
+        y4 = y[4::4]
+        coarse = h / 6.0 * (y0 + 4.0 * y2 + y4)
+        fine = h / 12.0 * (y0 + 4.0 * y1 + 2.0 * y2 + 4.0 * y3 + y4)
+        value = float(np.sum(fine))
+        error = float(np.sum(np.abs(fine - coarse))) / 15.0
+        if error <= _QUAD_REL_TOL * abs(value):
+            break
+        edges = x[::2]
+    return value, error
 
 
 def weighted_forcing_integral(
@@ -344,20 +375,21 @@ def weighted_forcing_integral(
     path: Optional[WienerPath] = None,
     epsilon=0.0,
     weight="z2",
-    rel_tol=1e-6,
-    t_tail=None,
 ) -> WeightedIntegral:
     """
     Evaluate ``integral_{-inf}^{tau} exp(rate * xi) w(xi) |f(xi)|^2 dxi``.
 
     ``w`` is 1 without a path, ``z(xi)^2 = exp(-2 eps path(xi))`` for
     ``weight='z2'`` (the caller passes the appropriately shifted path), or
-    ``exp(2 |path(xi - tau)|)`` for ``weight='exp_abs'``.  The improper
-    integral is truncated with an explicit exponential tail bound; a
-    :class:`DivergentIntegralError` is raised when the decay margin closes.
+    ``exp(2 |path(xi - tau)|)`` for ``weight='exp_abs'``.  A unit weight is
+    integrated on a uniform grid, a path weight between its own kinks (the path
+    nodes, and for 'exp_abs' the zero crossings), where it is smooth; see
+    :func:`_composite_simpson`.  The improper integral is
+    truncated with an exponential tail term; a :class:`DivergentIntegralError`
+    is raised when the decay margin closes.
     """
     if profile.is_zero:
-        return WeightedIntegral(0.0, 0.0, tau)
+        return WeightedIntegral(0.0, 0.0, 0.0, tau)
     g_sq = profile.vprime_sq_template if norm_kind == "vprime" else profile.h_sq_template
     env = profile.envelope
     margin_det = rate + env.decay_rate()
@@ -365,69 +397,50 @@ def weighted_forcing_integral(
         raise DivergentIntegralError(
             f"weight rate {rate} plus envelope decay {env.decay_rate()} is not positive"
         )
+    unit_weight = path is None or (weight == "z2" and epsilon == 0.0)
+    if not unit_weight and weight not in ("z2", "exp_abs"):
+        raise ValueError(f"unknown weight kind {weight!r}")
 
-    if path is None:
-        weight_fn = lambda xi: 1.0
-        window_lo = -np.inf
-    else:
+    def log_weight(xi):
+        if unit_weight:
+            return np.zeros_like(xi)
         if weight == "z2":
-            weight_fn = lambda xi: math.exp(-2.0 * epsilon * path.value(xi))
-        elif weight == "exp_abs":
-            weight_fn = lambda xi: math.exp(2.0 * abs(path.value(xi - tau)))
-        else:
-            raise ValueError(f"unknown weight kind {weight!r}")
-        lo, hi = path.window
-        window_lo = lo + (tau if weight == "exp_abs" else 0.0)
-
-    t_span = t_tail if t_tail is not None else 46.0 / margin_det
-    t_cut = tau - t_span
-    if path is not None:
-        t_cut = max(t_cut, window_lo)
+            return -2.0 * epsilon * path.value(xi)
+        return 2.0 * np.abs(path.value(xi - tau))
 
     def integrand(xi):
-        return math.exp(rate * (xi - tau)) * weight_fn(xi) * env(xi) ** 2 * g_sq
+        env_sq = np.fromiter(map(env, xi), float, xi.size) ** 2
+        return np.exp(rate * (xi - tau) + log_weight(xi)) * env_sq * g_sq
 
-    n = 2048
-    value = _simpson(integrand, t_cut, tau, n)
-    while n < 65536:
-        refined = _simpson(integrand, t_cut, tau, 2 * n)
-        if abs(refined - value) <= 0.1 * rel_tol * max(abs(refined), 1e-300):
-            value = refined
-            break
-        value = refined
-        n *= 2
+    t_cut = tau - 46.0 / margin_det
+    if path is not None:
+        # the weight's kinks: the path nodes, seen at xi - tau for 'exp_abs'
+        nodes = path._node_times - path.shift + (tau if weight == "exp_abs" else 0.0)
+        t_cut = max(t_cut, nodes[0])
+    if unit_weight:
+        nodes = np.linspace(t_cut, tau, _QUAD_UNIFORM_INTERVALS + 1)
+    kinks = nodes
+    if not unit_weight and weight == "exp_abs":
+        # |path| also kinks where the path crosses zero between two nodes
+        v = path.values - path.anchor
+        j = np.flatnonzero(v[:-1] * v[1:] < 0)
+        kinks = np.sort(np.append(nodes, nodes[j] + path.dt_grid * v[j] / (v[j] - v[j + 1])))
+    edges = np.concatenate([[t_cut], kinks[(kinks > t_cut) & (kinks < tau)], [tau]])
+    value, error = _composite_simpson(integrand, edges)
 
     # extrapolate the unobserved tail: fit the asymptotic log-weight slope on
     # the outer quarter of the integration range and continue from t_cut
-    slope = _tail_slope(path, epsilon, weight, tau, t_cut)
+    picked = nodes[(nodes <= t_cut + 0.25 * (tau - t_cut)) & (nodes >= t_cut)]
+    ref = np.maximum(np.abs(picked - tau), 1.0)
+    slope = float(np.max(log_weight(picked) / ref, initial=0.0))
     margin_tail = margin_det - slope
     if margin_tail <= 0:
         raise DivergentIntegralError(
             f"decay margin {margin_tail:.3g} <= 0 at the truncation point; "
             "cannot certify the improper integral"
         )
-    tail = g_sq * env.past_sup_sq(t_cut) * weight_fn(t_cut)
+    tail = g_sq * env.past_sup_sq(t_cut) * math.exp(log_weight(t_cut))
     tail *= math.exp(rate * (t_cut - tau)) / margin_tail
-    # both value and tail carry the exp(rate * tau) normalisation at the end
+    # value, error and tail all carry the exp(rate * tau) normalisation at the end
     scale = math.exp(rate * tau)
-    return WeightedIntegral(scale * value, scale * tail, t_cut)
-
-
-def _tail_slope(path, epsilon, weight, tau, t_cut):
-    """Asymptotic growth rate of log(weight) fitted on the far past nodes."""
-    if path is None:
-        return 0.0
-    nodes = path._node_times - path.shift
-    if weight == "exp_abs":
-        nodes = nodes + tau
-    span = tau - t_cut
-    sel = (nodes <= t_cut + 0.25 * span) & (nodes >= t_cut)
-    if not np.any(sel):
-        return 0.0
-    picked = nodes[sel]
-    if weight == "z2":
-        logs = np.array([-2.0 * epsilon * path.value(t) for t in picked])
-    else:
-        logs = np.array([2.0 * abs(path.value(t - tau)) for t in picked])
-    ref = np.maximum(np.abs(picked - tau), 1.0)
-    return max(float(np.max(logs / ref)), 0.0)
+    return WeightedIntegral(scale * value, scale * error, scale * tail, t_cut)

@@ -195,13 +195,18 @@ class TestMoreExperiments:
         assert manifest["summary"]["cloud_size"] == 2
         assert any(a.startswith("cloud_") for a in manifest["artifacts"])
 
-    def test_workers_do_not_change_outputs(self, tmp_path):
+    @pytest.mark.parametrize("kind, csvs", [
+        ("attractor", ["attractor.csv", "cloud_000.csv", "cloud_001.csv", "cloud_002.csv"]),
+        ("tails", ["tails.csv"]),
+    ], ids=["attractor", "tails"])
+    def test_workers_do_not_change_outputs(self, kind, csvs, tmp_path):
         raw = {
             "domain": {"N": 8},
             "params": {"epsilon": 0.5},
             "solver": {"dt": 0.01},
-            "experiment": {"kind": "attractor", "horizons": [0.1, 0.2], "seed": 4,
+            "experiment": {"kind": kind, "horizons": [0.1, 0.2], "seed": 4,
                            "family": {"radius": 0.5, "samples": 3},
+                           "tail_radii": [0.5, 1.0], "tail_epsilons": [0.0, 0.5],
                            "path_window": [-1.0, 1.0]},
         }
         for workers in (1, 2):
@@ -209,7 +214,7 @@ class TestMoreExperiments:
             assert run(parse_config(json.dumps(raw))) == 0
         names = sorted(p.name for p in (tmp_path / "w1").glob("*.csv"))
         assert names == sorted(p.name for p in (tmp_path / "w2").glob("*.csv"))
-        assert names == ["attractor.csv", "cloud_000.csv", "cloud_001.csv", "cloud_002.csv"]
+        assert names == csvs
         for name in names:
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 

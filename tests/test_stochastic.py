@@ -55,6 +55,20 @@ class TestWienerPath:
         with pytest.raises(OutOfWindowError):
             p.value(5.0)
 
+    def test_array_values_match_pointwise(self):
+        p = shift_path(sample_path(11, -3.0, 3.0, 0.1), -0.73)
+        ts = np.linspace(-1.9, 2.1, 157)
+        assert np.array_equal(p.value(ts), [p.value(t) for t in ts])
+        assert type(p.value(0.4)) is float
+
+    def test_array_out_of_window(self):
+        p = sample_path(0, -1.0, 1.0, 0.1)
+        for bad in (-1.5, 1.5):
+            ts = np.linspace(-0.9, 0.9, 11)
+            ts[4] = bad
+            with pytest.raises(OutOfWindowError):
+                p.value(ts)
+
 
 class TestShift:
     def test_identity_shift(self):
@@ -214,6 +228,52 @@ class TestWeightedIntegral:
         plain = weighted_forcing_integral(prof, 0.0, 1.0)
         weighted = weighted_forcing_integral(prof, 0.0, 1.0, path=p, epsilon=0.0)
         assert weighted.value == plain.value
+
+
+def _gauss_legendre_reference(prof, omega, tau, rate, eps, weight):
+    """8-point Gauss-Legendre on every interval over [t_cut, tau] where the weight is smooth."""
+    nodes = omega._node_times - omega.shift + (tau if weight == "exp_abs" else 0.0)
+    t_cut = max(tau - 46.0 / rate, nodes[0])
+    if weight == "exp_abs":  # |omega| is smooth between nodes and zero crossings
+        crossings = [
+            nodes[j] + omega.dt_grid * a / (a - b)
+            for j, (a, b) in enumerate(zip(omega.values[:-1], omega.values[1:]))
+            if a * b < 0
+        ]
+        nodes = np.sort(np.concatenate([nodes, crossings]))
+    edges = np.concatenate([[t_cut], nodes[(nodes > t_cut) & (nodes < tau)], [tau]])
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    xs = (mid[:, None] + half[:, None] * gx).ravel()
+    ws = (half[:, None] * gw).ravel()
+    if weight == "z2":
+        log_w = -2.0 * eps * omega.value(xs)
+    else:
+        log_w = 2.0 * np.abs(omega.value(xs - tau))
+    env_sq = np.cos(2.0 * math.pi * xs / prof.envelope.period) ** 2
+    return float(np.sum(ws * np.exp(rate * (xs - tau) + log_w) * env_sq) * prof.vprime_sq_template)
+
+
+class TestPathWeightedIntegral:
+    """The acceptance test-09 path and forcing at tau = 0, eps = 0.5."""
+
+    def setup_method(self):
+        g = single_mode_field(make_domain(2, math.pi, 24), [0, 1], amplitude=0.05)
+        self.prof = periodic_forcing(g, period=1.0, delta=0.5)
+        self.omega = sample_path(42, -70.0, 3.0, 5e-3)
+
+    def test_z2_weight_matches_gauss_legendre(self):
+        out = weighted_forcing_integral(self.prof, 0.0, 1.0, path=self.omega, epsilon=0.5)
+        ref = _gauss_legendre_reference(self.prof, self.omega, 0.0, 1.0, 0.5, "z2")
+        assert abs(out.value - ref) <= 1e-8 * ref
+        assert out.error_estimate <= 1e-7 * out.value
+
+    def test_exp_abs_weight_matches_gauss_legendre(self):
+        out = weighted_forcing_integral(self.prof, 0.0, 1.0, path=self.omega, epsilon=0.5,
+                                        weight="exp_abs")
+        ref = _gauss_legendre_reference(self.prof, self.omega, 0.0, 1.0, 0.5, "exp_abs")
+        assert 0.0 < out.error_estimate <= 1e-7 * out.value
+        assert abs(out.value - ref) <= 4.0 * out.error_estimate
 
 
 class TestPathExport:
