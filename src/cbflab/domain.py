@@ -77,10 +77,17 @@ class TorusDomain:
     modes: np.ndarray = dc_field(init=False, repr=False)
     kvec: np.ndarray = dc_field(init=False, repr=False)
     k_sq: np.ndarray = dc_field(init=False, repr=False)
+    k_sq_safe: np.ndarray = dc_field(init=False, repr=False)
     dealias_mask: np.ndarray = dc_field(init=False, repr=False)
     x_axis: np.ndarray = dc_field(init=False, repr=False)
     coords: np.ndarray = dc_field(init=False, repr=False)
     phase: np.ndarray = dc_field(init=False, repr=False)
+    # the stored half of the real-transform layout (last axis 0..N/2)
+    half_phase: np.ndarray = dc_field(init=False, repr=False)
+    half_kvec: np.ndarray = dc_field(init=False, repr=False)
+    half_kvec_neg: np.ndarray = dc_field(init=False, repr=False)
+    half_neg_index: np.ndarray = dc_field(init=False, repr=False)
+    half_conj_index: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -103,7 +110,9 @@ class TorusDomain:
         grids = np.meshgrid(*([k1] * d), indexing="ij")
         kvec = np.stack(grids)
         set_attr(self, "kvec", kvec)
-        set_attr(self, "k_sq", np.sum(kvec**2, axis=0))
+        k_sq = np.sum(kvec**2, axis=0)
+        set_attr(self, "k_sq", k_sq)
+        set_attr(self, "k_sq_safe", np.where(k_sq == 0.0, 1.0, k_sq))
         cut = math.floor(self.dealias_fraction * (N // 2))
         set_attr(self, "mode_cut", cut)
         set_attr(self, "dealias_mask", _mode_box(self, cut))
@@ -117,7 +126,19 @@ class TorusDomain:
         parity = np.zeros(mgrids[0].shape, dtype=int)
         for mg in mgrids:
             parity += np.abs(mg).astype(int)
-        set_attr(self, "phase", 1.0 - 2.0 * (parity % 2))
+        phase = 1.0 - 2.0 * (parity % 2)
+        set_attr(self, "phase", phase)
+        # flat index of -m in the full grid for every m of the stored half,
+        # and of -m in the stored half for every m of the missing half
+        half = N // 2 + 1
+        neg1 = -np.arange(N) % N
+        neg_index = np.ravel_multi_index(np.ix_(*([neg1] * (d - 1) + [neg1[:half]])), (N,) * d)
+        set_attr(self, "half_neg_index", neg_index)
+        set_attr(self, "half_conj_index", np.ravel_multi_index(
+            np.ix_(*([neg1] * (d - 1) + [neg1[half:]])), (N,) * (d - 1) + (half,)))
+        set_attr(self, "half_phase", np.ascontiguousarray(phase[..., :half]))
+        set_attr(self, "half_kvec", np.ascontiguousarray(kvec[..., :half]))
+        set_attr(self, "half_kvec_neg", kvec.reshape(d, -1)[:, neg_index])
 
     def __eq__(self, other):
         if not isinstance(other, TorusDomain):
@@ -224,14 +245,13 @@ def project_coeffs(domain, raw):
     raw = np.asarray(raw, dtype=np.complex128)
     if raw.shape != domain.shape:
         raise ShapeMismatchError(f"expected coeffs of shape {domain.shape}, got {raw.shape}")
-    k_sq_safe = np.where(domain.k_sq == 0.0, 1.0, domain.k_sq)
     # second pass drops the roundoff divergence to eps * output scale, so the
     # constructed field passes its own relative divergence invariant even
     # when the projection annihilates the input
     out = raw
     for _ in range(2):
         k_dot_u = np.sum(domain.kvec * out, axis=0)
-        out = out - domain.kvec * (k_dot_u / k_sq_safe)
+        out = out - domain.kvec * (k_dot_u / domain.k_sq_safe)
     return out
 
 

@@ -30,16 +30,10 @@ import numpy as np
 from .domain import (
     SpectralVelocityField,
     _energy_sq,
-    dealias_coeffs,
     project_coeffs,
     transform_inverse,
 )
-from .operators import (
-    PhysicalParameters,
-    advection_raw,
-    damping_raw,
-    validate_params,
-)
+from .operators import PhysicalParameters, validate_params
 from .stochastic import ConjugationProcess, ForcingProfile, WienerPath
 
 __all__ = [
@@ -136,12 +130,9 @@ class Trajectory:
 # right-hand side evaluation
 
 
-def _state_aux(dom, coeffs, t, params, profile, z):
-    """Norm row of the ledger for one state; reuses the physical samples."""
-    u_phys = transform_inverse(dom, coeffs)
-    speed_sq = np.sum(u_phys**2, axis=0)
+def _ledger_row(dom, coeffs, t, profile, z, speed_sq, lr_density):
+    """Norm row of the ledger from ``|u|^2`` and ``|u|^(r+1)`` on the grid."""
     h_sq, grad_sq = _energy_sq(dom, coeffs)
-    lr_pow = dom.dx**dom.d * float(np.sum(speed_sq ** ((params.r + 1.0) / 2.0)))
     if profile is None or profile.is_zero:
         f_pair = 0.0
     else:
@@ -151,27 +142,132 @@ def _state_aux(dom, coeffs, t, params, profile, z):
     return {
         "h_sq": h_sq,
         "grad_sq": grad_sq,
-        "lr_pow": lr_pow,
+        "lr_pow": dom.dx**dom.d * float(np.sum(lr_density)),
         "f_pair": f_pair,
         "z": z,
-        "max_speed": float(np.sqrt(speed_sq.max())) if speed_sq.size else 0.0,
-        "u_phys": u_phys,
+        "max_speed": float(np.sqrt(speed_sq.max())),
     }
 
 
-def _explicit_rhs(dom, coeffs, t, params, profile, z, include_B, include_C):
-    """Dealiased, projected coefficients of the explicit terms at weight z."""
-    aux = _state_aux(dom, coeffs, t, params, profile, z)
-    u_phys = aux.pop("u_phys")
-    n_hat = np.zeros(dom.shape, dtype=np.complex128)
+def _state_aux(dom, coeffs, t, params, profile, z):
+    """Ledger row of one state from its own inverse transform."""
+    speed_sq = np.sum(transform_inverse(dom, coeffs) ** 2, axis=0)
+    return _ledger_row(dom, coeffs, t, profile, z, speed_sq,
+                       speed_sq ** ((params.r + 1.0) / 2.0))
+
+
+def _half_divergence(k, flux, d):
+    """``sum_i k_i F_ij`` for a symmetric flux stored as its ``i <= j`` rows."""
+    div = np.zeros((d,) + flux.shape[1:], dtype=np.complex128)
+    p = 0
+    for i in range(d):
+        for j in range(i, d):
+            div[j] += k[i] * flux[p]
+            if i != j:
+                div[i] += k[j] * flux[p]
+            p += 1
+    return div
+
+
+def _grid_terms(dom, coeffs, t, params, profile, z, include_B, include_C):
+    """
+    Grid stage of :func:`_explicit_rhs`: the ledger row of the state and the
+    real rows ``[combined term (d), u_i u_j for i <= j]`` to transform
+    forward (None when both nonlinear terms are off).
+
+    The inverse transforms take the Hermitian part ``(x[m] + conj x[-m]) / 2``
+    of ``x = phase * coeffs`` and of ``x = i k_j phase * coeffs`` (with ``k``
+    taken at ``-m`` for the conjugate term) on the stored half, so the real
+    inverse equals ``np.real(ifftn(x))`` also for non-Hermitian input and on
+    the Nyquist planes.
+    """
+    d, N = dom.d, dom.N
+    axes = dom.spatial_axes
+    grid = (N,) * d
+    nd = N**d
+    # the two terms x[m] / 2 and conj x[-m] / 2 of the Hermitian part, one gather
+    lo = (0.5 * dom.half_phase) * coeffs[..., : N // 2 + 1]
+    hi = (0.5 * dom.half_phase) * np.conj(coeffs.reshape(d, -1)[:, dom.half_neg_index])
+    u = np.fft.irfftn(lo + hi, s=grid, axes=axes)
+    u *= nd
+    speed_sq = np.sum(u**2, axis=0)
+    if params.r == 1.0:
+        pw, lr_density = None, speed_sq
+    else:
+        pw = speed_sq ** (0.5 * (params.r - 1.0))
+        lr_density = pw * speed_sq
+    aux = _ledger_row(dom, coeffs, t, profile, z, speed_sq, lr_density)
+    if not (include_B or include_C):
+        return None, aux
+
+    stack = np.empty((d + (d * (d + 1) // 2 if include_B else 0),) + grid)
+    comb = stack[:d]
+    comb[...] = 0.0
     if include_B:
-        n_hat -= advection_raw(dom, u_phys, coeffs) / z
+        # (u . grad) u one gradient row d_i u at a time
+        for i in range(d):
+            g = dom.half_kvec[i] * lo
+            g -= dom.half_kvec_neg[i] * hi
+            g *= 1j
+            comb += u[i] * np.fft.irfftn(g, s=grid, axes=axes)
+        comb *= -0.5 * nd / z
+        p = d
+        for i in range(d):
+            for j in range(i, d):
+                np.multiply(u[i], u[j], out=stack[p])
+                p += 1
     if include_C:
-        n_hat -= (params.beta * z ** (1.0 - params.r)) * damping_raw(dom, u_phys, params.r)
-    f_hat = None if profile is None else profile.value_hat(t)
-    if f_hat is not None:
-        n_hat += z * f_hat
-    return project_coeffs(dom, dealias_coeffs(dom, n_hat)), aux
+        comb -= (params.beta * z ** (1.0 - params.r)) * (u if pw is None else pw * u)
+    return stack, aux
+
+
+def _spectral_terms(dom, stack, z, include_B):
+    """
+    Spectral stage of :func:`_explicit_rhs`: one real forward pass of the
+    grid rows, the flux divergence on the stored half, and one conjugate
+    gather for the missing half.  Returns the full, un-dealiased spectrum.
+    """
+    d, N = dom.d, dom.N
+    half = N // 2 + 1
+    out = np.fft.rfftn(stack, axes=dom.spatial_axes)
+    out *= dom.half_phase / N**d
+    n_half = src = out[:d]
+    if include_B:
+        flux = out[d:]
+        n_half = n_half - (0.5j / z) * _half_divergence(dom.half_kvec, flux, d)
+        src = n_half
+        if dom.mode_cut == N // 2:
+            # k(-m) = k(m) on a Nyquist plane, so when the dealias mask keeps
+            # those planes the conjugate half needs the divergence with -k(-m)
+            src = out[:d] + (0.5j / z) * _half_divergence(dom.half_kvec_neg, flux, d)
+    n_hat = np.empty(dom.shape, dtype=np.complex128)
+    n_hat[..., :half] = n_half
+    n_hat[..., half:] = np.conj(src.reshape(d, -1)[:, dom.half_conj_index])
+    return n_hat
+
+
+def _explicit_rhs(dom, coeffs, t, params, profile, z, include_B, include_C):
+    """
+    Dealiased, projected coefficients of the explicit terms at weight z,
+
+        -(1/z) B(u) - beta z^(1-r) C(u) + z f,
+
+    and the ledger row of the state, by the transform method on the stored
+    half of the real-transform layout: real inverse passes for ``u`` and the
+    gradient rows, advection and damping combined on the grid, and one real
+    forward pass of the combined term together with the symmetric flux
+    ``u_i u_j``, whose divergence is the skew-symmetric half of the advection.
+    """
+    stack, aux = _grid_terms(dom, coeffs, t, params, profile, z, include_B, include_C)
+    if stack is None:
+        n_hat = np.zeros(dom.shape, dtype=np.complex128)
+    else:
+        n_hat = _spectral_terms(dom, stack, z, include_B)
+        del stack  # free the grid rows before projecting
+    if profile is not None and not profile.is_zero:
+        n_hat += z * profile.value_hat(t)
+    n_hat *= dom.dealias_mask
+    return project_coeffs(dom, n_hat), aux
 
 
 def _linear_factors(dom, params, dt, include_linear):
@@ -299,7 +395,6 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
 
     t_last = float(ledger["t"][n_steps])
     aux = _state_aux(dom, coeffs, t_last, params, profile, zf(t_last))
-    aux.pop("u_phys")
     for name in cols:
         ledger[name][n_steps] = aux[name]
     if not np.isfinite(aux["h_sq"]):

@@ -7,6 +7,10 @@ Core operators of the damped Navier-Stokes system.
   ``b(u, v, w) = -b(u, w, v)`` up to roundoff on dealiased fields.
 * Damping ``C(u) = P(|u|^(r-1) u)`` evaluated pointwise on the grid.
 * The monotonicity gap of the damping operator.
+
+The solvers evaluate ``B`` and ``C`` together with the fused half-spectrum
+kernel of :mod:`cbflab.integrators`; the full-spectrum forms here are its
+reference.
 """
 
 from __future__ import annotations

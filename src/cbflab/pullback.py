@@ -210,28 +210,27 @@ def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalPara
     companion bound using ``exp(2 |omega|)`` weights.  The companion
     dominates the radius for every noise intensity in (0, 1].
     """
+    m_eps, base, term, tail = _z2_radius(tau, omega, epsilon, params, profile)
+    companion = math.exp(2.0 * abs(omega.value(-tau)))
+    if not profile.is_zero:
+        comp_int = weighted_forcing_integral(
+            profile, tau, params.alpha, "vprime", path=omega, epsilon=epsilon, weight="exp_abs",
+        )
+        companion = companion + math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * comp_int.value
+    return AbsorbingEstimate(m_eps, base, term, tail, companion_radius_sq=companion)
+
+
+def _z2_radius(tau, omega, epsilon, params, profile):
+    """``(M(tau, omega), z(tau)^-2, forcing term, tail bound)`` on the shifted path."""
     shifted = shift_path(omega, -tau)
-    z_tau = math.exp(-epsilon * shifted.value(tau))
-    mn = min(params.mu, params.alpha)
+    base = math.exp(-epsilon * shifted.value(tau)) ** -2.0
     if profile.is_zero:
-        m_eps = z_tau**-2.0
-        companion = math.exp(2.0 * abs(omega.value(-tau)))
-        return AbsorbingEstimate(m_eps, z_tau**-2.0, 0.0, 0.0, companion_radius_sq=companion)
+        return base, base, 0.0, 0.0
     integ = weighted_forcing_integral(
         profile, tau, params.alpha, "vprime", path=shifted, epsilon=epsilon, weight="z2",
     )
-    term = z_tau**-2.0 * math.exp(-params.alpha * tau) / mn * integ.value
-    m_eps = z_tau**-2.0 + term
-    comp_int = weighted_forcing_integral(
-        profile, tau, params.alpha, "vprime", path=omega, epsilon=epsilon, weight="exp_abs",
-    )
-    companion = (
-        math.exp(2.0 * abs(omega.value(-tau)))
-        + math.exp(-params.alpha * tau) / mn * comp_int.value
-    )
-    return AbsorbingEstimate(
-        m_eps, z_tau**-2.0, term, integ.tail_bound, companion_radius_sq=companion
-    )
+    term = base * math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * integ.value
+    return base + term, base, term, integ.tail_bound
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +404,7 @@ def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalPar
     for eps in eps_ladder:
         samp = sample_attractor("stoch", tau, omega, eps, params, profile, horizons,
                                 family, config, domain=domain, workers=workers)
-        radius = absorbing_radius_stoch(tau, omega, eps, params, profile).radius_sq
+        radius = _z2_radius(tau, omega, eps, params, profile)[0]
         rows.append(SemicontinuityRow(
             epsilon=eps,
             dist=hausdorff_semidistance(samp.points, base.points),

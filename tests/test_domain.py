@@ -67,6 +67,25 @@ class TestMakeDomain:
     def test_phase_is_declared_field(self):
         assert "phase" in {f.name for f in dataclasses.fields(TorusDomain)}
 
+    @pytest.mark.parametrize("d,N", [(2, 8), (3, 6)])
+    def test_half_spectrum_tables(self, d, N):
+        declared = {f.name: f for f in dataclasses.fields(TorusDomain)}
+        for name in ("k_sq_safe", "half_phase", "half_kvec", "half_kvec_neg",
+                     "half_neg_index", "half_conj_index"):
+            assert not declared[name].init and not declared[name].repr
+        dom = make_domain(d, math.pi, N)
+        half = N // 2 + 1
+        assert np.array_equal(dom.k_sq_safe, np.where(dom.k_sq == 0.0, 1.0, dom.k_sq))
+        # -m of every stored mode, and the stored -m of every missing mode
+        flat_modes = np.stack(np.meshgrid(*([dom.modes] * d), indexing="ij")).reshape(d, -1)
+        neg = flat_modes[:, dom.half_neg_index]
+        stored = flat_modes.reshape((d,) + (N,) * d)[..., :half]
+        assert np.all(np.where(np.abs(stored) == N // 2, neg == stored, neg == -stored))
+        missing = flat_modes.reshape((d,) + (N,) * d)[..., half:]
+        back = stored.reshape(d, -1)[:, dom.half_conj_index]
+        assert np.all(np.where(np.abs(missing) == N // 2, back == missing, back == -missing))
+        assert np.array_equal(dom.half_kvec_neg, dom.kvec.reshape(d, -1)[:, dom.half_neg_index])
+
 
 class TestLowModeSampler:
     """Coefficients drawn by random_field and TemperedFamily.samples."""

@@ -8,9 +8,12 @@ import pytest
 from cbflab.domain import (
     SpectralVelocityField,
     constant_field,
+    dealias_coeffs,
     make_domain,
     norms,
+    project_coeffs,
     random_field,
+    transform_inverse,
     zero_field,
 )
 from cbflab.integrators import (
@@ -23,8 +26,15 @@ from cbflab.integrators import (
     perturbation_envelope,
     solve,
     uniform_estimates_check,
+    _explicit_rhs,
+    _state_aux,
 )
-from cbflab.operators import PhysicalParameters, empirical_constants
+from cbflab.operators import (
+    PhysicalParameters,
+    advection_raw,
+    damping_raw,
+    empirical_constants,
+)
 from cbflab.stochastic import (
     ConjugationProcess,
     constant_forcing,
@@ -378,3 +388,89 @@ class TestTrajectoryReconstruction:
         traj = solve("conjugated", u0, cfg, params_with_eps(0.5), zero_forcing(), path=path)
         assert len(traj.states) == 3
         assert norms(traj.states[2]).h_norm_sq < norms(u0).h_norm_sq
+
+
+def reference_rhs(dom, coeffs, t, params, profile, z, include_B, include_C):
+    """``-B(u)/z - beta z^(1-r) C(u) + z f`` composed from the full-spectrum operators."""
+    u_phys = transform_inverse(dom, coeffs)
+    n_hat = np.zeros(dom.shape, dtype=np.complex128)
+    if include_B:
+        n_hat -= advection_raw(dom, u_phys, coeffs) / z
+    if include_C:
+        n_hat -= (params.beta * z ** (1.0 - params.r)) * damping_raw(dom, u_phys, params.r)
+    f_hat = profile.value_hat(t)
+    if f_hat is not None:
+        n_hat += z * f_hat
+    return project_coeffs(dom, dealias_coeffs(dom, n_hat))
+
+
+TOGGLES = [(True, True), (True, False), (False, True), (False, False)]
+
+
+class TestFusedRhs:
+    """The half-spectrum kernel against the full-spectrum operator composition."""
+
+    @staticmethod
+    def assert_matches(dom, coeffs, params, profile, z=1.7, t=0.3):
+        for include_B, include_C in TOGGLES:
+            got, aux = _explicit_rhs(dom, coeffs, t, params, profile, z, include_B, include_C)
+            ref = reference_rhs(dom, coeffs, t, params, profile, z, include_B, include_C)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            expect = _state_aux(dom, coeffs, t, params, profile, z)
+            assert aux.keys() == expect.keys()
+            for name, value in expect.items():
+                assert aux[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("r", [1.0, 2.5, 3.0, 5.0])
+    @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+    def test_matches_reference(self, d, N, r, forced):
+        dom = make_domain(d, math.pi, N)
+        params = PhysicalParameters(d, 1.0, 1.0, 0.7, r)
+        u = random_field(dom, seed=60, amplitude=0.8)
+        profile = periodic_forcing(random_field(dom, seed=61, amplitude=0.3), 0.5) if forced else zero_forcing()
+        self.assert_matches(dom, u.coeffs, params, profile)
+
+    @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
+    def test_non_hermitian_nyquist_input(self, d, N, dealias):
+        # raw complex coefficients: not Hermitian, not solenoidal, with
+        # content on every Nyquist plane (kept by the output when dealias = 1)
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(62)
+        coeffs = 0.1 * (rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape))
+        nyquist = np.zeros(dom.shape[1:], dtype=bool)
+        for axis in range(d):
+            nyquist |= (np.arange(N) == N // 2).reshape((N,) + (1,) * (d - 1 - axis))
+        assert np.all(np.abs(coeffs[:, nyquist]) > 0)
+        params = PhysicalParameters(d, 1.0, 1.0, 0.7, 2.5)
+        profile = constant_forcing(random_field(dom, seed=63, amplitude=0.3))
+        self.assert_matches(dom, coeffs, params, profile)
+
+    @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+    def test_transform_count(self, d, N, monkeypatch):
+        names = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft",
+                 "rfftn", "irfftn", "rfft2", "irfft2", "hfft", "ihfft")
+        calls = []
+        depth = [0]
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                if depth[0] == 0:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        dom = make_domain(d, math.pi, N)
+        params = PhysicalParameters(d, 1.0, 1.0, 1.0, 5.0)
+        u = random_field(dom, seed=64, amplitude=0.5)
+        profile = periodic_forcing(random_field(dom, seed=65, amplitude=0.3), 0.5)
+        _explicit_rhs(dom, u.coeffs, 0.2, params, profile, 1.3, True, True)
+        assert len(calls) <= d + 2
+        assert calls.count("irfftn") == d + 1 and calls.count("rfftn") == 1

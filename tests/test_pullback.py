@@ -296,6 +296,29 @@ class TestSemicontinuity:
                                      [4.0, 8.0], fam, cfg, domain=dom)
         assert all(r.dist <= 1e-3 for r in sweep.rows)
 
+    def test_forced_sweep_radius_without_companion(self, monkeypatch):
+        import cbflab.pullback as pullback
+
+        weights = []
+        integral = pullback.weighted_forcing_integral
+
+        def recording(*args, **kwargs):
+            weights.append(kwargs.get("weight", "unit"))
+            return integral(*args, **kwargs)
+
+        monkeypatch.setattr(pullback, "weighted_forcing_integral", recording)
+        dom = make_domain(2, math.pi, 8)
+        fam = TemperedFamily(radius_fn=0.5, sample_count=2, sampler_seed=6)
+        cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0, record_stride=10**9)
+        omega = sample_path(7, -40.0, 2.0, 5e-3)
+        prof = periodic_forcing(single_mode_field(dom, [0, 1], amplitude=0.05), 1.0)
+        sweep = semicontinuity_sweep(0.0, omega, [0.5, 0.25], PARAMS, prof,
+                                     [0.02], fam, cfg, domain=dom)
+        assert weights == ["unit", "z2", "z2"]
+        for row in sweep.rows:
+            est = absorbing_radius_stoch(0.0, omega, row.epsilon, with_eps(row.epsilon), prof)
+            assert row.radius_sq == est.radius_sq
+
     def test_ladder_validation(self):
         dom = make_domain(2, math.pi, 16)
         fam = TemperedFamily(radius_fn=0.5, sample_count=2, sampler_seed=6)
