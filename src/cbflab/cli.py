@@ -84,7 +84,6 @@ class RunConfig:
     experiment: dict
     epsilon_ladder: list
     out_dir: str
-    workers: int
 
 
 @dataclass
@@ -185,6 +184,7 @@ def parse_config(text) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     merged = _merge_defaults(data)
+    # still validated so old configs keep parsing; every solve runs in the calling thread
     workers = merged["workers"]
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers: expected an integer >= 1, got {workers!r}")
@@ -265,7 +265,6 @@ def parse_config(text) -> RunConfig:
         experiment=ex,
         epsilon_ladder=list(ladder) if ladder else [],
         out_dir=merged["output"]["dir"],
-        workers=workers,
     )
 
 
@@ -345,7 +344,7 @@ def _run_pullback(cfg, out, artifacts, summary):
     omega = _path_from(ex, cfg.solver.dt) if kind == "stoch" else None
     est = measure_absorption(
         kind, ex.get("tau", 0.0), omega, eps, _family_from(ex), cfg.params, cfg.profile,
-        ex["horizons"], cfg.solver, domain=cfg.domain, workers=cfg.workers,
+        ex["horizons"], cfg.solver, domain=cfg.domain,
     )
     rows = [
         (float(t), float(m), float(est.radius_sq), int(m <= est.radius_sq * (1 + 1e-6)))
@@ -355,6 +354,7 @@ def _run_pullback(cfg, out, artifacts, summary):
     artifacts.append("absorption.csv")
     summary["radius_sq"] = est.radius_sq
     summary["entry_time"] = est.entry_time
+    summary["forcing_integral_rel_error"] = est.forcing_integral_rel_error
     return 0
 
 
@@ -365,7 +365,7 @@ def _run_attractor(cfg, out, artifacts, summary):
     omega = _path_from(ex, cfg.solver.dt) if kind == "stoch" else None
     samp = sample_attractor(
         kind, ex.get("tau", 0.0), omega, eps, cfg.params, cfg.profile,
-        ex["horizons"], _family_from(ex), cfg.solver, domain=cfg.domain, workers=cfg.workers,
+        ex["horizons"], _family_from(ex), cfg.solver, domain=cfg.domain,
     )
     rows = [
         (float(samp.horizons[i + 1]), float(d)) for i, d in enumerate(samp.convergence_diag)
@@ -388,7 +388,7 @@ def _run_semicontinuity(cfg, out, artifacts, summary):
     omega = _path_from(ex, cfg.solver.dt)
     sweep = semicontinuity_sweep(
         ex.get("tau", 0.0), omega, cfg.epsilon_ladder, cfg.params, cfg.profile,
-        ex["horizons"], _family_from(ex), cfg.solver, domain=cfg.domain, workers=cfg.workers,
+        ex["horizons"], _family_from(ex), cfg.solver, domain=cfg.domain,
     )
     rows = [(float(r.epsilon), float(r.dist), float(r.radius_sq)) for r in sweep.rows]
     _write_csv(out / "semicontinuity.csv", ["epsilon", "dist_h", "radius_sq"], rows)
@@ -396,6 +396,7 @@ def _run_semicontinuity(cfg, out, artifacts, summary):
     summary["base_radius_sq"] = sweep.base_radius_sq
     summary["weakly_decreasing"] = sweep.weakly_decreasing
     summary["final_is_min"] = sweep.final_is_min
+    summary["forcing_integral_rel_error"] = sweep.forcing_integral_rel_error
     return 0 if (sweep.weakly_decreasing and sweep.final_is_min) else 1
 
 
@@ -412,8 +413,7 @@ def _run_tails(cfg, out, artifacts, summary):
         kind = "stoch" if eps > 0 else "det"
         omega = _path_from(ex, cfg.solver.dt) if kind == "stoch" else None
         ends = _endpoint_cloud(kind, horizon, ex.get("tau", 0.0), omega, family,
-                               replace(cfg.params, epsilon=eps), cfg.profile, cfg.solver,
-                               cfg.domain, cfg.workers)
+                               replace(cfg.params, epsilon=eps), cfg.profile, cfg.solver, cfg.domain)
         for k in radii:
             worst = max(tail_mass(e, k) for e in ends)
             rows.append((float(eps), float(k), float(worst)))
@@ -468,7 +468,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None, help="accepted and validated; no effect")
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 

@@ -15,6 +15,7 @@ the divergence-free constraint is the mode-wise condition ``k . uhat(k) = 0``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 DIV_TOL = 1e-10
+_SNAPSHOT_BLOCK = 4096  # rows formatted per write
 
 
 class ShapeMismatchError(ValueError):
@@ -485,31 +487,28 @@ def field_from_physical(domain, samples, project=True, dealias=True) -> Spectral
 def save_snapshot(field: SpectralVelocityField, path, time=0.0):
     """
     Write one field to disk: a JSON header line followed by CSV rows
-    ``kx, ky[, kz], re_u1, im_u1, ...``.  Floats are written with ``repr`` so
-    the round trip is bit exact.
+    ``kx, ky[, kz], re_u1, im_u1, ...`` in ``np.ndindex`` order of the mode
+    grid.  Floats are written with ``repr`` so the round trip is bit exact.
     """
     dom = field.domain
-    header = {
-        "d": dom.d,
-        "L": dom.L,
-        "N": dom.N,
-        "dealias_fraction": dom.dealias_fraction,
-        "time": float(time),
-    }
-    k_cols = ["kx", "ky", "kz"][: dom.d]
-    u_cols = []
-    for comp in range(dom.d):
-        u_cols += [f"re_u{comp + 1}", f"im_u{comp + 1}"]
+    header = {"d": dom.d, "L": dom.L, "N": dom.N, "dealias_fraction": dom.dealias_fraction,
+              "time": float(time)}
+    cols = ["kx", "ky", "kz"][: dom.d] + [f"{p}_u{c + 1}" for c in range(dom.d) for p in ("re", "im")]
+    k1 = [repr(float(k)) for k in (np.pi / dom.L) * dom.modes]
+    prefixes = map(",".join, itertools.product(k1, repeat=dom.d))
+    # one row per mode: re_u1, im_u1, re_u2, ...
+    values = np.stack([field.coeffs.real, field.coeffs.imag], axis=1).reshape(2 * dom.d, -1).T
+    zero_tail = ",0.0" * (2 * dom.d) + "\n"  # a row of +0.0 bits, as most dealiased modes are
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(",".join(k_cols + u_cols) + "\n")
-        k1 = (np.pi / dom.L) * dom.modes
-        for idx in np.ndindex(*(dom.N,) * dom.d):
-            row = [repr(float(k1[i])) for i in idx]
-            for comp in range(dom.d):
-                c = field.coeffs[(comp,) + idx]
-                row += [repr(float(c.real)), repr(float(c.imag))]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(cols) + "\n")
+        # rows in blocks, so the Python floats and strings of one block are all that is held;
+        # zip takes the block's rows first and so never draws a prefix past its end
+        for start in range(0, len(values), _SNAPSHOT_BLOCK):
+            block = values[start:start + _SNAPSHOT_BLOCK]
+            zero = (block.view(np.uint64) == 0).all(axis=1).tolist()
+            fh.write("".join(k + zero_tail if z else f"{k},{','.join(map(repr, row))}\n"
+                             for row, z, k in zip(block.tolist(), zero, prefixes)))
 
 
 def load_snapshot(path):
@@ -518,15 +517,17 @@ def load_snapshot(path):
         header = json.loads(fh.readline())
         fh.readline()  # column names
         dom = make_domain(header["d"], header["L"], header["N"], header["dealias_fraction"])
-        coeffs = np.zeros(dom.shape, dtype=np.complex128)
-        k1 = (np.pi / dom.L) * dom.modes
-        for idx in np.ndindex(*(dom.N,) * dom.d):
-            parts = fh.readline().split(",")
-            for i, axis_idx in enumerate(idx):
-                if float(parts[i]) != float(k1[axis_idx]):
-                    raise ValueError(f"snapshot row order mismatch at {idx}")
-            for comp in range(dom.d):
-                re = float(parts[dom.d + 2 * comp])
-                im = float(parts[dom.d + 2 * comp + 1])
-                coeffs[(comp,) + idx] = complex(re, im)
+        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    d = dom.d
+    if body.shape != (dom.N**d, 3 * d):
+        raise ValueError(f"snapshot body has shape {body.shape}, expected {(dom.N**d, 3 * d)}")
+    wrong = np.any(body[:, :d] != dom.kvec.reshape(d, -1).T, axis=1)
+    if wrong.any():
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(wrong)), (dom.N,) * d))
+        raise ValueError(f"snapshot row order mismatch at {idx}")
+    # assigning the parts keeps every bit, signed zeros included
+    parts = body[:, d:].T
+    coeffs = np.empty(dom.shape, dtype=np.complex128)
+    coeffs.real = parts[0::2].reshape(dom.shape)
+    coeffs.imag = parts[1::2].reshape(dom.shape)
     return SpectralVelocityField(dom, coeffs), header["time"]

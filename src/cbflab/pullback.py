@@ -17,7 +17,6 @@ is diagnosed, never proved.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -61,13 +60,6 @@ __all__ = [
 
 class EmptySetError(ValueError):
     """Hausdorff semi-distance needs non-empty clouds."""
-
-
-def _pmap(fn, items, workers=1):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +169,11 @@ def cocycle_trajectory(kind, t, tau, omega, initial, params, profile, config) ->
 
 @dataclass(frozen=True)
 class AbsorbingEstimate:
-    """Absorbing-ball radius (squared) with its two-summand breakdown."""
+    """
+    Absorbing-ball radius (squared) with its two-summand breakdown.
+    ``forcing_integral_rel_error`` is the largest ``error_estimate / value``
+    of its forcing integrals; above 1e-7 one missed its tolerance.
+    """
 
     radius_sq: float
     constant_term: float
@@ -187,6 +183,11 @@ class AbsorbingEstimate:
     companion_radius_sq: Optional[float] = None
     rung_max_norm_sq: Optional[tuple] = None
     horizons: Optional[tuple] = None
+    forcing_integral_rel_error: float = 0.0
+
+
+def _rel_error(integ) -> float:
+    return integ.error_estimate / integ.value if integ.value else 0.0
 
 
 def absorbing_radius_det(tau, params: PhysicalParameters, profile: ForcingProfile) -> AbsorbingEstimate:
@@ -196,7 +197,8 @@ def absorbing_radius_det(tau, params: PhysicalParameters, profile: ForcingProfil
     mn = min(params.mu, params.alpha)
     integ = weighted_forcing_integral(profile, tau, params.alpha, "vprime")
     term = math.exp(-params.alpha * tau) / mn * integ.value
-    return AbsorbingEstimate(1.0 + term, 1.0, term, integ.tail_bound)
+    return AbsorbingEstimate(1.0 + term, 1.0, term, integ.tail_bound,
+                             forcing_integral_rel_error=_rel_error(integ))
 
 
 def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalParameters,
@@ -210,47 +212,49 @@ def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalPara
     companion bound using ``exp(2 |omega|)`` weights.  The companion
     dominates the radius for every noise intensity in (0, 1].
     """
-    m_eps, base, term, tail = _z2_radius(tau, omega, epsilon, params, profile)
+    est = _z2_radius(tau, omega, epsilon, params, profile)
     companion = math.exp(2.0 * abs(omega.value(-tau)))
+    rel = est.forcing_integral_rel_error
     if not profile.is_zero:
         comp_int = weighted_forcing_integral(
             profile, tau, params.alpha, "vprime", path=omega, epsilon=epsilon, weight="exp_abs",
         )
         companion = companion + math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * comp_int.value
-    return AbsorbingEstimate(m_eps, base, term, tail, companion_radius_sq=companion)
+        rel = max(rel, _rel_error(comp_int))
+    return replace(est, companion_radius_sq=companion, forcing_integral_rel_error=rel)
 
 
-def _z2_radius(tau, omega, epsilon, params, profile):
-    """``(M(tau, omega), z(tau)^-2, forcing term, tail bound)`` on the shifted path."""
+def _z2_radius(tau, omega, epsilon, params, profile) -> AbsorbingEstimate:
+    """``M(tau, omega)`` with its ``z(tau)^-2`` and forcing terms, on the shifted path."""
     shifted = shift_path(omega, -tau)
     base = math.exp(-epsilon * shifted.value(tau)) ** -2.0
     if profile.is_zero:
-        return base, base, 0.0, 0.0
+        return AbsorbingEstimate(base, base, 0.0, 0.0)
     integ = weighted_forcing_integral(
         profile, tau, params.alpha, "vprime", path=shifted, epsilon=epsilon, weight="z2",
     )
     term = base * math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * integ.value
-    return base + term, base, term, integ.tail_bound
+    return AbsorbingEstimate(base + term, base, term, integ.tail_bound,
+                             forcing_integral_rel_error=_rel_error(integ))
 
 
 # ---------------------------------------------------------------------------
 # absorption measurement and attractor sampling
 
 
-def _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain, workers):
+def _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain):
     """Endpoints at ``tau`` of the family's samples pulled back from ``tau - t``."""
     pulled = shift_path(omega, -t) if kind == "stoch" else None
-    return _pmap(
-        lambda s: cocycle_eval(kind, t, tau - t, pulled, s, params, profile, config),
-        family.samples(domain, t),
-        workers,
-    )
+    return [
+        cocycle_eval(kind, t, tau - t, pulled, s, params, profile, config)
+        for s in family.samples(domain, t)
+    ]
 
 
 def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
                        params: PhysicalParameters, profile: ForcingProfile,
                        horizons: Sequence[float], config: SolverConfig,
-                       *, domain, workers=1, slack=1e-6) -> AbsorbingEstimate:
+                       *, domain, slack=1e-6) -> AbsorbingEstimate:
     """
     Pull the family back from ``tau - t`` for each horizon ``t`` and record
     the first ladder rung after which every endpoint stays inside the
@@ -268,7 +272,7 @@ def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
 
     max_norms = []
     for t in horizons:
-        ends = _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain, workers)
+        ends = _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain)
         max_norms.append(max(_energy_sq(domain, e.coeffs)[0] for e in ends))
     threshold = est.radius_sq * (1.0 + slack)
     absorbed = [m <= threshold for m in max_norms]
@@ -277,16 +281,7 @@ def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
         if all(absorbed[i:]):
             entry = horizons[i]
             break
-    return AbsorbingEstimate(
-        radius_sq=est.radius_sq,
-        constant_term=est.constant_term,
-        integral_term=est.integral_term,
-        tail_bound=est.tail_bound,
-        entry_time=entry,
-        companion_radius_sq=est.companion_radius_sq,
-        rung_max_norm_sq=tuple(max_norms),
-        horizons=tuple(horizons),
-    )
+    return replace(est, entry_time=entry, rung_max_norm_sq=tuple(max_norms), horizons=tuple(horizons))
 
 
 @dataclass(frozen=True)
@@ -316,7 +311,7 @@ def _thin_cloud(points, cap=256):
 def sample_attractor(kind, tau, omega, epsilon, params: PhysicalParameters,
                      profile: ForcingProfile, horizons: Sequence[float],
                      family: TemperedFamily, config: SolverConfig,
-                     *, domain, workers=1) -> AttractorSample:
+                     *, domain) -> AttractorSample:
     """
     Endpoint clouds of the family for increasing pullback horizons.  The
     Hausdorff distance between successive clouds is the convergence
@@ -329,7 +324,7 @@ def sample_attractor(kind, tau, omega, epsilon, params: PhysicalParameters,
         params = replace(params, epsilon=epsilon)
 
     clouds = [
-        _thin_cloud(_endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain, workers))
+        _thin_cloud(_endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain))
         for t in horizons
     ]
     diag = tuple(
@@ -381,11 +376,12 @@ class SemicontinuitySweep:
     base_radius_sq: float
     weakly_decreasing: bool
     final_is_min: bool
+    forcing_integral_rel_error: float = 0.0
 
 
 def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalParameters,
                          profile: ForcingProfile, horizons, family: TemperedFamily,
-                         config: SolverConfig, *, domain, workers=1) -> SemicontinuitySweep:
+                         config: SolverConfig, *, domain) -> SemicontinuitySweep:
     """
     Distance from each noisy attractor sample to the noise-free sample along
     a decreasing intensity ladder, with the pathwise absorbing radius per
@@ -398,26 +394,29 @@ def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalPar
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("intensity ladder must decrease strictly")
     base = sample_attractor("det", tau, None, 0.0, params, profile, horizons, family,
-                            config, domain=domain, workers=workers)
-    base_radius = absorbing_radius_det(tau, params, profile).radius_sq
+                            config, domain=domain)
+    base_est = absorbing_radius_det(tau, params, profile)
+    rel = base_est.forcing_integral_rel_error
     rows = []
     for eps in eps_ladder:
         samp = sample_attractor("stoch", tau, omega, eps, params, profile, horizons,
-                                family, config, domain=domain, workers=workers)
-        radius = _z2_radius(tau, omega, eps, params, profile)[0]
+                                family, config, domain=domain)
+        est = _z2_radius(tau, omega, eps, params, profile)
+        rel = max(rel, est.forcing_integral_rel_error)
         rows.append(SemicontinuityRow(
             epsilon=eps,
             dist=hausdorff_semidistance(samp.points, base.points),
-            radius_sq=radius,
+            radius_sq=est.radius_sq,
         ))
     dists = [r.dist for r in rows]
     weakly_dec = all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(dists, dists[1:]))
     final_min = dists[-1] <= min(dists) * (1.0 + 1e-9)
     return SemicontinuitySweep(
         rows=tuple(rows),
-        base_radius_sq=base_radius,
+        base_radius_sq=base_est.radius_sq,
         weakly_decreasing=weakly_dec,
         final_is_min=final_min,
+        forcing_integral_rel_error=rel,
     )
 
 

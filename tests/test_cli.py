@@ -218,6 +218,55 @@ class TestMoreExperiments:
         for name in names:
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
+    @pytest.mark.parametrize("kind", ["attractor", "semicontinuity"])
+    def test_workers_start_no_thread(self, kind, tmp_path, monkeypatch):
+        import threading
+
+        def refuse(self):
+            raise RuntimeError("no thread may be started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / kind
+        cfg = parse_config(json.dumps({
+            "domain": {"N": 8},
+            "params": {"epsilon": 0.5, "epsilon_ladder": [0.5, 0.25]},
+            "solver": {"dt": 0.01},
+            "forcing": {"kind": "periodic", "period": 1.0, "delta": 0.5,
+                        "template": {"shape": "single_mode", "mode": [0, 1],
+                                     "amplitude": 0.05}},
+            "experiment": {"kind": kind, "horizons": [0.1, 0.2], "seed": 4,
+                           "family": {"radius": 0.3, "samples": 3},
+                           "path_window": [-40.0, 1.0]},
+            "output": {"dir": str(out)},
+            "workers": 2,
+        }))
+        assert run(cfg) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] and all((out / a).is_file() for a in manifest["artifacts"])
+        if kind == "semicontinuity":
+            assert 0.0 < manifest["summary"]["forcing_integral_rel_error"] <= 1e-7
+
+    @pytest.mark.parametrize("forcing", [
+        {"kind": "zero"},
+        {"kind": "constant_field", "delta": 0.5,
+         "template": {"shape": "single_mode", "mode": [0, 1]}},
+    ], ids=["unforced", "forced"])
+    def test_pullback_records_integral_error(self, forcing, tmp_path):
+        cfg = parse_config(json.dumps({
+            "domain": {"N": 8},
+            "solver": {"dt": 0.01},
+            "forcing": forcing,
+            "experiment": {"kind": "pullback", "horizons": [0.1, 0.2],
+                           "family": {"radius": 0.5, "samples": 2}, "seed": 5},
+            "output": {"dir": str(tmp_path)},
+        }))
+        assert run(cfg) == 0
+        rel = json.loads((tmp_path / "manifest.json").read_text())["summary"]["forcing_integral_rel_error"]
+        if forcing["kind"] == "zero":
+            assert rel == 0.0
+        else:
+            assert 0.0 < rel <= 1e-7
+
     def test_semicontinuity_experiment(self, tmp_path):
         out = tmp_path / "semi"
         cfg = parse_config(json.dumps({

@@ -1,6 +1,7 @@
 """Spectral domain: grids, transforms, projection, norms, snapshots."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -313,3 +314,62 @@ class TestSnapshots:
         save_snapshot(u, fname)
         v, _ = load_snapshot(fname)
         assert np.array_equal(v.coeffs, u.coeffs)
+
+    @staticmethod
+    def reference_bytes(field, time):
+        """The per-row ``repr`` writer that the block writer replaced."""
+        dom = field.domain
+        header = {"d": dom.d, "L": dom.L, "N": dom.N,
+                  "dealias_fraction": dom.dealias_fraction, "time": float(time)}
+        cols = ["kx", "ky", "kz"][: dom.d]
+        for comp in range(dom.d):
+            cols += [f"re_u{comp + 1}", f"im_u{comp + 1}"]
+        lines = [json.dumps(header, sort_keys=True), ",".join(cols)]
+        k1 = (np.pi / dom.L) * dom.modes
+        for idx in np.ndindex(*(dom.N,) * dom.d):
+            row = [repr(float(k1[i])) for i in idx]
+            for comp in range(dom.d):
+                c = field.coeffs[(comp,) + idx]
+                row += [repr(float(c.real)), repr(float(c.imag))]
+            lines.append(",".join(row))
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("d, N", [(2, 64), (3, 32)])
+    def test_bytes_match_row_writer(self, d, N, tmp_path):
+        dom = make_domain(d, 1.3, N)
+        coeffs = random_field(dom, seed=15).coeffs.copy()
+        flat = coeffs.reshape(d, -1)
+        n = flat.shape[1]
+        # awkward values around the ends of the 4096-row write blocks
+        flat[1, 4095] = complex(-0.0, 5e-324)
+        flat[0, 4096 % n] = complex(1e-300, -0.0)
+        flat[d - 1, n - 1] = complex(5e-324, -1e-300)
+        flat[:, n - 2] = 0.0
+        flat[0, n - 2] = complex(0.0, -0.0)  # one signed zero in an otherwise zero row
+        flat[0, 0] = complex(1e16, -0.0)  # the zero mode takes any value
+        u = SpectralVelocityField(dom, coeffs)
+        fname = tmp_path / "snap.csv"
+        save_snapshot(u, fname, time=-0.0)
+        assert fname.read_bytes() == self.reference_bytes(u, -0.0)
+        v, t = load_snapshot(fname)
+        assert math.copysign(1.0, t) == -1.0
+        assert v.coeffs.flags.c_contiguous
+        assert np.array_equal(v.coeffs.view(np.uint64), u.coeffs.view(np.uint64))
+
+    def test_swapped_rows_rejected(self, tmp_path):
+        dom = make_domain(2, math.pi, 8)
+        fname = tmp_path / "snap.csv"
+        save_snapshot(random_field(dom, seed=16), fname)
+        lines = fname.read_text().splitlines(keepends=True)
+        lines[7], lines[8] = lines[8], lines[7]
+        fname.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"row order mismatch at \(0, 5\)"):
+            load_snapshot(fname)
+
+    def test_missing_row_rejected(self, tmp_path):
+        dom = make_domain(2, math.pi, 8)
+        fname = tmp_path / "snap.csv"
+        save_snapshot(random_field(dom, seed=17), fname)
+        fname.write_text("".join(fname.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ValueError, match="shape"):
+            load_snapshot(fname)

@@ -159,6 +159,29 @@ class TestAbsorbingRadii:
             est = absorbing_radius_stoch(0.0, self.omega, eps, with_eps(eps), prof)
             assert est.radius_sq <= est.companion_radius_sq
 
+    def test_integral_rel_error_reported(self, monkeypatch):
+        import dataclasses
+
+        import cbflab.pullback as pullback
+
+        prof = constant_forcing(self.g, delta=0.5)
+        assert absorbing_radius_det(0.0, PARAMS, zero_forcing()).forcing_integral_rel_error == 0.0
+        assert 0.0 < absorbing_radius_det(0.0, PARAMS, prof).forcing_integral_rel_error <= 1e-7
+        est = absorbing_radius_stoch(0.0, self.omega, 0.5, with_eps(0.5), prof)
+        assert 0.0 < est.forcing_integral_rel_error <= 1e-7
+
+        integral = pullback.weighted_forcing_integral
+
+        def missed(*args, **kwargs):
+            res = integral(*args, **kwargs)
+            if kwargs.get("weight") == "exp_abs":
+                res = dataclasses.replace(res, error_estimate=1e-3 * res.value)
+            return res
+
+        monkeypatch.setattr(pullback, "weighted_forcing_integral", missed)
+        est = absorbing_radius_stoch(0.0, self.omega, 0.5, with_eps(0.5), prof)
+        assert est.forcing_integral_rel_error == pytest.approx(1e-3, rel=1e-12)
+
 
 class TestTemperedFamily:
     def test_constant_radius_accepted(self):
@@ -315,9 +338,12 @@ class TestSemicontinuity:
         sweep = semicontinuity_sweep(0.0, omega, [0.5, 0.25], PARAMS, prof,
                                      [0.02], fam, cfg, domain=dom)
         assert weights == ["unit", "z2", "z2"]
+        worst = absorbing_radius_det(0.0, PARAMS, prof).forcing_integral_rel_error
         for row in sweep.rows:
             est = absorbing_radius_stoch(0.0, omega, row.epsilon, with_eps(row.epsilon), prof)
             assert row.radius_sq == est.radius_sq
+            worst = max(worst, est.forcing_integral_rel_error)
+        assert sweep.forcing_integral_rel_error == worst
 
     def test_ladder_validation(self):
         dom = make_domain(2, math.pi, 16)
