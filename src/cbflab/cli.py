@@ -17,12 +17,13 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .domain import bump_field, make_domain, random_field, save_snapshot, single_mode_field
-from .integrators import SolverConfig, solve
+from .integrators import BlowupError, SolverConfig, solve
 from .operators import PhysicalParameters, validate_params
 from .pullback import (
     TemperedFamily,
@@ -33,6 +34,7 @@ from .pullback import (
     tail_mass,
 )
 from .stochastic import (
+    _QUAD_REL_TOL,
     ForcingProfile,
     constant_forcing,
     decaying_forcing,
@@ -88,22 +90,19 @@ class RunConfig:
 
 @dataclass
 class RunManifest:
+    """What a run did; ``health`` (missed accuracy targets) and ``failure`` are written when set."""
+
     config: dict
     config_sha256: str
     versions: dict
     wall_clock_s: float
     artifacts: list
     summary: dict
+    health: Optional[dict] = None
+    failure: Optional[dict] = None
 
     def write(self, path):
-        payload = {
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "versions": self.versions,
-            "wall_clock_s": self.wall_clock_s,
-            "artifacts": self.artifacts,
-            "summary": self.summary,
-        }
+        payload = {k: v for k, v in vars(self).items() if v is not None}
         Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n")
 
 
@@ -229,6 +228,11 @@ def parse_config(text) -> RunConfig:
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"solver: {exc}") from exc
+
+    if ex.get("system") == "stratonovich" and ex.get("path_dt", solver.dt) > solver.dt:
+        # the Heun step would take interpolated, smoothed increments
+        raise ConfigError(f"experiment.path_dt: {ex['path_dt']} is coarser than solver.dt = "
+                          f"{solver.dt}; the stratonovich system needs the step's own increments")
 
     horizons = ex.get("horizons")
     if horizons is not None and any(b <= a for a, b in zip(horizons, horizons[1:])):
@@ -441,6 +445,7 @@ def run(cfg: RunConfig) -> int:
     artifacts: list = []
     summary: dict = {}
     kind = cfg.experiment["kind"]
+    failure = None
     try:
         status = _EXPERIMENTS[kind](cfg, out, artifacts, summary)
     except ConfigError:
@@ -448,6 +453,13 @@ def run(cfg: RunConfig) -> int:
     except Exception as exc:  # experiment failure: report stage and fail
         print(f"error: experiment {kind!r} failed: {exc}", file=sys.stderr)
         status = 1
+        blowup = isinstance(exc, BlowupError)
+        failure = {"stage": kind, "type": type(exc).__name__, "message": str(exc),
+                   "t": exc.t if blowup else None, "max_speed": exc.max_speed if blowup else None}
+    health = None
+    rel = summary.get("forcing_integral_rel_error", 0.0)
+    if rel > _QUAD_REL_TOL:
+        health = {"forcing_integral_rel_error": {"value": rel, "target": _QUAD_REL_TOL}}
     canonical = json.dumps(cfg.raw, sort_keys=True)
     manifest = RunManifest(
         config=cfg.raw,
@@ -456,6 +468,8 @@ def run(cfg: RunConfig) -> int:
         wall_clock_s=time.time() - start,
         artifacts=sorted(artifacts),
         summary=summary,
+        health=health,
+        failure=failure,
     )
     manifest.write(out / "manifest.json")
     return status

@@ -84,12 +84,14 @@ class TorusDomain:
     x_axis: np.ndarray = dc_field(init=False, repr=False)
     coords: np.ndarray = dc_field(init=False, repr=False)
     phase: np.ndarray = dc_field(init=False, repr=False)
-    # the stored half of the real-transform layout (last axis 0..N/2)
-    half_phase: np.ndarray = dc_field(init=False, repr=False)
-    half_kvec: np.ndarray = dc_field(init=False, repr=False)
-    half_kvec_neg: np.ndarray = dc_field(init=False, repr=False)
-    half_neg_index: np.ndarray = dc_field(init=False, repr=False)
-    half_conj_index: np.ndarray = dc_field(init=False, repr=False)
+    # the dealiased half-spectrum box the solvers carry: leading axes keep the
+    # rows |m| <= mode_cut in FFT order, the last axis keeps 0..mode_cut
+    box_index: tuple = dc_field(init=False, repr=False)
+    box_phase: np.ndarray = dc_field(init=False, repr=False)
+    box_kvec: np.ndarray = dc_field(init=False, repr=False)
+    box_k_sq: np.ndarray = dc_field(init=False, repr=False)
+    box_weight: np.ndarray = dc_field(init=False, repr=False)
+    box_projection: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -120,8 +122,7 @@ class TorusDomain:
         set_attr(self, "dealias_mask", _mode_box(self, cut))
         x1 = -L + self.dx * np.arange(N)
         set_attr(self, "x_axis", x1)
-        xg = np.meshgrid(*([x1] * d), indexing="ij")
-        set_attr(self, "coords", np.stack(xg))
+        set_attr(self, "coords", np.stack(np.meshgrid(*([x1] * d), indexing="ij")))
         # centering phase (-1)^(sum m_i): FFT index space samples at x = 0,
         # the box is centered, so true e^{i k . x} coefficients carry it
         mgrids = np.meshgrid(*([modes1] * d), indexing="ij")
@@ -130,17 +131,21 @@ class TorusDomain:
             parity += np.abs(mg).astype(int)
         phase = 1.0 - 2.0 * (parity % 2)
         set_attr(self, "phase", phase)
-        # flat index of -m in the full grid for every m of the stored half,
-        # and of -m in the stored half for every m of the missing half
-        half = N // 2 + 1
-        neg1 = -np.arange(N) % N
-        neg_index = np.ravel_multi_index(np.ix_(*([neg1] * (d - 1) + [neg1[:half]])), (N,) * d)
-        set_attr(self, "half_neg_index", neg_index)
-        set_attr(self, "half_conj_index", np.ravel_multi_index(
-            np.ix_(*([neg1] * (d - 1) + [neg1[half:]])), (N,) * (d - 1) + (half,)))
-        set_attr(self, "half_phase", np.ascontiguousarray(phase[..., :half]))
-        set_attr(self, "half_kvec", np.ascontiguousarray(kvec[..., :half]))
-        set_attr(self, "half_kvec_neg", kvec.reshape(d, -1)[:, neg_index])
+        rows = np.arange(N) if 2 * cut == N else np.r_[: cut + 1, N - cut : N]
+        ix = np.ix_(*([rows] * (d - 1) + [np.arange(cut + 1)]))
+        set_attr(self, "box_index", ix)
+        set_attr(self, "box_phase", phase[ix])
+        set_attr(self, "box_k_sq", k_sq[ix])
+        # first derivatives take a zero Nyquist wavenumber, as for any real
+        # field; the projection also removes the Nyquist components along k
+        k_box = kvec[(slice(None),) + ix]
+        nyquist = np.abs(k_box) == abs(k1[N // 2])
+        k_d = np.where(nyquist, 0.0, k_box)
+        set_attr(self, "box_kvec", k_d)
+        passes = [k_d, k_d] + ([np.where(nyquist, k_box, 0.0)] if nyquist.any() else [])
+        set_attr(self, "box_projection", tuple((k, _safe_sq(k)) for k in passes))
+        # Parseval: the columns 1..N/2-1 stand for their conjugates too
+        set_attr(self, "box_weight", np.where(np.arange(cut + 1) % (N // 2) == 0, 1.0, 2.0))
 
     def __eq__(self, other):
         if not isinstance(other, TorusDomain):
@@ -163,6 +168,12 @@ class TorusDomain:
     def radius_sq_grid(self):
         """Pointwise ``|x|^2`` on the collocation grid."""
         return np.sum(self.coords**2, axis=0)
+
+
+def _safe_sq(k):
+    """``|k|^2`` with 1 in place of 0, the divisor of the solenoidal projection."""
+    k_sq = np.sum(k**2, axis=0)
+    return np.where(k_sq == 0.0, 1.0, k_sq)
 
 
 def _mode_box(domain, max_mode):
@@ -250,11 +261,7 @@ def project_coeffs(domain, raw):
     # second pass drops the roundoff divergence to eps * output scale, so the
     # constructed field passes its own relative divergence invariant even
     # when the projection annihilates the input
-    out = raw
-    for _ in range(2):
-        k_dot_u = np.sum(domain.kvec * out, axis=0)
-        out = out - domain.kvec * (k_dot_u / domain.k_sq_safe)
-    return out
+    return _project(raw, [(domain.kvec, domain.k_sq_safe)] * 2)
 
 
 def dealias_coeffs(domain, raw):
@@ -264,6 +271,77 @@ def dealias_coeffs(domain, raw):
 def leray_project(domain, raw) -> SpectralVelocityField:
     """Project raw coefficients onto the divergence-free subspace."""
     return SpectralVelocityField(domain, project_coeffs(domain, raw))
+
+
+# ---------------------------------------------------------------------------
+# the dealiased half-spectrum box: arrays (k, M, ..., M, mode_cut + 1), M =
+# min(2 mode_cut + 1, N), hold the leading-axis rows |m_i| <= mode_cut in FFT
+# order and the real transform's columns 0..mode_cut.  A real field's other
+# coefficients are uhat(-k) = conj(uhat(k)) or, outside the box, zero.
+
+
+def _reflect(x, axes):
+    """``x[-m]`` along FFT-ordered axes."""
+    return np.roll(np.flip(x, axis=axes), 1, axis=axes)
+
+
+def _box_neg(domain):
+    """Full-layout index of ``-m`` for every mode ``m`` of the box."""
+    return (slice(None),) + tuple(-i % domain.N for i in domain.box_index)
+
+
+def _box_part(domain, coeffs):
+    """Hermitian part ``(x[m] + conj x[-m]) / 2`` of full coefficients, on the box."""
+    return 0.5 * (coeffs[(slice(None),) + domain.box_index] + np.conj(coeffs[_box_neg(domain)]))
+
+
+def _box_full(domain, box):
+    """Full Hermitian ``(d, N, ..., N)`` coefficients of a box array, +0.0 outside the box."""
+    full = np.zeros(domain.shape, dtype=np.complex128)
+    full[(slice(None),) + domain.box_index] = box
+    # the missing half: conjugates of the columns 1..m, where m stops short of N/2
+    m = min(domain.mode_cut, domain.N // 2 - 1)
+    neg = _box_neg(domain)
+    full[neg[:-1] + (neg[-1][..., 1 : m + 1],)] = np.conj(box[..., 1 : m + 1])
+    return full
+
+
+def _box_hermitian(domain, box):
+    """Make the self-conjugate columns (last-axis 0, and N/2 when kept) Hermitian in place."""
+    for j in (0, domain.N // 2) if 2 * domain.mode_cut == domain.N else (0,):
+        col = box[..., j]
+        col[...] = 0.5 * (col + np.conj(_reflect(col, tuple(range(1, col.ndim)))))
+    return box
+
+
+def _box_inverse(domain, box):
+    """Real grid rows of box coefficients: ``irfftn``, zero-padding one leading axis at a time."""
+    N, x = domain.N, box
+    for axis in range(-domain.d, -1):
+        if x.shape[axis] < N:
+            pad = np.zeros(x.shape[:axis] + (N,) + x.shape[axis + 1 :], dtype=np.complex128)
+            pad[(Ellipsis, domain.box_index[0].ravel()) + (slice(None),) * (-axis - 1)] = x
+            x = pad
+        x = np.fft.ifft(x, axis=axis)
+    return np.fft.irfft(x, n=N, axis=-1)
+
+
+def _box_forward(domain, grid):
+    """Box coefficients of real grid rows: ``rfftn`` keeping the box rows after every pass."""
+    rows = domain.box_index[0].ravel()
+    x = np.fft.rfft(grid, axis=-1)[..., : domain.mode_cut + 1]
+    for axis in range(-2, -domain.d - 1, -1):
+        x = np.fft.fft(x, axis=axis)
+        if x.shape[axis] > rows.size:
+            x = np.take(x, rows, axis=axis)
+    return x
+
+
+def _project(x, passes):
+    """``x -> x - k (k.x)/|k|^2`` for each ``(k, |k|^2)`` pass."""
+    for k, k_sq in passes:
+        x = x - k * (np.sum(k * x, axis=0) / k_sq)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +377,7 @@ def norms(field: SpectralVelocityField, p_list=()) -> NormReport:
     h, grad = _energy_sq(dom, field.coeffs)
     vprime = dom.measure * float(np.sum(np.abs(field.coeffs) ** 2 / (1.0 + dom.k_sq)))
     lp = {float(p): lebesgue_norm(field, float(p)) for p in p_list}
-    return NormReport(
-        h_norm_sq=h,
-        grad_norm_sq=grad,
-        v_norm_sq=h + grad,
-        vprime_norm_sq=vprime,
-        lp_norm=lp,
-    )
+    return NormReport(h_norm_sq=h, grad_norm_sq=grad, v_norm_sq=h + grad, vprime_norm_sq=vprime, lp_norm=lp)
 
 
 def check_interpolation(field, s1, s, s2):
@@ -316,10 +388,7 @@ def check_interpolation(field, s1, s, s2):
     """
     if not (1.0 <= s1 <= s <= s2 < np.inf):
         raise ValueError(f"invalid-exponent ordering: need 1 <= s1 <= s <= s2 < inf, got {(s1, s, s2)}")
-    if s1 == s2:
-        ell = 1.0
-    else:
-        ell = (1.0 / s - 1.0 / s2) / (1.0 / s1 - 1.0 / s2)
+    ell = 1.0 if s1 == s2 else (1.0 / s - 1.0 / s2) / (1.0 / s1 - 1.0 / s2)
     lhs = lebesgue_norm(field, s)
     rhs = lebesgue_norm(field, s1) ** ell * lebesgue_norm(field, s2) ** (1.0 - ell)
     return lhs, rhs
@@ -402,10 +471,7 @@ def _hermitian_gaussian(domain, rng, keep, weight=1.0):
     raw *= weight
     if keep is not None:
         raw *= keep
-    axes = domain.spatial_axes
-    flipped = np.conj(np.flip(raw, axis=axes))
-    flipped = np.roll(flipped, shift=[1] * len(axes), axis=axes)
-    raw = 0.5 * (raw + flipped)
+    raw = 0.5 * (raw + np.conj(_reflect(raw, domain.spatial_axes)))
     return project_coeffs(domain, dealias_coeffs(domain, raw))
 
 

@@ -29,9 +29,13 @@ import numpy as np
 
 from .domain import (
     SpectralVelocityField,
+    _box_forward,
+    _box_full,
+    _box_hermitian,
+    _box_inverse,
+    _box_part,
     _energy_sq,
-    project_coeffs,
-    transform_inverse,
+    _project,
 )
 from .operators import PhysicalParameters, validate_params
 from .stochastic import ConjugationProcess, ForcingProfile, WienerPath
@@ -39,6 +43,7 @@ from .stochastic import ConjugationProcess, ForcingProfile, WienerPath
 __all__ = [
     "BlowupError",
     "MismatchedTrajectoriesError",
+    "OutOfBoxError",
     "SolverConfig",
     "Trajectory",
     "GapReport",
@@ -61,9 +66,11 @@ class BlowupError(RuntimeError):
     def __init__(self, t, max_speed, message=None):
         self.t = t
         self.max_speed = max_speed
-        super().__init__(
-            message or f"solution blow-up at t={t:.6g}: max |u| = {max_speed:.6g}"
-        )
+        super().__init__(message or f"solution blow-up at t={t:.6g}: max |u| = {max_speed:.6g}")
+
+
+class OutOfBoxError(ValueError):
+    """Initial coefficients outside the dealiased box the solvers carry."""
 
 
 class MismatchedTrajectoriesError(ValueError):
@@ -127,33 +134,29 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# right-hand side evaluation
+# right-hand side evaluation on the dealiased half-spectrum box
 
 
-def _ledger_row(dom, coeffs, t, profile, z, speed_sq, lr_density):
-    """Norm row of the ledger from ``|u|^2`` and ``|u|^(r+1)`` on the grid."""
-    h_sq, grad_sq = _energy_sq(dom, coeffs)
+def _box_forcing(dom, profile):
+    """``(envelope, g, Parseval-weighted g)`` of the template's box part, or None."""
     if profile is None or profile.is_zero:
-        f_pair = 0.0
-    else:
-        f_pair = profile.envelope(t) * dom.measure * float(
-            np.real(np.sum(profile.template.coeffs * np.conj(coeffs)))
-        )
+        return None
+    g = _box_part(dom, profile.template.coeffs)
+    return profile.envelope, g, dom.box_weight * g
+
+
+def _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density):
+    """Norm row of the ledger from ``|u|^2`` and ``|u|^(r+1)`` on the grid."""
+    c2 = dom.box_weight * np.abs(coeffs) ** 2
+    f_pair = 0.0 if forcing is None else forcing[0](t) * dom.measure * float(np.real(np.vdot(coeffs, forcing[2])))
     return {
-        "h_sq": h_sq,
-        "grad_sq": grad_sq,
+        "h_sq": dom.measure * float(np.sum(c2)),
+        "grad_sq": dom.measure * float(np.sum(dom.box_k_sq * c2)),
         "lr_pow": dom.dx**dom.d * float(np.sum(lr_density)),
         "f_pair": f_pair,
         "z": z,
         "max_speed": float(np.sqrt(speed_sq.max())),
     }
-
-
-def _state_aux(dom, coeffs, t, params, profile, z):
-    """Ledger row of one state from its own inverse transform."""
-    speed_sq = np.sum(transform_inverse(dom, coeffs) ** 2, axis=0)
-    return _ledger_row(dom, coeffs, t, profile, z, speed_sq,
-                       speed_sq ** ((params.r + 1.0) / 2.0))
 
 
 def _half_divergence(k, flux, d):
@@ -169,26 +172,16 @@ def _half_divergence(k, flux, d):
     return div
 
 
-def _grid_terms(dom, coeffs, t, params, profile, z, include_B, include_C):
+def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C):
     """
     Grid stage of :func:`_explicit_rhs`: the ledger row of the state and the
     real rows ``[combined term (d), u_i u_j for i <= j]`` to transform
     forward (None when both nonlinear terms are off).
-
-    The inverse transforms take the Hermitian part ``(x[m] + conj x[-m]) / 2``
-    of ``x = phase * coeffs`` and of ``x = i k_j phase * coeffs`` (with ``k``
-    taken at ``-m`` for the conjugate term) on the stored half, so the real
-    inverse equals ``np.real(ifftn(x))`` also for non-Hermitian input and on
-    the Nyquist planes.
     """
     d, N = dom.d, dom.N
-    axes = dom.spatial_axes
-    grid = (N,) * d
     nd = N**d
-    # the two terms x[m] / 2 and conj x[-m] / 2 of the Hermitian part, one gather
-    lo = (0.5 * dom.half_phase) * coeffs[..., : N // 2 + 1]
-    hi = (0.5 * dom.half_phase) * np.conj(coeffs.reshape(d, -1)[:, dom.half_neg_index])
-    u = np.fft.irfftn(lo + hi, s=grid, axes=axes)
+    x = dom.box_phase * coeffs
+    u = _box_inverse(dom, x)
     u *= nd
     speed_sq = np.sum(u**2, axis=0)
     if params.r == 1.0:
@@ -196,20 +189,19 @@ def _grid_terms(dom, coeffs, t, params, profile, z, include_B, include_C):
     else:
         pw = speed_sq ** (0.5 * (params.r - 1.0))
         lr_density = pw * speed_sq
-    aux = _ledger_row(dom, coeffs, t, profile, z, speed_sq, lr_density)
+    aux = _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density)
     if not (include_B or include_C):
         return None, aux
 
-    stack = np.empty((d + (d * (d + 1) // 2 if include_B else 0),) + grid)
+    stack = np.empty((d + (d * (d + 1) // 2 if include_B else 0),) + u.shape[1:])
     comb = stack[:d]
     comb[...] = 0.0
     if include_B:
         # (u . grad) u one gradient row d_i u at a time
         for i in range(d):
-            g = dom.half_kvec[i] * lo
-            g -= dom.half_kvec_neg[i] * hi
+            g = dom.box_kvec[i] * x
             g *= 1j
-            comb += u[i] * np.fft.irfftn(g, s=grid, axes=axes)
+            comb += u[i] * _box_inverse(dom, g)
         comb *= -0.5 * nd / z
         p = d
         for i in range(d):
@@ -221,65 +213,36 @@ def _grid_terms(dom, coeffs, t, params, profile, z, include_B, include_C):
     return stack, aux
 
 
-def _spectral_terms(dom, stack, z, include_B):
+def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C):
     """
-    Spectral stage of :func:`_explicit_rhs`: one real forward pass of the
-    grid rows, the flux divergence on the stored half, and one conjugate
-    gather for the missing half.  Returns the full, un-dealiased spectrum.
-    """
-    d, N = dom.d, dom.N
-    half = N // 2 + 1
-    out = np.fft.rfftn(stack, axes=dom.spatial_axes)
-    out *= dom.half_phase / N**d
-    n_half = src = out[:d]
-    if include_B:
-        flux = out[d:]
-        n_half = n_half - (0.5j / z) * _half_divergence(dom.half_kvec, flux, d)
-        src = n_half
-        if dom.mode_cut == N // 2:
-            # k(-m) = k(m) on a Nyquist plane, so when the dealias mask keeps
-            # those planes the conjugate half needs the divergence with -k(-m)
-            src = out[:d] + (0.5j / z) * _half_divergence(dom.half_kvec_neg, flux, d)
-    n_hat = np.empty(dom.shape, dtype=np.complex128)
-    n_hat[..., :half] = n_half
-    n_hat[..., half:] = np.conj(src.reshape(d, -1)[:, dom.half_conj_index])
-    return n_hat
-
-
-def _explicit_rhs(dom, coeffs, t, params, profile, z, include_B, include_C):
-    """
-    Dealiased, projected coefficients of the explicit terms at weight z,
+    Projected box coefficients of the explicit terms at weight z,
 
         -(1/z) B(u) - beta z^(1-r) C(u) + z f,
 
-    and the ledger row of the state, by the transform method on the stored
-    half of the real-transform layout: real inverse passes for ``u`` and the
-    gradient rows, advection and damping combined on the grid, and one real
-    forward pass of the combined term together with the symmetric flux
-    ``u_i u_j``, whose divergence is the skew-symmetric half of the advection.
+    and the ledger row of the state, by the transform method on the box:
+    pruned real inverse passes for ``u`` and the gradient rows, advection and
+    damping combined on the grid, and one pruned forward pass of the combined
+    term together with the symmetric flux ``u_i u_j``, whose divergence is the
+    skew-symmetric half of the advection.  The box is the dealias mask, and
+    the self-conjugate columns of the result are made exactly Hermitian.
     """
-    stack, aux = _grid_terms(dom, coeffs, t, params, profile, z, include_B, include_C)
+    stack, aux = _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C)
     if stack is None:
-        n_hat = np.zeros(dom.shape, dtype=np.complex128)
+        n_hat = np.zeros_like(coeffs)
     else:
-        n_hat = _spectral_terms(dom, stack, z, include_B)
-        del stack  # free the grid rows before projecting
-    if profile is not None and not profile.is_zero:
-        n_hat += z * profile.value_hat(t)
-    n_hat *= dom.dealias_mask
-    return project_coeffs(dom, n_hat), aux
+        out = _box_forward(dom, stack)
+        del stack  # free the grid rows before the spectral stage
+        out *= dom.box_phase / dom.N**dom.d
+        n_hat = out[: dom.d]
+        if include_B:
+            n_hat = n_hat - (0.5j / z) * _half_divergence(dom.box_kvec, out[dom.d :], dom.d)
+        _box_hermitian(dom, n_hat)
+    if forcing is not None:
+        n_hat += z * (forcing[0](t) * forcing[1])
+    return _project(n_hat, dom.box_projection), aux
 
 
-def _linear_factors(dom, params, dt, include_linear):
-    if not include_linear:
-        one = np.ones_like(dom.k_sq)
-        return one, one
-    lam = params.mu * dom.k_sq + params.alpha
-    e1 = np.exp(-lam * dt)
-    return e1, e1 * e1
-
-
-def _imex_advance(dom, coeffs, t, dt, params, profile, zf, e1, e2, prev_rhs,
+def _imex_advance(dom, coeffs, t, dt, params, forcing, zf, e1, e2, prev_rhs,
                   include_B, include_C, second_order):
     """
     One integrating-factor step.  With AB2 history the update is
@@ -289,25 +252,23 @@ def _imex_advance(dom, coeffs, t, dt, params, profile, zf, e1, e2, prev_rhs,
     and on startup (or for the first-order scheme) a single Heun / Euler
     step keeps the local error at O(dt^3) / O(dt^2).
     """
-    n0, aux = _explicit_rhs(dom, coeffs, t, params, profile, zf(t), include_B, include_C)
+    n0, aux = _explicit_rhs(dom, coeffs, t, params, forcing, zf(t), include_B, include_C)
     if prev_rhs is not None:
         new = e1 * coeffs + dt * (1.5 * (e1 * n0) - 0.5 * (e2 * prev_rhs))
     elif second_order:
         pred = e1 * (coeffs + dt * n0)
-        n1, _ = _explicit_rhs(dom, pred, t + dt, params, profile, zf(t + dt), include_B, include_C)
+        n1, _ = _explicit_rhs(dom, pred, t + dt, params, forcing, zf(t + dt), include_B, include_C)
         new = e1 * coeffs + 0.5 * dt * (e1 * n0 + n1)
     else:
         new = e1 * (coeffs + dt * n0)
     return new, n0, aux
 
 
-def _heun_advance(dom, coeffs, t, dt, params, profile, path, epsilon,
-                  include_B, include_C, include_linear):
-    """Heun predictor-corrector with multiplicative noise eps u dW."""
-    lam = params.mu * dom.k_sq + params.alpha if include_linear else 0.0
+def _heun_advance(dom, coeffs, t, dt, params, forcing, path, epsilon, lam, include_B, include_C):
+    """Heun predictor-corrector with multiplicative noise eps u dW; ``lam`` is the linear part."""
 
     def drift(c, s):
-        n_hat, aux = _explicit_rhs(dom, c, s, params, profile, 1.0, include_B, include_C)
+        n_hat, aux = _explicit_rhs(dom, c, s, params, forcing, 1.0, include_B, include_C)
         return n_hat - lam * c, aux
 
     dw = path.value(t + dt) - path.value(t)
@@ -322,6 +283,16 @@ def _heun_advance(dom, coeffs, t, dt, params, profile, path, epsilon,
 # trajectory solver
 
 
+def _initial_box(dom, coeffs):
+    """Box state of initial coefficients: the entry contract of :func:`solve`."""
+    if np.any(coeffs[:, ~dom.dealias_mask]):
+        raise OutOfBoxError(f"initial coefficients reach outside the dealiased box |m_i| <= {dom.mode_cut}")
+    box = _box_part(dom, coeffs)
+    # on kept Nyquist planes the Hermitian part is projected again, so that
+    # both k(m) and k(-m) of the full layout annihilate it
+    return _project(box, dom.box_projection) if 2 * dom.mode_cut == dom.N else box
+
+
 def solve(system, initial: SpectralVelocityField, config: SolverConfig,
           params: PhysicalParameters, profile: Optional[ForcingProfile] = None,
           path: Optional[WienerPath] = None) -> Trajectory:
@@ -331,6 +302,12 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     ``system`` is ``'deterministic'``, ``'conjugated'`` or ``'stratonovich'``.
     The conjugated and noisy forms need a path; the noise intensity is read
     from ``params.epsilon``.
+
+    The step loop carries the state on the dealiased half-spectrum box (see
+    :mod:`cbflab.domain`) and records full Hermitian snapshots.  The initial
+    coefficients must vanish outside the box (:class:`OutOfBoxError`);
+    inside it the solve starts from their Hermitian part, which is the
+    initial field itself for real input.
     """
     if system not in ("deterministic", "conjugated", "stratonovich"):
         raise ValueError(f"unknown system {system!r}")
@@ -356,15 +333,19 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     else:
         zf = lambda s: 1.0
 
-    e1, e2 = _linear_factors(dom, params, config.dt, config.include_linear)
+    # the linear part, per mode: exact integrating factors for IMEX, explicit for Heun
+    lam = params.mu * dom.box_k_sq + params.alpha if config.include_linear else np.zeros_like(dom.box_k_sq)
+    e1 = np.exp(-lam * config.dt)
+    e2 = e1 * e1
     second_order = config.scheme != "imex_euler"
 
     cols = ("h_sq", "grad_sq", "lr_pow", "f_pair", "z", "max_speed")
     ledger = {name: np.empty(n_steps + 1) for name in cols}
     ledger["t"] = config.t_start + config.dt * np.arange(n_steps + 1)
 
-    coeffs = initial.coeffs.copy()
-    states = [SpectralVelocityField(dom, coeffs.copy())]
+    coeffs = _initial_box(dom, initial.coeffs)
+    forcing = _box_forcing(dom, profile)
+    states = [SpectralVelocityField(dom, _box_full(dom, coeffs))]
     snap_times = [config.t_start]
     prev_rhs = None
     cfl_scale = config.dt * dom.N / dom.L
@@ -372,13 +353,11 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     for i in range(n_steps):
         t = float(ledger["t"][i])
         if system == "stratonovich":
-            new, aux = _heun_advance(
-                dom, coeffs, t, config.dt, params, profile, path, eps,
-                config.include_B, config.include_C, config.include_linear,
-            )
+            new, aux = _heun_advance(dom, coeffs, t, config.dt, params, forcing, path, eps, lam,
+                                     config.include_B, config.include_C)
         else:
             new, rhs, aux = _imex_advance(
-                dom, coeffs, t, config.dt, params, profile, zf, e1, e2,
+                dom, coeffs, t, config.dt, params, forcing, zf, e1, e2,
                 prev_rhs, config.include_B, config.include_C, second_order,
             )
             prev_rhs = rhs if second_order else None
@@ -390,31 +369,29 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
             raise BlowupError(t, aux["max_speed"])
         coeffs = new
         if (i + 1) % config.record_stride == 0 or i + 1 == n_steps:
-            states.append(SpectralVelocityField(dom, coeffs.copy()))
+            states.append(SpectralVelocityField(dom, _box_full(dom, coeffs)))
             snap_times.append(float(ledger["t"][i + 1]))
 
     t_last = float(ledger["t"][n_steps])
-    aux = _state_aux(dom, coeffs, t_last, params, profile, zf(t_last))
+    _, aux = _grid_terms(dom, coeffs, t_last, params, forcing, zf(t_last), False, False)
     for name in cols:
         ledger[name][n_steps] = aux[name]
     if not np.isfinite(aux["h_sq"]):
         raise BlowupError(t_last, aux["max_speed"], f"non-finite energy at t={t_last:.6g}")
 
-    return Trajectory(
-        system=system,
-        params=params,
-        config=config,
-        times=np.asarray(snap_times),
-        states=states,
-        ledger=ledger,
-        epsilon=eps,
-        path=path,
-        profile=profile,
-    )
+    return Trajectory(system=system, params=params, config=config, times=np.asarray(snap_times),
+                      states=states, ledger=ledger, epsilon=eps, path=path, profile=profile)
 
 
 # ---------------------------------------------------------------------------
 # energy identity audit
+
+
+def _forcing_sq(profile, t):
+    """``|f(t)|^2_{V'}`` on the times ``t``."""
+    if profile is None or profile.is_zero:
+        return np.zeros_like(t)
+    return np.array([profile.norm_sq(ti, "vprime") for ti in t])
 
 
 def _cumtrap(y, x):
@@ -489,6 +466,11 @@ class GapReport:
     case: str
 
 
+def _gap_sq(a: Trajectory, b: Trajectory):
+    """``|a - b|^2`` at each shared snapshot."""
+    return np.array([_energy_sq(sa.domain, sa.coeffs - sb.coeffs)[0] for sa, sb in zip(a.states, b.states)])
+
+
 def _check_compatible(a: Trajectory, b: Trajectory):
     if a.system != b.system or a.epsilon != b.epsilon:
         raise MismatchedTrajectoriesError("trajectories solve different systems")
@@ -513,10 +495,7 @@ def continuity_gap(traj1: Trajectory, traj2: Trajectory, params: PhysicalParamet
     """
     _check_compatible(traj1, traj2)
     times = traj1.times
-    dom = traj1.domain
-    gap = np.array([
-        _energy_sq(dom, s1.coeffs - s2.coeffs)[0] for s1, s2 in zip(traj1.states, traj2.states)
-    ])
+    gap = _gap_sq(traj1, traj2)
     led_t = traj1.ledger["t"]
     gap0 = gap[0]
 
@@ -569,7 +548,6 @@ def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
     if len(t) != len(conj_traj.ledger["t"]) or not np.allclose(t, conj_traj.ledger["t"]):
         raise MismatchedTrajectoriesError("trajectories use different time grids")
 
-    dom = det_traj.domain
     r = params.r
     mn = min(params.mu, params.alpha)
     z = conj_traj.ledger["z"]
@@ -578,11 +556,7 @@ def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
     g_v = conj_traj.ledger["grad_sq"]
     lr_u = det_traj.ledger["lr_pow"]
     lr_v = conj_traj.ledger["lr_pow"]
-    profile = det_traj.profile
-    if profile is None or profile.is_zero:
-        f_sq = np.zeros_like(t)
-    else:
-        f_sq = np.array([profile.norm_sq(ti, "vprime") for ti in t])
+    f_sq = _forcing_sq(det_traj.profile, t)
 
     q_inv = np.abs(1.0 / z - 1.0)       # |e^{eps w} - 1|
     q_fwd = np.abs(z - 1.0)             # |e^{-eps w} - 1|
@@ -618,10 +592,7 @@ def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
 
     i_p1 = _cumtrap(p1, t)
     i_p2 = _cumtrap(p2, t)
-    gap = np.array([
-        _energy_sq(dom, sv.coeffs - su.coeffs)[0]
-        for su, sv in zip(det_traj.states, conj_traj.states)
-    ])
+    gap = _gap_sq(conj_traj, det_traj)
     env_dense = (gap[0] + i_p2) * np.exp(i_p1)
 
     times = det_traj.times
@@ -643,10 +614,7 @@ def decay_envelope_check(traj: Trajectory):
     led = traj.ledger
     t = led["t"]
     lhs = np.exp(p.alpha * (t - t[0])) * led["h_sq"]
-    if traj.profile is None or traj.profile.is_zero:
-        forcing = np.zeros_like(t)
-    else:
-        forcing = np.array([traj.profile.norm_sq(ti, "vprime") for ti in t])
+    forcing = _forcing_sq(traj.profile, t)
     rhs = led["h_sq"][0] + _cumtrap(np.exp(p.alpha * (t - t[0])) * forcing, t) / min(p.mu, p.alpha)
     return lhs, rhs
 
@@ -668,10 +636,7 @@ def uniform_estimates_check(traj: Trajectory, tau, past_integral):
     age = tau - t[0]
     precondition = math.exp(-p.alpha * age) * led["h_sq"][0] <= 1.0
 
-    if traj.profile is None or traj.profile.is_zero:
-        forcing = np.zeros_like(t)
-    else:
-        forcing = np.array([traj.profile.norm_sq(ti, "vprime") for ti in t])
+    forcing = _forcing_sq(traj.profile, t)
     w = np.exp(p.alpha * t)
     i_force = past_integral + _cumtrap(w * led["z"] ** 2 * forcing, t)
 

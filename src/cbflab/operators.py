@@ -8,9 +8,9 @@ Core operators of the damped Navier-Stokes system.
 * Damping ``C(u) = P(|u|^(r-1) u)`` evaluated pointwise on the grid.
 * The monotonicity gap of the damping operator.
 
-The solvers evaluate ``B`` and ``C`` together with the fused half-spectrum
-kernel of :mod:`cbflab.integrators`; the full-spectrum forms here are its
-reference.
+The solvers evaluate ``B`` and ``C`` together with the fused kernel of
+:mod:`cbflab.integrators` on the dealiased half-spectrum box; the
+full-spectrum forms here are its reference.
 """
 
 from __future__ import annotations
@@ -205,22 +205,9 @@ def _b_ratio(u, v, w, d):
 
     nu, nv, nw = _norms(u), _norms(v), _norms(w)
     b = abs(trilinear_b(u, v, w))
-    if d == 2:
-        denom = (
-            nu.h_norm_sq**0.25
-            * nu.grad_norm_sq**0.25
-            * nv.grad_norm_sq**0.5
-            * nw.h_norm_sq**0.25
-            * nw.grad_norm_sq**0.25
-        )
-    else:
-        denom = (
-            nu.h_norm_sq**0.125
-            * nu.grad_norm_sq**0.375
-            * nv.grad_norm_sq**0.5
-            * nw.h_norm_sq**0.125
-            * nw.grad_norm_sq**0.375
-        )
+    ph, pg = (0.25, 0.25) if d == 2 else (0.125, 0.375)
+    denom = (nu.h_norm_sq**ph * nu.grad_norm_sq**pg * nv.grad_norm_sq**0.5
+             * nw.h_norm_sq**ph * nw.grad_norm_sq**pg)
     return b / denom if denom > 0 else 0.0
 
 

@@ -331,14 +331,8 @@ def sample_attractor(kind, tau, omega, epsilon, params: PhysicalParameters,
         hausdorff_semidistance(clouds[i + 1], clouds[i]) for i in range(len(clouds) - 1)
     )
     decreasing = all(b <= a + 1e-12 for a, b in zip(diag, diag[1:]))
-    return AttractorSample(
-        tau=tau,
-        epsilon=epsilon,
-        points=clouds[-1],
-        horizons=tuple(horizons),
-        convergence_diag=diag,
-        diag_decreasing=decreasing,
-    )
+    return AttractorSample(tau=tau, epsilon=epsilon, points=clouds[-1], horizons=tuple(horizons),
+                           convergence_diag=diag, diag_decreasing=decreasing)
 
 
 def hausdorff_semidistance(a, b) -> float:
@@ -403,21 +397,14 @@ def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalPar
                                 family, config, domain=domain)
         est = _z2_radius(tau, omega, eps, params, profile)
         rel = max(rel, est.forcing_integral_rel_error)
-        rows.append(SemicontinuityRow(
-            epsilon=eps,
-            dist=hausdorff_semidistance(samp.points, base.points),
-            radius_sq=est.radius_sq,
-        ))
+        rows.append(SemicontinuityRow(epsilon=eps, dist=hausdorff_semidistance(samp.points, base.points),
+                                      radius_sq=est.radius_sq))
     dists = [r.dist for r in rows]
     weakly_dec = all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(dists, dists[1:]))
     final_min = dists[-1] <= min(dists) * (1.0 + 1e-9)
-    return SemicontinuitySweep(
-        rows=tuple(rows),
-        base_radius_sq=base_est.radius_sq,
-        weakly_decreasing=weakly_dec,
-        final_is_min=final_min,
-        forcing_integral_rel_error=rel,
-    )
+    return SemicontinuitySweep(rows=tuple(rows), base_radius_sq=base_est.radius_sq,
+                               weakly_decreasing=weakly_dec, final_is_min=final_min,
+                               forcing_integral_rel_error=rel)
 
 
 # ---------------------------------------------------------------------------

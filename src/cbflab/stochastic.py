@@ -15,7 +15,7 @@ construction and equals one when the noise intensity vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -118,43 +118,22 @@ def sample_path(seed, t_min, t_max, dt_grid) -> WienerPath:
     values[n_neg] = 0.0
     values[n_neg + 1 :] = np.cumsum(inc_pos)
     values[:n_neg] = -np.cumsum(inc_neg)[::-1]
-    return WienerPath(
-        t_min=-n_neg * dt_grid,
-        t_max=n_pos * dt_grid,
-        dt_grid=dt_grid,
-        values=values,
-        n_neg=n_neg,
-        seed=seed if isinstance(seed, int) else None,
-    )
+    return replace(path_from_values(values, dt_grid, n_neg), seed=seed if isinstance(seed, int) else None)
 
 
 def path_from_values(values, dt_grid, n_neg) -> WienerPath:
-    """Synthetic path from explicit node values (testing aid)."""
+    """Path from explicit node values, with the zero node at index ``n_neg``."""
     values = np.asarray(values, dtype=float)
     if values[n_neg] != 0.0:
         raise ValueError("synthetic path must vanish at the zero node")
-    return WienerPath(
-        t_min=-n_neg * dt_grid,
-        t_max=(values.size - 1 - n_neg) * dt_grid,
-        dt_grid=dt_grid,
-        values=values,
-        n_neg=n_neg,
-    )
+    return WienerPath(t_min=-n_neg * dt_grid, t_max=(values.size - 1 - n_neg) * dt_grid,
+                      dt_grid=dt_grid, values=values, n_neg=n_neg)
 
 
 def shift_path(path: WienerPath, s) -> WienerPath:
     """Time-shifted view sharing the base samples; re-anchored at zero."""
-    new_shift = path.shift + s
-    shifted = WienerPath(
-        t_min=path.t_min,
-        t_max=path.t_max,
-        dt_grid=path.dt_grid,
-        values=path.values,
-        n_neg=path.n_neg,
-        seed=path.seed,
-        shift=new_shift,
-    )
-    shifted.anchor = shifted._interp_base(new_shift)
+    shifted = replace(path, shift=path.shift + s)
+    shifted.anchor = shifted._interp_base(shifted.shift)
     return shifted
 
 
@@ -205,11 +184,8 @@ def verify_sublinear(path: WienerPath, t0_ladder=None) -> SublinearReport:
         sel = np.abs(nodes) >= t0
         ratios.append(float(np.max(np.abs(vals[sel] / nodes[sel]))))
     decreasing = ratios[-1] < ratios[0] * (1.0 - 1e-9)
-    return SublinearReport(
-        t0_ladder=tuple(float(t) for t in t0_ladder),
-        max_ratios=tuple(ratios),
-        is_sublinear=bool(decreasing or ratios[0] == 0.0),
-    )
+    return SublinearReport(t0_ladder=tuple(float(t) for t in t0_ladder), max_ratios=tuple(ratios),
+                           is_sublinear=bool(decreasing or ratios[0] == 0.0))
 
 
 # ---------------------------------------------------------------------------

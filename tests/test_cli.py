@@ -78,6 +78,27 @@ class TestParseConfig:
         assert main(["simulate", "--config", str(bad)]) == 2
 
 
+    @pytest.mark.parametrize("path_dt", [0.01, 0.0050001])
+    def test_stratonovich_path_grid_coarser_than_dt(self, path_dt, tmp_path):
+        raw = {
+            "params": {"epsilon": 0.5},
+            "solver": {"dt": 0.005},
+            "experiment": {"kind": "simulate", "system": "stratonovich", "seed": 5,
+                           "path_window": [-1.0, 1.0], "path_dt": path_dt},
+        }
+        with pytest.raises(ConfigError, match="path_dt"):
+            parse_config(json.dumps(raw))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(bad)]) == 2
+        for fine in (0.005, 0.0025):
+            raw["experiment"]["path_dt"] = fine
+            parse_config(json.dumps(raw))
+        # the conjugated system integrates the path itself, not its increments
+        raw["experiment"].update(system="conjugated", path_dt=path_dt)
+        parse_config(json.dumps(raw))
+
+
 class TestRun:
     def test_simulate_unforced_energy_monotone(self, tmp_path):
         cfg = parse_config(cfg_text(output={"dir": str(tmp_path / "out")}))
@@ -147,6 +168,37 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"params": {"epsilon_ladder": [0.5, 0.6]}}))
         assert main(["simulate", "--config", str(bad)]) == 2
+
+
+    def test_blowup_failure_record(self, tmp_path, capsys):
+        # the amplitude-500 start of the integrator's blow-up guard test
+        cfg = parse_config(json.dumps({
+            "domain": {"N": 16},
+            "solver": {"dt": 0.05},
+            "experiment": {"kind": "simulate", "t_end": 1.0, "seed": 6, "family": {"radius": 500.0}},
+            "output": {"dir": str(tmp_path)},
+        }))
+        assert run(cfg) == 1
+        assert "error: experiment 'simulate' failed: solution blow-up" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        failure = manifest["failure"]
+        assert failure["stage"] == "simulate" and failure["type"] == "BlowupError"
+        assert failure["message"].startswith("solution blow-up at t=")
+        assert 0.0 <= failure["t"] < 1.0 and failure["max_speed"] > 0.5 / (0.05 * 16 / math.pi)
+        assert manifest["artifacts"] == [] and "health" not in manifest
+
+    def test_failure_record_without_blowup(self, tmp_path, monkeypatch):
+        import cbflab.cli as cli
+
+        def broken(*args, **kwargs):
+            raise FloatingPointError("bad arithmetic")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        cfg = parse_config(cfg_text(output={"dir": str(tmp_path)}))
+        assert run(cfg) == 1
+        failure = json.loads((tmp_path / "manifest.json").read_text())["failure"]
+        assert failure == {"stage": "simulate", "type": "FloatingPointError",
+                           "message": "bad arithmetic", "t": None, "max_speed": None}
 
 
 class TestMoreExperiments:
@@ -266,6 +318,43 @@ class TestMoreExperiments:
             assert rel == 0.0
         else:
             assert 0.0 < rel <= 1e-7
+
+    def test_health_names_missed_integral_target(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import cbflab.pullback as pullback
+
+        raw = {
+            "domain": {"N": 8},
+            "params": {"epsilon": 0.5},
+            "solver": {"dt": 0.01},
+            "forcing": {"kind": "constant_field", "delta": 0.5,
+                        "template": {"shape": "single_mode", "mode": [0, 1]}},
+            "experiment": {"kind": "pullback", "horizons": [0.1, 0.2], "seed": 5,
+                           "family": {"radius": 0.5, "samples": 2},
+                           "path_window": [-40.0, 1.0], "path_dt": 0.01},
+        }
+        raw["output"] = {"dir": str(tmp_path / "met")}
+        assert run(parse_config(json.dumps(raw))) == 0
+        manifest = json.loads((tmp_path / "met" / "manifest.json").read_text())
+        assert 0.0 < manifest["summary"]["forcing_integral_rel_error"] <= 1e-7
+        assert "health" not in manifest and "failure" not in manifest
+
+        integral = pullback.weighted_forcing_integral
+
+        def missed(*args, **kwargs):
+            res = integral(*args, **kwargs)
+            if kwargs.get("weight") == "exp_abs":
+                res = dataclasses.replace(res, error_estimate=1e-3 * res.value)
+            return res
+
+        monkeypatch.setattr(pullback, "weighted_forcing_integral", missed)
+        raw["output"] = {"dir": str(tmp_path / "missed")}
+        assert run(parse_config(json.dumps(raw))) == 0
+        manifest = json.loads((tmp_path / "missed" / "manifest.json").read_text())
+        value = manifest["summary"]["forcing_integral_rel_error"]
+        assert value == pytest.approx(1e-3, rel=1e-12)
+        assert manifest["health"] == {"forcing_integral_rel_error": {"value": value, "target": 1e-7}}
 
     def test_semicontinuity_experiment(self, tmp_path):
         out = tmp_path / "semi"

@@ -12,6 +12,11 @@ from cbflab.domain import (
     ShapeMismatchError,
     SpectralVelocityField,
     TorusDomain,
+    _box_forward,
+    _box_full,
+    _box_hermitian,
+    _box_inverse,
+    _box_part,
     check_interpolation,
     constant_field,
     field_from_physical,
@@ -71,21 +76,38 @@ class TestMakeDomain:
     @pytest.mark.parametrize("d,N", [(2, 8), (3, 6)])
     def test_half_spectrum_tables(self, d, N):
         declared = {f.name: f for f in dataclasses.fields(TorusDomain)}
-        for name in ("k_sq_safe", "half_phase", "half_kvec", "half_kvec_neg",
-                     "half_neg_index", "half_conj_index"):
+        for name in ("k_sq_safe", "box_index", "box_phase", "box_kvec", "box_k_sq",
+                     "box_weight", "box_projection"):
             assert not declared[name].init and not declared[name].repr
-        dom = make_domain(d, math.pi, N)
-        half = N // 2 + 1
-        assert np.array_equal(dom.k_sq_safe, np.where(dom.k_sq == 0.0, 1.0, dom.k_sq))
-        # -m of every stored mode, and the stored -m of every missing mode
-        flat_modes = np.stack(np.meshgrid(*([dom.modes] * d), indexing="ij")).reshape(d, -1)
-        neg = flat_modes[:, dom.half_neg_index]
-        stored = flat_modes.reshape((d,) + (N,) * d)[..., :half]
-        assert np.all(np.where(np.abs(stored) == N // 2, neg == stored, neg == -stored))
-        missing = flat_modes.reshape((d,) + (N,) * d)[..., half:]
-        back = stored.reshape(d, -1)[:, dom.half_conj_index]
-        assert np.all(np.where(np.abs(missing) == N // 2, back == missing, back == -missing))
-        assert np.array_equal(dom.half_kvec_neg, dom.kvec.reshape(d, -1)[:, dom.half_neg_index])
+        for dealias in (2.0 / 3.0, 1.0):
+            dom = make_domain(d, math.pi, N, dealias)
+            c = dom.mode_cut
+            assert np.array_equal(dom.k_sq_safe, np.where(dom.k_sq == 0.0, 1.0, dom.k_sq))
+            # the box: the dealias mask on the stored half of the real transform
+            stored = np.zeros(dom.shape[1:], dtype=bool)
+            stored[dom.box_index] = True
+            half = dom.dealias_mask & (np.arange(N) <= c)
+            assert np.array_equal(stored, half)
+            # leading-axis rows in FFT order, the Nyquist row once
+            rows = dom.box_index[0].ravel()
+            assert rows.size == min(2 * c + 1, N)
+            assert np.array_equal(dom.modes[rows], np.fft.fftfreq(rows.size, 1.0 / rows.size))
+            ix = (slice(None),) + dom.box_index
+            assert np.array_equal(dom.box_phase, dom.phase[dom.box_index])
+            assert np.array_equal(dom.box_k_sq, dom.k_sq[dom.box_index])
+            # first derivatives: zero wavenumber on the Nyquist planes only
+            nyquist = np.abs(dom.kvec[ix]) == N // 2
+            assert np.array_equal(dom.box_kvec, np.where(nyquist, 0.0, dom.kvec[ix]))
+            assert nyquist.any() == (dealias == 1.0)
+            # two passes along those wavevectors, and one along the Nyquist ones
+            passes = [k for k, _ in dom.box_projection]
+            assert len(passes) == (3 if dealias == 1.0 else 2)
+            assert np.array_equal(sum(passes[1:]), dom.kvec[ix])
+            for k, k_sq in dom.box_projection:
+                sq = np.sum(k**2, axis=0)
+                assert np.array_equal(k_sq, np.where(sq == 0.0, 1.0, sq))
+            weight = np.where((np.arange(c + 1) == 0) | (np.arange(c + 1) == N // 2), 1.0, 2.0)
+            assert np.array_equal(dom.box_weight, weight)
 
 
 class TestLowModeSampler:
@@ -153,6 +175,44 @@ class TestTransforms:
         dom = make_domain(2, math.pi, 8)
         with pytest.raises(ShapeMismatchError):
             transform_forward(dom, np.zeros((2, 8, 9)))
+
+
+class TestHalfSpectrumBox:
+    """Pruned transforms and layout changes of the solvers' box arrays."""
+
+    @pytest.mark.parametrize("d,N,dealias", [(2, 24, 2.0 / 3.0), (2, 64, 2.0 / 3.0),
+                                             (3, 32, 2.0 / 3.0), (2, 12, 1.0), (3, 8, 1.0)])
+    def test_pruned_transforms_match_numpy(self, d, N, dealias):
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(70)
+        shape = (3,) + dom.box_phase.shape
+        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stored = np.zeros((3,) + (N,) * (d - 1) + (N // 2 + 1,), dtype=np.complex128)
+        stored[(slice(None),) + dom.box_index] = box
+        axes = tuple(range(1, d + 1))
+        assert np.array_equal(_box_inverse(dom, box), np.fft.irfftn(stored, s=(N,) * d, axes=axes))
+        grid = rng.standard_normal((4,) + (N,) * d)
+        expect = np.fft.rfftn(grid, axes=axes)[(slice(None),) + dom.box_index]
+        assert np.array_equal(_box_forward(dom, grid), expect)
+
+    @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
+    def test_full_layout(self, d, N, dealias):
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(71)
+        shape = (d,) + dom.box_phase.shape
+        box = _box_hermitian(dom, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        full = _box_full(dom, box)
+        axes = dom.spatial_axes
+        assert np.array_equal(np.conj(np.roll(np.flip(full, axis=axes), 1, axis=axes)), full)
+        assert np.all(np.ascontiguousarray(full[:, ~dom.dealias_mask]).view(np.uint64) == 0)  # +0.0
+        assert np.array_equal(_box_part(dom, full), box)
+        # the real field behind the box, as numpy's complex transform sees it
+        grid = np.fft.ifftn(full, axes=axes)
+        assert np.abs(grid.imag).max() <= 1e-15 * np.abs(grid.real).max()
+        if dealias < 1.0:
+            u = random_field(dom, seed=72)
+            assert np.array_equal(_box_full(dom, _box_part(dom, u.coeffs)), u.coeffs)
 
 
 class TestLerayProjection:

@@ -7,6 +7,9 @@ import pytest
 
 from cbflab.domain import (
     SpectralVelocityField,
+    _box_full,
+    _box_part,
+    _energy_sq,
     constant_field,
     dealias_coeffs,
     make_domain,
@@ -19,6 +22,7 @@ from cbflab.domain import (
 from cbflab.integrators import (
     BlowupError,
     MismatchedTrajectoriesError,
+    OutOfBoxError,
     SolverConfig,
     continuity_gap,
     decay_envelope_check,
@@ -26,8 +30,9 @@ from cbflab.integrators import (
     perturbation_envelope,
     solve,
     uniform_estimates_check,
+    _box_forcing,
     _explicit_rhs,
-    _state_aux,
+    _initial_box,
 )
 from cbflab.operators import (
     PhysicalParameters,
@@ -404,19 +409,53 @@ def reference_rhs(dom, coeffs, t, params, profile, z, include_B, include_C):
     return project_coeffs(dom, dealias_coeffs(dom, n_hat))
 
 
+def reference_row(dom, coeffs, t, params, profile, z):
+    """Ledger row of full coefficients from their complex inverse transform."""
+    speed_sq = np.sum(transform_inverse(dom, coeffs) ** 2, axis=0)
+    h_sq, grad_sq = _energy_sq(dom, coeffs)
+    f_hat = profile.value_hat(t)
+    return {
+        "h_sq": h_sq,
+        "grad_sq": grad_sq,
+        "lr_pow": dom.dx**dom.d * float(np.sum(speed_sq ** ((params.r + 1.0) / 2.0))),
+        "f_pair": 0.0 if f_hat is None else dom.measure * float(np.real(np.sum(f_hat * np.conj(coeffs)))),
+        "z": z,
+        "max_speed": float(np.sqrt(speed_sq.max())),
+    }
+
+
+def hermitian_part(dom, coeffs):
+    axes = dom.spatial_axes
+    return 0.5 * (coeffs + np.conj(np.roll(np.flip(coeffs, axis=axes), 1, axis=axes)))
+
+
+def nyquist_planes(dom):
+    planes = np.zeros(dom.shape[1:], dtype=bool)
+    for axis in range(dom.d):
+        planes |= (np.arange(dom.N) == dom.N // 2).reshape((dom.N,) + (1,) * (dom.d - 1 - axis))
+    return planes
+
+
 TOGGLES = [(True, True), (True, False), (False, True), (False, False)]
 
 
 class TestFusedRhs:
-    """The half-spectrum kernel against the full-spectrum operator composition."""
+    """The box kernel against the full-spectrum operator composition."""
 
     @staticmethod
     def assert_matches(dom, coeffs, params, profile, z=1.7, t=0.3):
+        """``coeffs``: a real (Hermitian) field inside the box, in the full layout."""
+        keep = (slice(None),) + dom.box_index
+        off_nyquist = ~nyquist_planes(dom)[dom.box_index]
+        forcing = _box_forcing(dom, profile)
         for include_B, include_C in TOGGLES:
-            got, aux = _explicit_rhs(dom, coeffs, t, params, profile, z, include_B, include_C)
+            got, aux = _explicit_rhs(dom, _box_part(dom, coeffs), t, params, forcing, z, include_B, include_C)
             ref = reference_rhs(dom, coeffs, t, params, profile, z, include_B, include_C)
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-            expect = _state_aux(dom, coeffs, t, params, profile, z)
+            # off the Nyquist planes, where the reference's wavenumber is not zero
+            assert np.abs(got - ref[keep])[:, off_nyquist].max() <= 1e-13 * np.abs(ref).max()
+            # the result is the box of a real solenoidal field
+            SpectralVelocityField(dom, _box_full(dom, got))
+            expect = reference_row(dom, coeffs, t, params, profile, z)
             assert aux.keys() == expect.keys()
             for name, value in expect.items():
                 assert aux[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
@@ -434,18 +473,35 @@ class TestFusedRhs:
     @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
     @pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
     def test_non_hermitian_nyquist_input(self, d, N, dealias):
-        # raw complex coefficients: not Hermitian, not solenoidal, with
-        # content on every Nyquist plane (kept by the output when dealias = 1)
+        # projected raw complex coefficients: not Hermitian, with content on
+        # every Nyquist plane, which the box keeps only when dealias = 1
         dom = make_domain(d, math.pi, N, dealias)
         rng = np.random.default_rng(62)
-        coeffs = 0.1 * (rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape))
-        nyquist = np.zeros(dom.shape[1:], dtype=bool)
-        for axis in range(d):
-            nyquist |= (np.arange(N) == N // 2).reshape((N,) + (1,) * (d - 1 - axis))
-        assert np.all(np.abs(coeffs[:, nyquist]) > 0)
-        params = PhysicalParameters(d, 1.0, 1.0, 0.7, 2.5)
+        raw = 0.1 * (rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape))
+        u = SpectralVelocityField(dom, project_coeffs(dom, raw))
+        assert np.all(np.abs(u.coeffs).sum(axis=0)[nyquist_planes(dom)] > 0)
+        params = PhysicalParameters(d, 1.0, 1.0, 0.7, 3.5)
         profile = constant_forcing(random_field(dom, seed=63, amplitude=0.3))
-        self.assert_matches(dom, coeffs, params, profile)
+        cfg = SolverConfig(dt=1e-3, t_start=0.0, t_end=3e-3, record_stride=1)
+        if dealias < 1.0:
+            with pytest.raises(OutOfBoxError, match="outside the dealiased box"):
+                solve("deterministic", u, cfg, params, profile)
+            u = SpectralVelocityField(dom, project_coeffs(dom, dealias_coeffs(dom, raw)))
+        assert not np.array_equal(hermitian_part(dom, u.coeffs), u.coeffs)
+        traj = solve("deterministic", u, cfg, params, profile)
+        start = traj.states[0].coeffs
+        if dealias < 1.0:
+            # the solve starts from the Hermitian part
+            assert np.array_equal(start, hermitian_part(dom, u.coeffs))
+        else:
+            # ... projected once more, so that the kept Nyquist planes are
+            # solenoidal for both k(m) and k(-m) of the full layout
+            assert np.array_equal(start, _box_full(dom, _initial_box(dom, u.coeffs)))
+            assert np.abs(start - hermitian_part(dom, u.coeffs)).max() > 1e-3
+        for state in traj.states:
+            assert np.array_equal(hermitian_part(dom, state.coeffs), state.coeffs)
+        # the kernel on the start state matches the full-spectrum operators
+        self.assert_matches(dom, start, params, profile)
 
     @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
     def test_transform_count(self, d, N, monkeypatch):
@@ -457,7 +513,7 @@ class TestFusedRhs:
         def counting(name, fn):
             def wrapper(*args, **kwargs):
                 if depth[0] == 0:
-                    calls.append(name)
+                    calls.append((name, np.shape(args[0])))
                 depth[0] += 1
                 try:
                     return fn(*args, **kwargs)
@@ -471,6 +527,68 @@ class TestFusedRhs:
         params = PhysicalParameters(d, 1.0, 1.0, 1.0, 5.0)
         u = random_field(dom, seed=64, amplitude=0.5)
         profile = periodic_forcing(random_field(dom, seed=65, amplitude=0.3), 0.5)
-        _explicit_rhs(dom, u.coeffs, 0.2, params, profile, 1.3, True, True)
-        assert len(calls) <= d + 2
-        assert calls.count("irfftn") == d + 1 and calls.count("rfftn") == 1
+        _explicit_rhs(dom, _box_part(dom, u.coeffs), 0.2, params, _box_forcing(dom, profile), 1.3, True, True)
+        # d + 1 inverse passes of d rows and one forward pass of the d + d(d+1)/2
+        # grid rows; every leading-axis pass transforms only the kept rows and columns
+        c, kept = dom.mode_cut, 2 * dom.mode_cut + 1
+        rows = d + d * (d + 1) // 2
+        inverse = [("ifft", (d,) + (N,) * (a + 1) + (kept,) * (d - 2 - a) + (c + 1,)) for a in range(d - 1)]
+        inverse.append(("irfft", (d,) + (N,) * (d - 1) + (c + 1,)))
+        forward = [("rfft", (rows,) + (N,) * d)]
+        forward += [("fft", (rows,) + (N,) * (d - 1 - a) + (kept,) * a + (c + 1,)) for a in range(d - 1)]
+        assert calls == inverse * (d + 1) + forward
+        points = {(2, 16): 3 * (192 + 192) + 1280 + 480,
+                  (3, 8): 4 * (360 + 576 + 576) + 4608 + 1728 + 1080}
+        assert sum(math.prod(shape) for _, shape in calls) == points[(d, N)]
+
+
+class TestBoxState:
+    """The entry contract and the snapshots of the box-carried solve."""
+
+    @pytest.mark.parametrize("system", ["deterministic", "conjugated", "stratonovich"])
+    @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+    def test_snapshots_hermitian_and_zero_outside(self, d, N, system):
+        dom = make_domain(d, math.pi, N)
+        params = PhysicalParameters(d, 1.0, 1.0, 1.0, 3.0, 0.5)
+        profile = periodic_forcing(random_field(dom, seed=80, amplitude=0.3), 0.5)
+        scheme = "heun_stratonovich" if system == "stratonovich" else "imex_cn_ab2"
+        cfg = SolverConfig(dt=2e-3, scheme=scheme, t_start=0.0, t_end=0.02, record_stride=4)
+        traj = solve(system, random_field(dom, seed=81, amplitude=0.6), cfg, params, profile,
+                     path=sample_path(82, -1.0, 1.0, 2e-3))
+        assert len(traj.states) == 4
+        for state in traj.states:
+            assert np.array_equal(hermitian_part(dom, state.coeffs), state.coeffs)
+            outside = np.ascontiguousarray(state.coeffs[:, ~dom.dealias_mask])
+            assert np.all(outside.view(np.uint64) == 0)  # +0.0, no signed zeros
+
+    def test_out_of_box_initial_rejected(self):
+        dom = make_domain(2, math.pi, 16)
+        cfg = SolverConfig(dt=1e-3, t_start=0.0, t_end=2e-3)
+        inside = single_mode_field(dom, [0, dom.mode_cut], amplitude=0.3)
+        solve("deterministic", inside, cfg, PARAMS_2D, zero_forcing())
+        outside = single_mode_field(dom, [1, dom.mode_cut + 1], amplitude=1e-12)
+        with pytest.raises(OutOfBoxError, match=r"outside the dealiased box \|m_i\| <= 5"):
+            solve("deterministic", outside, cfg, PARAMS_2D, zero_forcing())
+        assert issubclass(OutOfBoxError, ValueError)
+
+    @pytest.mark.parametrize("system", ["deterministic", "conjugated", "stratonovich"])
+    @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+    def test_non_hermitian_initial_matches_hermitian_part(self, d, N, system):
+        dom = make_domain(d, math.pi, N)
+        params = PhysicalParameters(d, 1.0, 1.0, 1.0, 3.0, 0.5)
+        # real field plus i times another real field: in the box, solenoidal, not Hermitian
+        mixed = random_field(dom, seed=83, amplitude=0.5).coeffs + 1j * random_field(dom, seed=84, amplitude=0.3).coeffs
+        u = SpectralVelocityField(dom, mixed)
+        real = SpectralVelocityField(dom, hermitian_part(dom, mixed))
+        assert not np.array_equal(real.coeffs, mixed)
+        profile = constant_forcing(random_field(dom, seed=85, amplitude=0.2))
+        scheme = "heun_stratonovich" if system == "stratonovich" else "imex_cn_ab2"
+        cfg = SolverConfig(dt=2e-3, scheme=scheme, t_start=0.0, t_end=0.01, record_stride=2)
+        path = sample_path(86, -1.0, 1.0, 2e-3)
+        a = solve(system, u, cfg, params, profile, path=path)
+        b = solve(system, real, cfg, params, profile, path=path)
+        for name in a.ledger:
+            assert np.array_equal(a.ledger[name], b.ledger[name]), name
+        for sa, sb in zip(a.states, b.states):
+            assert np.array_equal(sa.coeffs, sb.coeffs)
+        assert np.array_equal(a.states[0].coeffs, real.coeffs)
