@@ -218,18 +218,22 @@ def parse_config(text) -> RunConfig:
     ex = dict(merged["experiment"])
     if ex["kind"] not in ("verify", "simulate", "pullback", "attractor", "semicontinuity", "tails"):
         raise ConfigError(f"experiment.kind: unknown kind {ex['kind']!r}")
-    tau = ex.get("tau", 0.0)
-    t_end = ex.get("t_end", tau + 1.0)
+    tau = ex["tau"]
+    scheme = sv["scheme"]
+    if ex["kind"] == "simulate" and ex["system"] == "stratonovich":
+        scheme = "heun_stratonovich"  # the one scheme of the noisy system
+    elif scheme == "heun_stratonovich":
+        raise ConfigError("solver.scheme: heun_stratonovich runs only a simulate of the stratonovich system")
     try:
         solver = SolverConfig(
-            dt=sv["dt"], scheme=sv["scheme"], t_start=tau, t_end=max(t_end, tau),
+            dt=sv["dt"], scheme=scheme, t_start=tau, t_end=max(ex["t_end"], tau),
             record_stride=sv["record_stride"],
             include_B=sv.get("include_B", True), include_C=sv.get("include_C", True),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
-    if ex.get("system") == "stratonovich" and ex.get("path_dt", solver.dt) > solver.dt:
+    if ex["system"] == "stratonovich" and ex.get("path_dt", solver.dt) > solver.dt:
         # the Heun step would take interpolated, smoothed increments
         raise ConfigError(f"experiment.path_dt: {ex['path_dt']} is coarser than solver.dt = "
                           f"{solver.dt}; the stratonovich system needs the step's own increments")
@@ -240,7 +244,7 @@ def parse_config(text) -> RunConfig:
 
     stochastic = (
         ex["kind"] in ("semicontinuity",)
-        or (ex["kind"] == "simulate" and ex.get("system") in ("conjugated", "stratonovich"))
+        or (ex["kind"] == "simulate" and ex["system"] in ("conjugated", "stratonovich"))
         or (ex["kind"] in ("pullback", "attractor", "tails") and (params.epsilon > 0 or ladder))
         or (ex["kind"] == "tails" and any(e > 0 for e in ex.get("tail_epsilons", [0.0])))
     )
@@ -299,8 +303,13 @@ def _family_from(ex):
 
 
 def _path_from(ex, dt):
-    window = ex.get("path_window", [-8.0, 8.0])
-    return sample_path(ex.get("seed", 0), window[0], window[1], ex.get("path_dt", dt))
+    window = ex["path_window"]
+    return sample_path(ex["seed"], window[0], window[1], ex.get("path_dt", dt))
+
+
+def _cocycle_kind(ex, dt, eps):
+    """``(kind, path)`` of the cocycles at noise intensity ``eps``; no path for 'det'."""
+    return ("stoch", _path_from(ex, dt)) if eps > 0 else ("det", None)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +330,11 @@ def _run_verify(cfg, out, artifacts, summary):
 
 def _run_simulate(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    system = ex.get("system", "deterministic")
+    system = ex["system"]
     path = _path_from(ex, cfg.solver.dt) if system in ("conjugated", "stratonovich") else None
-    solver = cfg.solver
-    if system == "stratonovich" and solver.scheme != "heun_stratonovich":
-        solver = replace(solver, scheme="heun_stratonovich")
     u0 = random_field(cfg.domain, seed=ex.get("seed", 0),
                       amplitude=ex.get("family", {}).get("radius", 1.0))
-    traj = solve(system, u0, solver, cfg.params, cfg.profile, path=path)
+    traj = solve(system, u0, cfg.solver, cfg.params, cfg.profile, path=path)
     led = traj.ledger
     rows = list(zip(
         map(float, led["t"]), map(float, led["h_sq"]), map(float, led["grad_sq"]),
@@ -344,10 +350,9 @@ def _run_simulate(cfg, out, artifacts, summary):
 def _run_pullback(cfg, out, artifacts, summary):
     ex = cfg.experiment
     eps = cfg.params.epsilon
-    kind = "stoch" if eps > 0 else "det"
-    omega = _path_from(ex, cfg.solver.dt) if kind == "stoch" else None
+    kind, omega = _cocycle_kind(ex, cfg.solver.dt, eps)
     est = measure_absorption(
-        kind, ex.get("tau", 0.0), omega, eps, _family_from(ex), cfg.params, cfg.profile,
+        kind, ex["tau"], omega, eps, _family_from(ex), cfg.params, cfg.profile,
         ex["horizons"], cfg.solver, domain=cfg.domain,
     )
     rows = [
@@ -365,10 +370,9 @@ def _run_pullback(cfg, out, artifacts, summary):
 def _run_attractor(cfg, out, artifacts, summary):
     ex = cfg.experiment
     eps = cfg.params.epsilon
-    kind = "stoch" if eps > 0 else "det"
-    omega = _path_from(ex, cfg.solver.dt) if kind == "stoch" else None
+    kind, omega = _cocycle_kind(ex, cfg.solver.dt, eps)
     samp = sample_attractor(
-        kind, ex.get("tau", 0.0), omega, eps, cfg.params, cfg.profile,
+        kind, ex["tau"], omega, eps, cfg.params, cfg.profile,
         ex["horizons"], _family_from(ex), cfg.solver, domain=cfg.domain,
     )
     rows = [
@@ -378,7 +382,7 @@ def _run_attractor(cfg, out, artifacts, summary):
     artifacts.append("attractor.csv")
     for i, p in enumerate(samp.points):
         name = f"cloud_{i:03d}.csv"
-        save_snapshot(p, out / name, time=ex.get("tau", 0.0))
+        save_snapshot(p, out / name, time=ex["tau"])
         artifacts.append(name)
     summary["cloud_size"] = len(samp.points)
     summary["diag_decreasing"] = samp.diag_decreasing
@@ -391,7 +395,7 @@ def _run_semicontinuity(cfg, out, artifacts, summary):
         raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
     omega = _path_from(ex, cfg.solver.dt)
     sweep = semicontinuity_sweep(
-        ex.get("tau", 0.0), omega, cfg.epsilon_ladder, cfg.params, cfg.profile,
+        ex["tau"], omega, cfg.epsilon_ladder, cfg.params, cfg.profile,
         ex["horizons"], _family_from(ex), cfg.solver, domain=cfg.domain,
     )
     rows = [(float(r.epsilon), float(r.dist), float(r.radius_sq)) for r in sweep.rows]
@@ -414,9 +418,8 @@ def _run_tails(cfg, out, artifacts, summary):
     family = _family_from(ex)
     rows = []
     for eps in epsilons:
-        kind = "stoch" if eps > 0 else "det"
-        omega = _path_from(ex, cfg.solver.dt) if kind == "stoch" else None
-        ends = _endpoint_cloud(kind, horizon, ex.get("tau", 0.0), omega, family,
+        kind, omega = _cocycle_kind(ex, cfg.solver.dt, eps)
+        ends = _endpoint_cloud(kind, horizon, ex["tau"], omega, family,
                                replace(cfg.params, epsilon=eps), cfg.profile, cfg.solver, cfg.domain)
         for k in radii:
             worst = max(tail_mass(e, k) for e in ends)

@@ -111,7 +111,6 @@ class Trajectory:
     times: np.ndarray
     states: list
     ledger: dict
-    epsilon: float = 0.0
     path: Optional[WienerPath] = None
     profile: Optional[ForcingProfile] = None
 
@@ -119,10 +118,14 @@ class Trajectory:
     def domain(self):
         return self.states[0].domain
 
+    @property
+    def epsilon(self) -> float:
+        return self.params.epsilon
+
     def z_at(self, t) -> float:
         if self.system != "conjugated" or self.path is None:
             return 1.0
-        return math.exp(-self.epsilon * self.path.value(t))
+        return ConjugationProcess(self.path, self.epsilon).value(t)
 
     def reconstruct_u(self, index) -> SpectralVelocityField:
         """Undo the conjugation at snapshot ``index``: u = v / z."""
@@ -145,18 +148,22 @@ def _box_forcing(dom, profile):
     return profile.envelope, g, dom.box_weight * g
 
 
+# the columns of a ledger row, in the order _ledger_row returns them
+_LEDGER = ("h_sq", "grad_sq", "lr_pow", "f_pair", "z", "max_speed")
+
+
 def _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density):
-    """Norm row of the ledger from ``|u|^2`` and ``|u|^(r+1)`` on the grid."""
+    """Norm row of the ledger, in ``_LEDGER`` order, from ``|u|^2`` and ``|u|^(r+1)`` on the grid."""
     c2 = dom.box_weight * np.abs(coeffs) ** 2
     f_pair = 0.0 if forcing is None else forcing[0](t) * dom.measure * float(np.real(np.vdot(coeffs, forcing[2])))
-    return {
-        "h_sq": dom.measure * float(np.sum(c2)),
-        "grad_sq": dom.measure * float(np.sum(dom.box_k_sq * c2)),
-        "lr_pow": dom.dx**dom.d * float(np.sum(lr_density)),
-        "f_pair": f_pair,
-        "z": z,
-        "max_speed": float(np.sqrt(speed_sq.max())),
-    }
+    return (
+        dom.measure * float(np.sum(c2)),
+        dom.measure * float(np.sum(dom.box_k_sq * c2)),
+        dom.dx**dom.d * float(np.sum(lr_density)),
+        f_pair,
+        z,
+        float(np.sqrt(speed_sq.max())),
+    )
 
 
 def _half_divergence(k, flux, d):
@@ -189,9 +196,9 @@ def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C):
     else:
         pw = speed_sq ** (0.5 * (params.r - 1.0))
         lr_density = pw * speed_sq
-    aux = _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density)
+    row = _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density)
     if not (include_B or include_C):
-        return None, aux
+        return None, row
 
     stack = np.empty((d + (d * (d + 1) // 2 if include_B else 0),) + u.shape[1:])
     comb = stack[:d]
@@ -210,7 +217,7 @@ def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C):
                 p += 1
     if include_C:
         comb -= (params.beta * z ** (1.0 - params.r)) * (u if pw is None else pw * u)
-    return stack, aux
+    return stack, row
 
 
 def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C):
@@ -226,7 +233,7 @@ def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C):
     skew-symmetric half of the advection.  The box is the dealias mask, and
     the self-conjugate columns of the result are made exactly Hermitian.
     """
-    stack, aux = _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C)
+    stack, row = _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C)
     if stack is None:
         n_hat = np.zeros_like(coeffs)
     else:
@@ -239,44 +246,7 @@ def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C):
         _box_hermitian(dom, n_hat)
     if forcing is not None:
         n_hat += z * (forcing[0](t) * forcing[1])
-    return _project(n_hat, dom.box_projection), aux
-
-
-def _imex_advance(dom, coeffs, t, dt, params, forcing, zf, e1, e2, prev_rhs,
-                  include_B, include_C, second_order):
-    """
-    One integrating-factor step.  With AB2 history the update is
-
-        u+ = E u + dt (3/2 E N(t, u) - 1/2 E^2 N(t - dt, u_prev))
-
-    and on startup (or for the first-order scheme) a single Heun / Euler
-    step keeps the local error at O(dt^3) / O(dt^2).
-    """
-    n0, aux = _explicit_rhs(dom, coeffs, t, params, forcing, zf(t), include_B, include_C)
-    if prev_rhs is not None:
-        new = e1 * coeffs + dt * (1.5 * (e1 * n0) - 0.5 * (e2 * prev_rhs))
-    elif second_order:
-        pred = e1 * (coeffs + dt * n0)
-        n1, _ = _explicit_rhs(dom, pred, t + dt, params, forcing, zf(t + dt), include_B, include_C)
-        new = e1 * coeffs + 0.5 * dt * (e1 * n0 + n1)
-    else:
-        new = e1 * (coeffs + dt * n0)
-    return new, n0, aux
-
-
-def _heun_advance(dom, coeffs, t, dt, params, forcing, path, epsilon, lam, include_B, include_C):
-    """Heun predictor-corrector with multiplicative noise eps u dW; ``lam`` is the linear part."""
-
-    def drift(c, s):
-        n_hat, aux = _explicit_rhs(dom, c, s, params, forcing, 1.0, include_B, include_C)
-        return n_hat - lam * c, aux
-
-    dw = path.value(t + dt) - path.value(t)
-    g0, aux = drift(coeffs, t)
-    pred = coeffs + dt * g0 + (epsilon * dw) * coeffs
-    g1, _ = drift(pred, t + dt)
-    new = coeffs + 0.5 * dt * (g0 + g1) + 0.5 * (epsilon * dw) * (coeffs + pred)
-    return new, aux
+    return _project(n_hat, dom.box_projection), row
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +261,15 @@ def _initial_box(dom, coeffs):
     # on kept Nyquist planes the Hermitian part is projected again, so that
     # both k(m) and k(-m) of the full layout annihilate it
     return _project(box, dom.box_projection) if 2 * dom.mode_cut == dom.N else box
+
+
+def _check_row(row, t, cfl_scale):
+    """Blow-up guard on a ledger row: finite energy, and CFL number ``max_speed * cfl_scale <= 0.5``."""
+    h_sq, max_speed = row[0], row[-1]
+    if not math.isfinite(h_sq):
+        raise BlowupError(t, max_speed, f"non-finite energy at t={t:.6g}")
+    if max_speed * cfl_scale > 0.5:
+        raise BlowupError(t, max_speed)
 
 
 def solve(system, initial: SpectralVelocityField, config: SolverConfig,
@@ -322,65 +301,64 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
         raise ValueError(f"system {system!r} needs a sampled path")
 
     dom = initial.domain
-    eps = params.epsilon
+    dt = config.dt
     span = config.t_end - config.t_start
-    n_steps = int(round(span / config.dt))
-    if abs(n_steps * config.dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(f"(t_end - t_start) = {span} is not a multiple of dt = {config.dt}")
+    n_steps = int(round(span / dt))
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError(f"(t_end - t_start) = {span} is not a multiple of dt = {dt}")
 
-    if system == "conjugated":
-        zf = ConjugationProcess(path, eps).value
-    else:
-        zf = lambda s: 1.0
+    zf = ConjugationProcess(path, params.epsilon).value if system == "conjugated" else lambda s: 1.0
+    forcing = _box_forcing(dom, profile)
+
+    def rhs(c, s, z):
+        return _explicit_rhs(dom, c, s, params, forcing, z, config.include_B, config.include_C)
 
     # the linear part, per mode: exact integrating factors for IMEX, explicit for Heun
     lam = params.mu * dom.box_k_sq + params.alpha if config.include_linear else np.zeros_like(dom.box_k_sq)
-    e1 = np.exp(-lam * config.dt)
+    e1 = np.exp(-lam * dt)
     e2 = e1 * e1
     second_order = config.scheme != "imex_euler"
+    cfl_scale = dt * dom.N / dom.L
 
-    cols = ("h_sq", "grad_sq", "lr_pow", "f_pair", "z", "max_speed")
-    ledger = {name: np.empty(n_steps + 1) for name in cols}
-    ledger["t"] = config.t_start + config.dt * np.arange(n_steps + 1)
-
+    grid = config.t_start + dt * np.arange(n_steps + 1)
+    rows = np.empty((n_steps + 1, len(_LEDGER)))
     coeffs = _initial_box(dom, initial.coeffs)
-    forcing = _box_forcing(dom, profile)
     states = [SpectralVelocityField(dom, _box_full(dom, coeffs))]
     snap_times = [config.t_start]
-    prev_rhs = None
-    cfl_scale = config.dt * dom.N / dom.L
+    prev = None
 
     for i in range(n_steps):
-        t = float(ledger["t"][i])
+        t = float(grid[i])
+        n0, row = rhs(coeffs, t, zf(t))
+        rows[i] = row
+        _check_row(row, t, cfl_scale)
         if system == "stratonovich":
-            new, aux = _heun_advance(dom, coeffs, t, config.dt, params, forcing, path, eps, lam,
-                                     config.include_B, config.include_C)
+            # Heun predictor-corrector on the drift rhs - lam c with the noise eps c dW
+            noise = params.epsilon * (path.value(t + dt) - path.value(t))
+            g0 = n0 - lam * coeffs
+            pred = coeffs + dt * g0 + noise * coeffs
+            g1 = rhs(pred, t + dt, 1.0)[0] - lam * pred
+            coeffs = coeffs + 0.5 * dt * (g0 + g1) + 0.5 * noise * (coeffs + pred)
+        elif not second_order:
+            coeffs = e1 * (coeffs + dt * n0)
+        elif prev is None:
+            # Heun startup step: local error O(dt^3), as for AB2
+            pred = e1 * (coeffs + dt * n0)
+            coeffs = e1 * coeffs + 0.5 * dt * (e1 * n0 + rhs(pred, t + dt, zf(t + dt))[0])
         else:
-            new, rhs, aux = _imex_advance(
-                dom, coeffs, t, config.dt, params, forcing, zf, e1, e2,
-                prev_rhs, config.include_B, config.include_C, second_order,
-            )
-            prev_rhs = rhs if second_order else None
-        for name in cols:
-            ledger[name][i] = aux[name]
-        if not np.isfinite(aux["h_sq"]):
-            raise BlowupError(t, aux["max_speed"], f"non-finite energy at t={t:.6g}")
-        if aux["max_speed"] * cfl_scale > 0.5:
-            raise BlowupError(t, aux["max_speed"])
-        coeffs = new
+            # AB2 with integrating factors: u+ = E u + dt (3/2 E N(t, u) - 1/2 E^2 N(t - dt, u_prev))
+            coeffs = e1 * coeffs + dt * (1.5 * (e1 * n0) - 0.5 * (e2 * prev))
+        prev = n0
         if (i + 1) % config.record_stride == 0 or i + 1 == n_steps:
             states.append(SpectralVelocityField(dom, _box_full(dom, coeffs)))
-            snap_times.append(float(ledger["t"][i + 1]))
+            snap_times.append(float(grid[i + 1]))
 
-    t_last = float(ledger["t"][n_steps])
-    _, aux = _grid_terms(dom, coeffs, t_last, params, forcing, zf(t_last), False, False)
-    for name in cols:
-        ledger[name][n_steps] = aux[name]
-    if not np.isfinite(aux["h_sq"]):
-        raise BlowupError(t_last, aux["max_speed"], f"non-finite energy at t={t_last:.6g}")
+    t_last = float(grid[n_steps])
+    rows[n_steps] = row = _grid_terms(dom, coeffs, t_last, params, forcing, zf(t_last), False, False)[1]
+    _check_row(row, t_last, 0.0)  # no step follows the last row, so no CFL guard
 
     return Trajectory(system=system, params=params, config=config, times=np.asarray(snap_times),
-                      states=states, ledger=ledger, epsilon=eps, path=path, profile=profile)
+                      states=states, ledger=dict(zip(_LEDGER, rows.T), t=grid), path=path, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +369,7 @@ def _forcing_sq(profile, t):
     """``|f(t)|^2_{V'}`` on the times ``t``."""
     if profile is None or profile.is_zero:
         return np.zeros_like(t)
-    return np.array([profile.norm_sq(ti, "vprime") for ti in t])
+    return profile.envelope(t) ** 2 * profile.vprime_sq_template
 
 
 def _cumtrap(y, x):
@@ -471,9 +449,8 @@ def _gap_sq(a: Trajectory, b: Trajectory):
     return np.array([_energy_sq(sa.domain, sa.coeffs - sb.coeffs)[0] for sa, sb in zip(a.states, b.states)])
 
 
-def _check_compatible(a: Trajectory, b: Trajectory):
-    if a.system != b.system or a.epsilon != b.epsilon:
-        raise MismatchedTrajectoriesError("trajectories solve different systems")
+def _check_same_grids(a: Trajectory, b: Trajectory):
+    """Same domain, ledger grid and snapshot times, so that ledgers and snapshots pair up."""
     if a.domain != b.domain:
         raise MismatchedTrajectoriesError("trajectories live on different domains")
     if len(a.ledger["t"]) != len(b.ledger["t"]) or not np.allclose(a.ledger["t"], b.ledger["t"]):
@@ -493,7 +470,9 @@ def continuity_gap(traj1: Trajectory, traj2: Trajectory, params: PhysicalParamet
     * 3D, r > 3: e^{2 eta (t - t0)} with the explicit rate eta;
     * 3D, r = 3, 2 beta mu >= 1: non-increasing gap.
     """
-    _check_compatible(traj1, traj2)
+    if traj1.system != traj2.system or traj1.epsilon != traj2.epsilon:
+        raise MismatchedTrajectoriesError("trajectories solve different systems")
+    _check_same_grids(traj1, traj2)
     times = traj1.times
     gap = _gap_sq(traj1, traj2)
     led_t = traj1.ledger["t"]
@@ -542,11 +521,8 @@ def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
     """
     if det_traj.system != "deterministic" or conj_traj.system != "conjugated":
         raise MismatchedTrajectoriesError("expected one deterministic and one conjugated trajectory")
-    if det_traj.domain != conj_traj.domain:
-        raise MismatchedTrajectoriesError("trajectories live on different domains")
+    _check_same_grids(det_traj, conj_traj)
     t = det_traj.ledger["t"]
-    if len(t) != len(conj_traj.ledger["t"]) or not np.allclose(t, conj_traj.ledger["t"]):
-        raise MismatchedTrajectoriesError("trajectories use different time grids")
 
     r = params.r
     mn = min(params.mu, params.alpha)

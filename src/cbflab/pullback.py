@@ -33,6 +33,7 @@ from .domain import (
 from .integrators import SolverConfig, Trajectory, solve
 from .operators import PhysicalParameters
 from .stochastic import (
+    ConjugationProcess,
     ForcingProfile,
     WienerPath,
     shift_path,
@@ -158,7 +159,7 @@ def cocycle_trajectory(kind, t, tau, omega, initial, params, profile, config) ->
     if omega is None:
         raise ValueError("the stochastic cocycle needs a sampled path")
     shifted = shift_path(omega, -tau)
-    z_start = math.exp(-params.epsilon * shifted.value(tau))
+    z_start = ConjugationProcess(shifted, params.epsilon).value(tau)
     wrapped = SpectralVelocityField(initial.domain, z_start * initial.coeffs)
     return solve("conjugated", wrapped, cfg, params, profile, path=shifted)
 
@@ -195,7 +196,7 @@ def absorbing_radius_det(tau, params: PhysicalParameters, profile: ForcingProfil
     if profile.is_zero:
         return AbsorbingEstimate(1.0, 1.0, 0.0, 0.0)
     mn = min(params.mu, params.alpha)
-    integ = weighted_forcing_integral(profile, tau, params.alpha, "vprime")
+    integ = weighted_forcing_integral(profile, tau, params.alpha)
     term = math.exp(-params.alpha * tau) / mn * integ.value
     return AbsorbingEstimate(1.0 + term, 1.0, term, integ.tail_bound,
                              forcing_integral_rel_error=_rel_error(integ))
@@ -217,7 +218,7 @@ def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalPara
     rel = est.forcing_integral_rel_error
     if not profile.is_zero:
         comp_int = weighted_forcing_integral(
-            profile, tau, params.alpha, "vprime", path=omega, epsilon=epsilon, weight="exp_abs",
+            profile, tau, params.alpha, path=omega, epsilon=epsilon, weight="exp_abs",
         )
         companion = companion + math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * comp_int.value
         rel = max(rel, _rel_error(comp_int))
@@ -227,11 +228,11 @@ def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalPara
 def _z2_radius(tau, omega, epsilon, params, profile) -> AbsorbingEstimate:
     """``M(tau, omega)`` with its ``z(tau)^-2`` and forcing terms, on the shifted path."""
     shifted = shift_path(omega, -tau)
-    base = math.exp(-epsilon * shifted.value(tau)) ** -2.0
+    base = ConjugationProcess(shifted, epsilon).value(tau) ** -2.0
     if profile.is_zero:
         return AbsorbingEstimate(base, base, 0.0, 0.0)
     integ = weighted_forcing_integral(
-        profile, tau, params.alpha, "vprime", path=shifted, epsilon=epsilon, weight="z2",
+        profile, tau, params.alpha, path=shifted, epsilon=epsilon, weight="z2",
     )
     term = base * math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * integ.value
     return AbsorbingEstimate(base + term, base, term, integ.tail_bound,

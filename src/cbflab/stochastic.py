@@ -62,12 +62,9 @@ class WienerPath:
     through this object is ``base(t + shift) - base(shift)``.
     """
 
-    t_min: float
-    t_max: float
     dt_grid: float
     values: np.ndarray
     n_neg: int
-    seed: Optional[int] = None
     shift: float = 0.0
     anchor: float = dc_field(default=0.0)
 
@@ -118,7 +115,7 @@ def sample_path(seed, t_min, t_max, dt_grid) -> WienerPath:
     values[n_neg] = 0.0
     values[n_neg + 1 :] = np.cumsum(inc_pos)
     values[:n_neg] = -np.cumsum(inc_neg)[::-1]
-    return replace(path_from_values(values, dt_grid, n_neg), seed=seed if isinstance(seed, int) else None)
+    return path_from_values(values, dt_grid, n_neg)
 
 
 def path_from_values(values, dt_grid, n_neg) -> WienerPath:
@@ -126,8 +123,7 @@ def path_from_values(values, dt_grid, n_neg) -> WienerPath:
     values = np.asarray(values, dtype=float)
     if values[n_neg] != 0.0:
         raise ValueError("synthetic path must vanish at the zero node")
-    return WienerPath(t_min=-n_neg * dt_grid, t_max=(values.size - 1 - n_neg) * dt_grid,
-                      dt_grid=dt_grid, values=values, n_neg=n_neg)
+    return WienerPath(dt_grid=dt_grid, values=values, n_neg=n_neg)
 
 
 def shift_path(path: WienerPath, s) -> WienerPath:
@@ -201,13 +197,20 @@ class Envelope:
     gamma: float = 0.0
 
     def __call__(self, t):
+        """Envelope at a time (a float) or at an array of times (an array).
+
+        Both go through numpy's ufuncs, so an array call gives the bits of
+        the calls on its elements.
+        """
         if self.kind == "one":
-            return 1.0
-        if self.kind == "cosine":
-            return math.cos(2.0 * math.pi * t / self.period)
-        if self.kind == "exp":
-            return math.exp(self.gamma * t)
-        raise ValueError(f"unknown envelope kind {self.kind!r}")
+            out = np.ones_like(t, dtype=float)
+        elif self.kind == "cosine":
+            out = np.cos(2.0 * math.pi * t / self.period)
+        elif self.kind == "exp":
+            out = np.exp(self.gamma * t)
+        else:
+            raise ValueError(f"unknown envelope kind {self.kind!r}")
+        return out if np.ndim(out) else float(out)
 
     def past_sup_sq(self, t0) -> float:
         """Upper bound on ``envelope(t)^2`` for all ``t <= t0``."""
@@ -236,7 +239,6 @@ class ForcingProfile:
     envelope: Envelope
     delta: float = 0.0
     vprime_sq_template: float = 0.0
-    h_sq_template: float = 0.0
 
     def __post_init__(self):
         if self.kind != "zero" and self.template is None:
@@ -256,9 +258,7 @@ class ForcingProfile:
         if self.kind == "decaying" and self.delta + self.envelope.decay_rate() <= 0:
             raise ValueError("decaying forcing must satisfy delta + 2*gamma > 0")
         if self.template is not None:
-            n = _norms(self.template)
-            object.__setattr__(self, "vprime_sq_template", n.vprime_norm_sq)
-            object.__setattr__(self, "h_sq_template", n.h_norm_sq)
+            object.__setattr__(self, "vprime_sq_template", _norms(self.template).vprime_norm_sq)
 
     @property
     def is_zero(self) -> bool:
@@ -273,12 +273,6 @@ class ForcingProfile:
         if self.is_zero:
             return None
         return self.envelope(t) * self.template.coeffs
-
-    def norm_sq(self, t, norm_kind="vprime") -> float:
-        if self.is_zero:
-            return 0.0
-        base = self.vprime_sq_template if norm_kind == "vprime" else self.h_sq_template
-        return self.envelope(t) ** 2 * base
 
 
 def zero_forcing() -> ForcingProfile:
@@ -347,13 +341,12 @@ def weighted_forcing_integral(
     profile: ForcingProfile,
     tau,
     rate,
-    norm_kind="vprime",
     path: Optional[WienerPath] = None,
     epsilon=0.0,
     weight="z2",
 ) -> WeightedIntegral:
     """
-    Evaluate ``integral_{-inf}^{tau} exp(rate * xi) w(xi) |f(xi)|^2 dxi``.
+    Evaluate ``integral_{-inf}^{tau} exp(rate * xi) w(xi) |f(xi)|^2_{V'} dxi``.
 
     ``w`` is 1 without a path, ``z(xi)^2 = exp(-2 eps path(xi))`` for
     ``weight='z2'`` (the caller passes the appropriately shifted path), or
@@ -366,7 +359,7 @@ def weighted_forcing_integral(
     """
     if profile.is_zero:
         return WeightedIntegral(0.0, 0.0, 0.0, tau)
-    g_sq = profile.vprime_sq_template if norm_kind == "vprime" else profile.h_sq_template
+    g_sq = profile.vprime_sq_template
     env = profile.envelope
     margin_det = rate + env.decay_rate()
     if margin_det <= 0:
@@ -385,8 +378,7 @@ def weighted_forcing_integral(
         return 2.0 * np.abs(path.value(xi - tau))
 
     def integrand(xi):
-        env_sq = np.fromiter(map(env, xi), float, xi.size) ** 2
-        return np.exp(rate * (xi - tau) + log_weight(xi)) * env_sq * g_sq
+        return np.exp(rate * (xi - tau) + log_weight(xi)) * env(xi) ** 2 * g_sq
 
     t_cut = tau - 46.0 / margin_det
     if path is not None:

@@ -217,6 +217,43 @@ class TestMoreExperiments:
         z = [float(r.split(",")[5]) for r in rows]
         assert any(abs(v - 1.0) > 1e-6 for v in z)
 
+    @pytest.mark.parametrize("experiment", [
+        {"kind": "simulate", "system": "deterministic", "t_end": 0.05, "seed": 5},
+        {"kind": "pullback", "horizons": [0.05], "seed": 5},
+    ], ids=["deterministic-simulate", "pullback"])
+    def test_heun_scheme_outside_stratonovich_is_config_error(self, experiment, tmp_path, capsys):
+        raw = {"domain": {"N": 16}, "solver": {"dt": 0.005, "scheme": "heun_stratonovich"},
+               "experiment": experiment}
+        with pytest.raises(ConfigError, match="heun_stratonovich"):
+            parse_config(json.dumps(raw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([experiment["kind"], "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: solver.scheme" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stratonovich_simulate_runs_heun(self, tmp_path):
+        from cbflab.domain import random_field
+        from cbflab.integrators import SolverConfig, solve
+        from cbflab.stochastic import sample_path
+
+        raw = {"domain": {"N": 16}, "params": {"epsilon": 0.5},
+               "solver": {"dt": 0.005, "record_stride": 5},
+               "experiment": {"kind": "simulate", "system": "stratonovich", "t_end": 0.05,
+                              "seed": 5, "path_window": [-1.0, 1.0], "path_dt": 0.005}}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 0
+        cfg = parse_config(json.dumps(raw))
+        assert cfg.solver.scheme == "heun_stratonovich"
+        heun = solve("stratonovich", random_field(cfg.domain, seed=5, amplitude=1.0),
+                     SolverConfig(dt=0.005, scheme="heun_stratonovich", t_end=0.05, record_stride=5),
+                     cfg.params, cfg.profile, path=sample_path(5, -1.0, 1.0, 0.005))
+        rows = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
+        assert [float(r.split(",")[1]) for r in rows] == heun.ledger["h_sq"].tolist()
+
     def test_stratonovich_simulate(self, tmp_path):
         out = tmp_path / "strat"
         cfg = parse_config(json.dumps({

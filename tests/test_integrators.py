@@ -30,6 +30,7 @@ from cbflab.integrators import (
     perturbation_envelope,
     solve,
     uniform_estimates_check,
+    _LEDGER,
     _box_forcing,
     _explicit_rhs,
     _initial_box,
@@ -313,6 +314,9 @@ class TestContinuityGap:
         t2 = solve("deterministic", u, cfg2, PARAMS_2D, zero_forcing())
         with pytest.raises(MismatchedTrajectoriesError):
             continuity_gap(t1, t2, PARAMS_2D, c_l4=1.0)
+        t3 = solve("deterministic", u, SolverConfig(dt=2e-3, t_end=0.2, record_stride=5), PARAMS_2D, zero_forcing())
+        with pytest.raises(MismatchedTrajectoriesError, match="snapshot"):
+            continuity_gap(t1, t3, PARAMS_2D, c_l4=1.0)
 
 
 class TestPerturbationEnvelope:
@@ -329,6 +333,18 @@ class TestPerturbationEnvelope:
         rep = perturbation_envelope(det, conj, params_with_eps(0.5),
                                     c_l4=consts["c_l4"], c_b=consts["c_b"])
         assert np.all(rep.gap_sq <= rep.envelope)
+
+    def test_snapshot_strides_must_match(self):
+        dom = make_domain(2, math.pi, 16)
+        path = sample_path(36, -1.0, 1.0, 1e-2)
+        u0 = random_field(dom, seed=37, amplitude=0.5)
+        det = solve("deterministic", u0, SolverConfig(dt=1e-2, t_end=0.2, record_stride=10),
+                    PARAMS_2D, zero_forcing())
+        conj = solve("conjugated", u0, SolverConfig(dt=1e-2, t_end=0.2, record_stride=5),
+                     params_with_eps(0.5), zero_forcing(), path=path)
+        assert len(det.times) == 3 and len(conj.times) == 5
+        with pytest.raises(MismatchedTrajectoriesError, match="snapshot"):
+            perturbation_envelope(det, conj, params_with_eps(0.5), c_l4=1.0, c_b=1.0)
 
     def test_gap_shrinks_with_intensity(self):
         dom = make_domain(2, math.pi, 16)
@@ -356,8 +372,7 @@ class TestUniformEstimates:
         u0 = random_field(dom, seed=35, amplitude=1.0)
         cfg = SolverConfig(dt=2e-3, t_start=tau - age, t_end=tau)
         traj = solve("conjugated", u0, cfg, params_with_eps(eps), prof, path=shifted)
-        past = weighted_forcing_integral(prof, tau - age, PARAMS_2D.alpha, "vprime",
-                                         path=shifted, epsilon=eps)
+        past = weighted_forcing_integral(prof, tau - age, PARAMS_2D.alpha, path=shifted, epsilon=eps)
         checks = uniform_estimates_check(traj, tau, past.value)
         assert checks["precondition"]
         for key in ("h", "grad", "damp"):
@@ -449,16 +464,16 @@ class TestFusedRhs:
         off_nyquist = ~nyquist_planes(dom)[dom.box_index]
         forcing = _box_forcing(dom, profile)
         for include_B, include_C in TOGGLES:
-            got, aux = _explicit_rhs(dom, _box_part(dom, coeffs), t, params, forcing, z, include_B, include_C)
+            got, row = _explicit_rhs(dom, _box_part(dom, coeffs), t, params, forcing, z, include_B, include_C)
             ref = reference_rhs(dom, coeffs, t, params, profile, z, include_B, include_C)
             # off the Nyquist planes, where the reference's wavenumber is not zero
             assert np.abs(got - ref[keep])[:, off_nyquist].max() <= 1e-13 * np.abs(ref).max()
             # the result is the box of a real solenoidal field
             SpectralVelocityField(dom, _box_full(dom, got))
             expect = reference_row(dom, coeffs, t, params, profile, z)
-            assert aux.keys() == expect.keys()
-            for name, value in expect.items():
-                assert aux[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
+            assert tuple(expect) == _LEDGER and len(row) == len(_LEDGER)
+            for name, value in zip(_LEDGER, row):
+                assert value == pytest.approx(expect[name], rel=1e-13, abs=0.0), name
 
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("r", [1.0, 2.5, 3.0, 5.0])

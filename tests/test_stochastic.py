@@ -182,6 +182,20 @@ class TestForcingProfiles:
         prof = constant_forcing(self.g, delta=0.5)
         assert prof.vprime_sq_template == pytest.approx(norms(self.g).vprime_norm_sq)
 
+    @pytest.mark.parametrize("make", [
+        lambda g: constant_forcing(g),
+        lambda g: periodic_forcing(g, period=0.7),
+        lambda g: decaying_forcing(g, gamma=0.8),
+    ], ids=["one", "cosine", "exp"])
+    def test_envelope_array_call_is_elementwise(self, make):
+        env = make(self.g).envelope
+        t = np.concatenate([np.linspace(-46.0, 3.0, 4001), [0.0, -0.35, 1e-300]])
+        values = env(t)
+        assert isinstance(values, np.ndarray) and values.shape == t.shape
+        singles = [env(x) for x in t.tolist()]
+        assert all(isinstance(v, float) for v in singles)
+        assert np.array_equal(values, np.array(singles))
+
 
 class TestWeightedIntegral:
     def setup_method(self):
