@@ -72,6 +72,7 @@ _KNOWN_KEYS = {
     },
     "output": {"dir"},
 }
+_FAMILY_KEYS = {"radius", "samples", "max_mode", "include_boundary"}
 
 
 @dataclass
@@ -85,6 +86,7 @@ class RunConfig:
     solver: SolverConfig
     experiment: dict
     epsilon_ladder: list
+    family: Optional[TemperedFamily]  # None for verify and simulate
     out_dir: str
 
 
@@ -116,17 +118,27 @@ def _plain(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _check_keys(where, obj, known):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = set(obj) - known
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+
+
+def _nonneg_list(value):
+    """True for a non-empty list of numbers >= 0."""
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in value)
+
+
 def _merge_defaults(data):
     merged = {}
     for section, defaults in _DEFAULTS.items():
         if section == "workers":
             continue
         user = data.get(section, {})
-        if not isinstance(user, dict):
-            raise ConfigError(f"{section}: expected an object")
-        unknown = set(user) - _KNOWN_KEYS[section]
-        if unknown:
-            raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
+        _check_keys(section, user, _KNOWN_KEYS[section])
         merged[section] = {**defaults, **user}
     merged["workers"] = data.get("workers", _DEFAULTS["workers"])
     unknown_sections = set(data) - set(_DEFAULTS)
@@ -218,6 +230,8 @@ def parse_config(text) -> RunConfig:
     ex = dict(merged["experiment"])
     if ex["kind"] not in ("verify", "simulate", "pullback", "attractor", "semicontinuity", "tails"):
         raise ConfigError(f"experiment.kind: unknown kind {ex['kind']!r}")
+    if ex["system"] not in ("deterministic", "conjugated", "stratonovich"):
+        raise ConfigError(f"experiment.system: unknown system {ex['system']!r}")
     tau = ex["tau"]
     scheme = sv["scheme"]
     if ex["kind"] == "simulate" and ex["system"] == "stratonovich":
@@ -238,9 +252,23 @@ def parse_config(text) -> RunConfig:
         raise ConfigError(f"experiment.path_dt: {ex['path_dt']} is coarser than solver.dt = "
                           f"{solver.dt}; the stratonovich system needs the step's own increments")
 
+    pulls_back = ex["kind"] in ("pullback", "attractor", "semicontinuity", "tails")
     horizons = ex.get("horizons")
+    if pulls_back and not _nonneg_list(horizons):
+        raise ConfigError(f"experiment.horizons: {ex['kind']} needs a non-empty list of values >= 0")
     if horizons is not None and any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ConfigError("experiment.horizons: must increase strictly")
+    if ex["kind"] == "semicontinuity" and not ladder:
+        raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
+    if ex["kind"] == "tails" and not ex.get("tail_radii"):
+        raise ConfigError("experiment.tail_radii: required for the tails experiment")
+    if "tail_epsilons" in ex and not _nonneg_list(ex["tail_epsilons"]):
+        raise ConfigError("experiment.tail_epsilons: expected a non-empty list of values >= 0")
+    _check_keys("experiment.family", ex.get("family", {}), _FAMILY_KEYS)
+    try:
+        family = _family_from(ex) if pulls_back else None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"experiment.family: {exc}") from exc
 
     stochastic = (
         ex["kind"] in ("semicontinuity",)
@@ -272,6 +300,7 @@ def parse_config(text) -> RunConfig:
         solver=solver,
         experiment=ex,
         epsilon_ladder=list(ladder) if ladder else [],
+        family=family,
         out_dir=merged["output"]["dir"],
     )
 
@@ -307,9 +336,9 @@ def _path_from(ex, dt):
     return sample_path(ex["seed"], window[0], window[1], ex.get("path_dt", dt))
 
 
-def _cocycle_kind(ex, dt, eps):
-    """``(kind, path)`` of the cocycles at noise intensity ``eps``; no path for 'det'."""
-    return ("stoch", _path_from(ex, dt)) if eps > 0 else ("det", None)
+def _cocycle_path(ex, dt, eps):
+    """The cocycles' path at noise intensity ``eps``; None runs the deterministic system."""
+    return _path_from(ex, dt) if eps > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +378,9 @@ def _run_simulate(cfg, out, artifacts, summary):
 
 def _run_pullback(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    eps = cfg.params.epsilon
-    kind, omega = _cocycle_kind(ex, cfg.solver.dt, eps)
+    omega = _cocycle_path(ex, cfg.solver.dt, cfg.params.epsilon)
     est = measure_absorption(
-        kind, ex["tau"], omega, eps, _family_from(ex), cfg.params, cfg.profile,
+        ex["tau"], omega, cfg.family, cfg.params, cfg.profile,
         ex["horizons"], cfg.solver, domain=cfg.domain,
     )
     rows = [
@@ -369,11 +397,10 @@ def _run_pullback(cfg, out, artifacts, summary):
 
 def _run_attractor(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    eps = cfg.params.epsilon
-    kind, omega = _cocycle_kind(ex, cfg.solver.dt, eps)
+    omega = _cocycle_path(ex, cfg.solver.dt, cfg.params.epsilon)
     samp = sample_attractor(
-        kind, ex["tau"], omega, eps, cfg.params, cfg.profile,
-        ex["horizons"], _family_from(ex), cfg.solver, domain=cfg.domain,
+        ex["tau"], omega, cfg.params, cfg.profile,
+        ex["horizons"], cfg.family, cfg.solver, domain=cfg.domain,
     )
     rows = [
         (float(samp.horizons[i + 1]), float(d)) for i, d in enumerate(samp.convergence_diag)
@@ -391,12 +418,10 @@ def _run_attractor(cfg, out, artifacts, summary):
 
 def _run_semicontinuity(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    if not cfg.epsilon_ladder:
-        raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
     omega = _path_from(ex, cfg.solver.dt)
     sweep = semicontinuity_sweep(
         ex["tau"], omega, cfg.epsilon_ladder, cfg.params, cfg.profile,
-        ex["horizons"], _family_from(ex), cfg.solver, domain=cfg.domain,
+        ex["horizons"], cfg.family, cfg.solver, domain=cfg.domain,
     )
     rows = [(float(r.epsilon), float(r.dist), float(r.radius_sq)) for r in sweep.rows]
     _write_csv(out / "semicontinuity.csv", ["epsilon", "dist_h", "radius_sq"], rows)
@@ -410,18 +435,14 @@ def _run_semicontinuity(cfg, out, artifacts, summary):
 
 def _run_tails(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    radii = ex.get("tail_radii")
-    if not radii:
-        raise ConfigError("experiment.tail_radii: required for the tails experiment")
     epsilons = ex.get("tail_epsilons", [cfg.params.epsilon])
     horizon = ex["horizons"][-1]
-    family = _family_from(ex)
     rows = []
     for eps in epsilons:
-        kind, omega = _cocycle_kind(ex, cfg.solver.dt, eps)
-        ends = _endpoint_cloud(kind, horizon, ex["tau"], omega, family,
+        omega = _cocycle_path(ex, cfg.solver.dt, eps)
+        ends = _endpoint_cloud(horizon, ex["tau"], omega, cfg.family,
                                replace(cfg.params, epsilon=eps), cfg.profile, cfg.solver, cfg.domain)
-        for k in radii:
+        for k in ex["tail_radii"]:
             worst = max(tail_mass(e, k) for e in ends)
             rows.append((float(eps), float(k), float(worst)))
     _write_csv(out / "tails.csv", ["epsilon", "k", "tail_mass"], rows)
@@ -451,8 +472,6 @@ def run(cfg: RunConfig) -> int:
     failure = None
     try:
         status = _EXPERIMENTS[kind](cfg, out, artifacts, summary)
-    except ConfigError:
-        raise
     except Exception as exc:  # experiment failure: report stage and fail
         print(f"error: experiment {kind!r} failed: {exc}", file=sys.stderr)
         status = 1
@@ -504,11 +523,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        return run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    return run(cfg)
 
 
 if __name__ == "__main__":

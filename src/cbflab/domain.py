@@ -81,7 +81,6 @@ class TorusDomain:
     k_sq: np.ndarray = dc_field(init=False, repr=False)
     k_sq_safe: np.ndarray = dc_field(init=False, repr=False)
     dealias_mask: np.ndarray = dc_field(init=False, repr=False)
-    x_axis: np.ndarray = dc_field(init=False, repr=False)
     coords: np.ndarray = dc_field(init=False, repr=False)
     phase: np.ndarray = dc_field(init=False, repr=False)
     # the dealiased half-spectrum box the solvers carry: leading axes keep the
@@ -121,7 +120,6 @@ class TorusDomain:
         set_attr(self, "mode_cut", cut)
         set_attr(self, "dealias_mask", _mode_box(self, cut))
         x1 = -L + self.dx * np.arange(N)
-        set_attr(self, "x_axis", x1)
         set_attr(self, "coords", np.stack(np.meshgrid(*([x1] * d), indexing="ij")))
         # centering phase (-1)^(sum m_i): FFT index space samples at x = 0,
         # the box is centered, so true e^{i k . x} coefficients carry it

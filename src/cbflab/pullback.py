@@ -129,35 +129,31 @@ class TemperedFamily:
 # cocycles
 
 
-def cocycle_eval(kind, t, tau, omega: Optional[WienerPath], initial: SpectralVelocityField,
+def cocycle_eval(t, tau, omega: Optional[WienerPath], initial: SpectralVelocityField,
                  params: PhysicalParameters, profile: ForcingProfile,
                  config: SolverConfig) -> SpectralVelocityField:
     """
     Endpoint of the solution cocycle after time ``t`` starting at ``tau``.
 
-    ``kind='det'`` integrates the deterministic system.  ``kind='stoch'``
-    performs the conjugation wrap/unwrap around a pathwise solve driven by
-    the shifted path; with ``params.epsilon = 0`` both kinds coincide
-    bit for bit.
+    Without a path (``omega=None``) this integrates the deterministic system.
+    With a path it performs the conjugation wrap/unwrap at ``params.epsilon``
+    around a pathwise solve driven by the shifted path; with
+    ``params.epsilon = 0`` both coincide bit for bit.
     """
     if t < 0:
         raise ValueError("cocycle time must be >= 0")
     if t == 0:
         return initial.copy()
-    traj = cocycle_trajectory(kind, t, tau, omega, initial, params, profile, config)
+    traj = cocycle_trajectory(t, tau, omega, initial, params, profile, config)
     # z_at is 1 for the deterministic system, so the unwrap leaves it unchanged
     return SpectralVelocityField(initial.domain, traj.states[-1].coeffs / traj.z_at(tau + t))
 
 
-def cocycle_trajectory(kind, t, tau, omega, initial, params, profile, config) -> Trajectory:
-    """Full trajectory behind :func:`cocycle_eval` (conjugated variables for 'stoch')."""
+def cocycle_trajectory(t, tau, omega, initial, params, profile, config) -> Trajectory:
+    """Full trajectory behind :func:`cocycle_eval` (conjugated variables when there is a path)."""
     cfg = replace(config, t_start=tau, t_end=tau + t)
-    if kind == "det":
-        return solve("deterministic", initial, cfg, params, profile)
-    if kind != "stoch":
-        raise ValueError(f"unknown cocycle kind {kind!r}")
     if omega is None:
-        raise ValueError("the stochastic cocycle needs a sampled path")
+        return solve("deterministic", initial, cfg, params, profile)
     shifted = shift_path(omega, -tau)
     z_start = ConjugationProcess(shifted, params.epsilon).value(tau)
     wrapped = SpectralVelocityField(initial.domain, z_start * initial.coeffs)
@@ -202,37 +198,37 @@ def absorbing_radius_det(tau, params: PhysicalParameters, profile: ForcingProfil
                              forcing_integral_rel_error=_rel_error(integ))
 
 
-def absorbing_radius_stoch(tau, omega: WienerPath, epsilon, params: PhysicalParameters,
+def absorbing_radius_stoch(tau, omega: WienerPath, params: PhysicalParameters,
                            profile: ForcingProfile) -> AbsorbingEstimate:
     """
     Pathwise radius
 
         M(tau, omega) = z(tau)^(-2) [ 1 + (1/min(mu, a)) int e^{a(s-tau)} z(s)^2 |f|^2 ds ]
 
-    with z built on the shifted path, together with the epsilon-free
-    companion bound using ``exp(2 |omega|)`` weights.  The companion
-    dominates the radius for every noise intensity in (0, 1].
+    with z built on the shifted path at ``params.epsilon``, together with
+    the epsilon-free companion bound using ``exp(2 |omega|)`` weights.  The
+    companion dominates the radius for every noise intensity in (0, 1].
     """
-    est = _z2_radius(tau, omega, epsilon, params, profile)
+    est = _z2_radius(tau, omega, params, profile)
     companion = math.exp(2.0 * abs(omega.value(-tau)))
     rel = est.forcing_integral_rel_error
     if not profile.is_zero:
         comp_int = weighted_forcing_integral(
-            profile, tau, params.alpha, path=omega, epsilon=epsilon, weight="exp_abs",
+            profile, tau, params.alpha, path=omega, epsilon=params.epsilon, weight="exp_abs",
         )
         companion = companion + math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * comp_int.value
         rel = max(rel, _rel_error(comp_int))
     return replace(est, companion_radius_sq=companion, forcing_integral_rel_error=rel)
 
 
-def _z2_radius(tau, omega, epsilon, params, profile) -> AbsorbingEstimate:
+def _z2_radius(tau, omega, params, profile) -> AbsorbingEstimate:
     """``M(tau, omega)`` with its ``z(tau)^-2`` and forcing terms, on the shifted path."""
     shifted = shift_path(omega, -tau)
-    base = ConjugationProcess(shifted, epsilon).value(tau) ** -2.0
+    base = ConjugationProcess(shifted, params.epsilon).value(tau) ** -2.0
     if profile.is_zero:
         return AbsorbingEstimate(base, base, 0.0, 0.0)
     integ = weighted_forcing_integral(
-        profile, tau, params.alpha, path=shifted, epsilon=epsilon, weight="z2",
+        profile, tau, params.alpha, path=shifted, epsilon=params.epsilon, weight="z2",
     )
     term = base * math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * integ.value
     return AbsorbingEstimate(base + term, base, term, integ.tail_bound,
@@ -243,18 +239,24 @@ def _z2_radius(tau, omega, epsilon, params, profile) -> AbsorbingEstimate:
 # absorption measurement and attractor sampling
 
 
-def _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain):
+def _endpoint_cloud(t, tau, omega, family, params, profile, config, domain):
     """Endpoints at ``tau`` of the family's samples pulled back from ``tau - t``."""
-    pulled = shift_path(omega, -t) if kind == "stoch" else None
+    pulled = None if omega is None else shift_path(omega, -t)
     return [
-        cocycle_eval(kind, t, tau - t, pulled, s, params, profile, config)
+        cocycle_eval(t, tau - t, pulled, s, params, profile, config)
         for s in family.samples(domain, t)
     ]
 
 
-def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
-                       params: PhysicalParameters, profile: ForcingProfile,
-                       horizons: Sequence[float], config: SolverConfig,
+def _horizon_clouds(horizons, tau, omega, family, params, profile, config, domain):
+    """One endpoint cloud per pullback horizon; the horizons must increase strictly."""
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise ValueError("horizons must increase strictly")
+    return [_endpoint_cloud(t, tau, omega, family, params, profile, config, domain) for t in horizons]
+
+
+def measure_absorption(tau, omega, family: TemperedFamily, params: PhysicalParameters,
+                       profile: ForcingProfile, horizons: Sequence[float], config: SolverConfig,
                        *, domain, slack=1e-6) -> AbsorbingEstimate:
     """
     Pull the family back from ``tau - t`` for each horizon ``t`` and record
@@ -262,27 +264,17 @@ def measure_absorption(kind, tau, omega, epsilon, family: TemperedFamily,
     absorbing ball.  ``entry_time`` is None when absorption is not observed
     within the ladder (reported, not fatal).
     """
-    horizons = list(horizons)
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must increase strictly")
-    if kind == "det":
+    horizons = tuple(horizons)
+    if omega is None:
         est = absorbing_radius_det(tau, params, profile)
     else:
-        est = absorbing_radius_stoch(tau, omega, epsilon, params, profile)
-        params = replace(params, epsilon=epsilon)
-
-    max_norms = []
-    for t in horizons:
-        ends = _endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain)
-        max_norms.append(max(_energy_sq(domain, e.coeffs)[0] for e in ends))
+        est = absorbing_radius_stoch(tau, omega, params, profile)
+    clouds = _horizon_clouds(horizons, tau, omega, family, params, profile, config, domain)
+    max_norms = tuple(max(_energy_sq(domain, e.coeffs)[0] for e in ends) for ends in clouds)
     threshold = est.radius_sq * (1.0 + slack)
     absorbed = [m <= threshold for m in max_norms]
-    entry = None
-    for i in range(len(horizons)):
-        if all(absorbed[i:]):
-            entry = horizons[i]
-            break
-    return replace(est, entry_time=entry, rung_max_norm_sq=tuple(max_norms), horizons=tuple(horizons))
+    entry = next((t for i, t in enumerate(horizons) if all(absorbed[i:])), None)
+    return replace(est, entry_time=entry, rung_max_norm_sq=max_norms, horizons=horizons)
 
 
 @dataclass(frozen=True)
@@ -309,30 +301,24 @@ def _thin_cloud(points, cap=256):
     return [points[i] for i in chosen]
 
 
-def sample_attractor(kind, tau, omega, epsilon, params: PhysicalParameters,
-                     profile: ForcingProfile, horizons: Sequence[float],
-                     family: TemperedFamily, config: SolverConfig,
+def sample_attractor(tau, omega, params: PhysicalParameters, profile: ForcingProfile,
+                     horizons: Sequence[float], family: TemperedFamily, config: SolverConfig,
                      *, domain) -> AttractorSample:
     """
     Endpoint clouds of the family for increasing pullback horizons.  The
     Hausdorff distance between successive clouds is the convergence
-    diagnostic; the final cloud is the attractor sample.
+    diagnostic; the final cloud is the attractor sample.  ``epsilon`` is
+    ``params.epsilon`` with a path and 0 without one.
     """
-    horizons = list(horizons)
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must increase strictly")
-    if kind == "stoch":
-        params = replace(params, epsilon=epsilon)
-
-    clouds = [
-        _thin_cloud(_endpoint_cloud(kind, t, tau, omega, family, params, profile, config, domain))
-        for t in horizons
-    ]
+    horizons = tuple(horizons)
+    clouds = [_thin_cloud(ends) for ends in
+              _horizon_clouds(horizons, tau, omega, family, params, profile, config, domain)]
     diag = tuple(
         hausdorff_semidistance(clouds[i + 1], clouds[i]) for i in range(len(clouds) - 1)
     )
     decreasing = all(b <= a + 1e-12 for a, b in zip(diag, diag[1:]))
-    return AttractorSample(tau=tau, epsilon=epsilon, points=clouds[-1], horizons=tuple(horizons),
+    return AttractorSample(tau=tau, epsilon=0.0 if omega is None else params.epsilon,
+                           points=clouds[-1], horizons=horizons,
                            convergence_diag=diag, diag_decreasing=decreasing)
 
 
@@ -388,15 +374,14 @@ def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalPar
         raise ValueError("intensity ladder must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("intensity ladder must decrease strictly")
-    base = sample_attractor("det", tau, None, 0.0, params, profile, horizons, family,
-                            config, domain=domain)
+    base = sample_attractor(tau, None, params, profile, horizons, family, config, domain=domain)
     base_est = absorbing_radius_det(tau, params, profile)
     rel = base_est.forcing_integral_rel_error
     rows = []
     for eps in eps_ladder:
-        samp = sample_attractor("stoch", tau, omega, eps, params, profile, horizons,
-                                family, config, domain=domain)
-        est = _z2_radius(tau, omega, eps, params, profile)
+        rung = replace(params, epsilon=eps)
+        samp = sample_attractor(tau, omega, rung, profile, horizons, family, config, domain=domain)
+        est = _z2_radius(tau, omega, rung, profile)
         rel = max(rel, est.forcing_integral_rel_error)
         rows.append(SemicontinuityRow(epsilon=eps, dist=hausdorff_semidistance(samp.points, base.points),
                                       radius_sq=est.radius_sq))

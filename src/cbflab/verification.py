@@ -110,8 +110,8 @@ def _check_zero_noise_collapse(dom):
     cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=0.25)
     u0 = dom_mod.random_field(dom, seed=61, amplitude=0.5)
     omega = sto.sample_path(7, -4.0, 4.0, 5e-3)
-    det = cocycle_eval("det", 0.25, 0.0, None, u0, params, profile, cfg)
-    sto_end = cocycle_eval("stoch", 0.25, 0.0, omega, u0, params, profile, cfg)
+    det = cocycle_eval(0.25, 0.0, None, u0, params, profile, cfg)
+    sto_end = cocycle_eval(0.25, 0.0, omega, u0, params, profile, cfg)
     same = np.array_equal(det.coeffs, sto_end.coeffs)
     return "zero_noise_collapse", same, f"bitwise={same}"
 

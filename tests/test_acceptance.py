@@ -129,7 +129,7 @@ def test_04_exponential_absorption():
                          max_mode=1, include_boundary=True)
     cfg = SolverConfig(dt=1e-2, t_start=0.0, t_end=1.0, record_stride=10**9)
     ladder = [1.0, 2.0, 3.0, 4.0, 4.7, 5.5, 6.5]
-    est = measure_absorption("det", 0.0, None, 0.0, fam, params, zero_forcing(),
+    est = measure_absorption(0.0, None, fam, params, zero_forcing(),
                              ladder, cfg, domain=dom)
     assert est.radius_sq == 1.0
     for t, m in zip(est.horizons, est.rung_max_norm_sq):
@@ -175,18 +175,18 @@ def test_06_zero_intensity_collapse():
     cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=0.5, record_stride=10**9)
     prof = constant_forcing(single_mode_field(dom, [0, 1], amplitude=0.3), delta=0.5)
 
-    det_end = cocycle_eval("det", 0.5, 0.0, None, u0, params2(), prof, cfg)
-    sto_end = cocycle_eval("stoch", 0.5, 0.0, omega, u0, params2(0.0), prof, cfg)
+    det_end = cocycle_eval(0.5, 0.0, None, u0, params2(), prof, cfg)
+    sto_end = cocycle_eval(0.5, 0.0, omega, u0, params2(0.0), prof, cfg)
     assert np.array_equal(det_end.coeffs, sto_end.coeffs)
 
     m_det = absorbing_radius_det(0.0, params2(), prof)
-    m_sto = absorbing_radius_stoch(0.0, omega, 0.0, params2(0.0), prof)
+    m_sto = absorbing_radius_stoch(0.0, omega, params2(0.0), prof)
     assert m_sto.radius_sq == m_det.radius_sq
 
     fam = TemperedFamily(radius_fn=1.0, sample_count=4, sampler_seed=61)
-    det_samp = sample_attractor("det", 0.0, None, 0.0, params2(), prof,
+    det_samp = sample_attractor(0.0, None, params2(), prof,
                                 [2.0, 4.0], fam, cfg, domain=dom)
-    sto_samp = sample_attractor("stoch", 0.0, omega, 0.0, params2(0.0), prof,
+    sto_samp = sample_attractor(0.0, omega, params2(0.0), prof,
                                 [2.0, 4.0], fam, cfg, domain=dom)
     assert all(np.array_equal(a.coeffs, b.coeffs)
                for a, b in zip(det_samp.points, sto_samp.points))
@@ -202,12 +202,13 @@ def test_07_cocycle_law():
     worst = {"det": 0.0, "stoch": 0.0}
     for kind in ("det", "stoch"):
         params = params2(0.5 if kind == "stoch" else 0.0)
+        path = omega if kind == "stoch" else None
         for t in (0.25, 0.5, 1.0):
             for s in (0.25, 0.5, 1.0):
-                lhs = cocycle_eval(kind, t + s, 0.0, omega, u0, params, prof, cfg)
-                mid = cocycle_eval(kind, s, 0.0, omega, u0, params, prof, cfg)
+                lhs = cocycle_eval(t + s, 0.0, path, u0, params, prof, cfg)
+                mid = cocycle_eval(s, 0.0, path, u0, params, prof, cfg)
                 shifted = shift_path(omega, s) if kind == "stoch" else None
-                rhs = cocycle_eval(kind, t, s, shifted, mid, params, prof, cfg)
+                rhs = cocycle_eval(t, s, shifted, mid, params, prof, cfg)
                 defect = float(np.linalg.norm(lhs.coeffs - rhs.coeffs)
                                / np.linalg.norm(lhs.coeffs))
                 worst[kind] = max(worst[kind], defect)
@@ -288,11 +289,10 @@ def test_10_tail_masses():
     k1, k2 = L / 8, L / 4
     ratios = []
     for eps in (0.0, 0.25, 0.5):
-        kind = "stoch" if eps > 0 else "det"
         params = params2(eps)
         pulled = shift_path(omega, -horizon) if eps > 0 else None
         starts = fam.samples(dom, horizon)
-        ends = [cocycle_eval(kind, horizon, -horizon, pulled, s, params, prof, cfg)
+        ends = [cocycle_eval(horizon, -horizon, pulled, s, params, prof, cfg)
                 for s in starts]
         tm1 = max(tail_mass(e, k1) for e in ends)
         tm2 = max(tail_mass(e, k2) for e in ends)
@@ -314,8 +314,8 @@ def test_11_periodicity():
     for eps in (0.0, 0.5):
         params = params2(eps)
         for t, tau in ((0.5, 0.0), (1.0, 0.5), (0.25, 1.0)):
-            a = cocycle_eval("stoch", t, tau + period, omega, u0, params, prof, cfg)
-            b = cocycle_eval("stoch", t, tau, omega, u0, params, prof, cfg)
+            a = cocycle_eval(t, tau + period, omega, u0, params, prof, cfg)
+            b = cocycle_eval(t, tau, omega, u0, params, prof, cfg)
             worst = max(worst, float(np.linalg.norm(a.coeffs - b.coeffs)
                                      / np.linalg.norm(b.coeffs)))
     assert worst <= 1e-9

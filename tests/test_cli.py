@@ -98,6 +98,41 @@ class TestParseConfig:
         raw["experiment"].update(system="conjugated", path_dt=path_dt)
         parse_config(json.dumps(raw))
 
+    @pytest.mark.parametrize("experiment, params, message", [
+        ({"system": "foo"}, {}, "experiment.system"),
+        ({"kind": "pullback"}, {}, "experiment.horizons"),
+        ({"kind": "attractor"}, {}, "experiment.horizons"),
+        ({"kind": "pullback", "horizons": []}, {}, "experiment.horizons"),
+        ({"kind": "attractor", "horizons": [-0.5, 0.1]}, {}, "experiment.horizons"),
+        ({"kind": "attractor", "horizons": ["x"]}, {}, "experiment.horizons"),
+        ({"kind": "semicontinuity", "seed": 1, "path_window": [-40.0, 1.0]},
+         {"epsilon_ladder": [0.5]}, "experiment.horizons"),
+        ({"kind": "tails", "tail_radii": [0.5]}, {}, "experiment.horizons"),
+        ({"kind": "semicontinuity", "horizons": [0.1], "seed": 1, "path_window": [-40.0, 1.0]},
+         {}, "params.epsilon_ladder"),
+        ({"kind": "tails", "horizons": [0.1]}, {}, "experiment.tail_radii"),
+        ({"kind": "tails", "horizons": [0.1], "tail_radii": [0.5], "tail_epsilons": [-0.5]},
+         {}, "experiment.tail_epsilons"),
+        ({"kind": "pullback", "horizons": [0.1], "family": {"sample": 3}},
+         {}, "experiment.family: unknown key(s) ['sample']"),
+        ({"kind": "attractor", "horizons": [0.1], "family": {"samples": 0}},
+         {}, "experiment.family: sample_count must be >= 1"),
+        ({"family": {"radius": 1.0, "seed": 2}}, {}, "experiment.family: unknown key(s) ['seed']"),
+    ], ids=["unknown-system", "pullback-no-horizons", "attractor-no-horizons", "empty-horizons",
+            "negative-horizon", "text-horizon", "semicontinuity-no-horizons", "tails-no-horizons",
+            "no-epsilon-ladder", "no-tail-radii", "negative-tail-epsilon", "unknown-family-key",
+            "zero-samples", "simulate-unknown-family-key"])
+    def test_rejected_before_the_run(self, experiment, params, message, tmp_path, capsys):
+        kind = experiment.get("kind", "simulate")
+        raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "params": params,
+               "experiment": dict(experiment, kind=kind)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_simulate_unforced_energy_monotone(self, tmp_path):

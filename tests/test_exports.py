@@ -1,7 +1,8 @@
-"""Package surface: every exported name resolves and the package imports whole."""
+"""Package surface: every exported name resolves, the package imports whole, the README example runs."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +33,10 @@ def test_package_star_import():
     for name in REMOVED:
         assert name not in namespace
         assert not hasattr(cbflab, name)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (library)", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["1.0", "2.0"]

@@ -53,17 +53,17 @@ class TestCocycle:
         self.omega = sample_path(2, -20.0, 4.0, 2e-3)
 
     def test_zero_time_identity(self):
-        out = cocycle_eval("det", 0.0, 0.3, None, self.u0, PARAMS, zero_forcing(), self.cfg)
+        out = cocycle_eval(0.0, 0.3, None, self.u0, PARAMS, zero_forcing(), self.cfg)
         assert np.array_equal(out.coeffs, self.u0.coeffs)
-        out = cocycle_eval("stoch", 0.0, 0.3, self.omega, self.u0, with_eps(0.5),
+        out = cocycle_eval(0.0, 0.3, self.omega, self.u0, with_eps(0.5),
                            zero_forcing(), self.cfg)
         assert np.array_equal(out.coeffs, self.u0.coeffs)
 
     def test_deterministic_composition(self):
         t, s, tau = 0.5, 0.25, 0.0
-        lhs = cocycle_eval("det", t + s, tau, None, self.u0, PARAMS, zero_forcing(), self.cfg)
-        mid = cocycle_eval("det", s, tau, None, self.u0, PARAMS, zero_forcing(), self.cfg)
-        rhs = cocycle_eval("det", t, tau + s, None, mid, PARAMS, zero_forcing(), self.cfg)
+        lhs = cocycle_eval(t + s, tau, None, self.u0, PARAMS, zero_forcing(), self.cfg)
+        mid = cocycle_eval(s, tau, None, self.u0, PARAMS, zero_forcing(), self.cfg)
+        rhs = cocycle_eval(t, tau + s, None, mid, PARAMS, zero_forcing(), self.cfg)
         defect = np.linalg.norm(lhs.coeffs - rhs.coeffs) / np.linalg.norm(lhs.coeffs)
         assert defect <= 1e-6
 
@@ -71,15 +71,15 @@ class TestCocycle:
         t, s, tau = 0.5, 0.25, 0.0
         p = with_eps(0.5)
         prof = zero_forcing()
-        lhs = cocycle_eval("stoch", t + s, tau, self.omega, self.u0, p, prof, self.cfg)
-        mid = cocycle_eval("stoch", s, tau, self.omega, self.u0, p, prof, self.cfg)
-        rhs = cocycle_eval("stoch", t, tau + s, shift_path(self.omega, s), mid, p, prof, self.cfg)
+        lhs = cocycle_eval(t + s, tau, self.omega, self.u0, p, prof, self.cfg)
+        mid = cocycle_eval(s, tau, self.omega, self.u0, p, prof, self.cfg)
+        rhs = cocycle_eval(t, tau + s, shift_path(self.omega, s), mid, p, prof, self.cfg)
         defect = np.linalg.norm(lhs.coeffs - rhs.coeffs) / np.linalg.norm(lhs.coeffs)
         assert defect <= 1e-6
 
     def test_zero_intensity_collapse(self):
-        det = cocycle_eval("det", 0.5, 0.0, None, self.u0, PARAMS, zero_forcing(), self.cfg)
-        sto = cocycle_eval("stoch", 0.5, 0.0, self.omega, self.u0, with_eps(0.0),
+        det = cocycle_eval(0.5, 0.0, None, self.u0, PARAMS, zero_forcing(), self.cfg)
+        sto = cocycle_eval(0.5, 0.0, self.omega, self.u0, with_eps(0.0),
                            zero_forcing(), self.cfg)
         assert np.array_equal(det.coeffs, sto.coeffs)
 
@@ -88,11 +88,11 @@ class TestCocycle:
 
         eps, tau, t = 0.5, 0.25, 0.5
         p = with_eps(eps)
-        traj = cocycle_trajectory("stoch", t, tau, self.omega, self.u0, p,
+        traj = cocycle_trajectory(t, tau, self.omega, self.u0, p,
                                   zero_forcing(), self.cfg)
         shifted = shift_path(self.omega, -tau)
         unwrapped = traj.states[-1].coeffs / math.exp(-eps * shifted.value(tau + t))
-        out = cocycle_eval("stoch", t, tau, self.omega, self.u0, p, zero_forcing(), self.cfg)
+        out = cocycle_eval(t, tau, self.omega, self.u0, p, zero_forcing(), self.cfg)
         assert np.array_equal(out.coeffs, unwrapped)
 
     def test_conjugation_wrap_consistency(self):
@@ -107,7 +107,7 @@ class TestCocycle:
         cfg = SolverConfig(dt=2e-3, t_start=tau, t_end=tau + t, record_stride=10**9)
         traj = solve("conjugated", v0, cfg, p, zero_forcing(), path=shifted)
         manual = traj.states[-1].coeffs / math.exp(-eps * shifted.value(tau + t))
-        out = cocycle_eval("stoch", t, tau, self.omega, self.u0, p, zero_forcing(), self.cfg)
+        out = cocycle_eval(t, tau, self.omega, self.u0, p, zero_forcing(), self.cfg)
         assert np.array_equal(out.coeffs, manual)
 
 
@@ -136,11 +136,11 @@ class TestAbsorbingRadii:
     def test_zero_intensity_collapse_bitwise(self):
         prof = constant_forcing(self.g, delta=0.5)
         det = absorbing_radius_det(0.0, PARAMS, prof)
-        sto = absorbing_radius_stoch(0.0, self.omega, 0.0, with_eps(0.0), prof)
+        sto = absorbing_radius_stoch(0.0, self.omega, with_eps(0.0), prof)
         assert sto.radius_sq == det.radius_sq
 
     def test_unforced_pathwise_radius(self):
-        est = absorbing_radius_stoch(0.3, self.omega, 0.5, with_eps(0.5), zero_forcing())
+        est = absorbing_radius_stoch(0.3, self.omega, with_eps(0.5), zero_forcing())
         expect = math.exp(2.0 * 0.5 * (self.omega.value(0.0) - self.omega.value(-0.3)))
         assert est.radius_sq == pytest.approx(expect, rel=1e-12)
 
@@ -149,14 +149,14 @@ class TestAbsorbingRadii:
         m0 = absorbing_radius_det(0.0, PARAMS, prof).radius_sq
         gaps = []
         for eps in (0.5, 0.25, 0.125, 0.0625):
-            m = absorbing_radius_stoch(0.0, self.omega, eps, with_eps(eps), prof).radius_sq
+            m = absorbing_radius_stoch(0.0, self.omega, with_eps(eps), prof).radius_sq
             gaps.append(abs(m - m0))
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
 
     def test_companion_dominates(self):
         prof = constant_forcing(self.g, delta=0.5)
         for eps in (1.0, 0.5, 0.125):
-            est = absorbing_radius_stoch(0.0, self.omega, eps, with_eps(eps), prof)
+            est = absorbing_radius_stoch(0.0, self.omega, with_eps(eps), prof)
             assert est.radius_sq <= est.companion_radius_sq
 
     def test_integral_rel_error_reported(self, monkeypatch):
@@ -167,7 +167,7 @@ class TestAbsorbingRadii:
         prof = constant_forcing(self.g, delta=0.5)
         assert absorbing_radius_det(0.0, PARAMS, zero_forcing()).forcing_integral_rel_error == 0.0
         assert 0.0 < absorbing_radius_det(0.0, PARAMS, prof).forcing_integral_rel_error <= 1e-7
-        est = absorbing_radius_stoch(0.0, self.omega, 0.5, with_eps(0.5), prof)
+        est = absorbing_radius_stoch(0.0, self.omega, with_eps(0.5), prof)
         assert 0.0 < est.forcing_integral_rel_error <= 1e-7
 
         integral = pullback.weighted_forcing_integral
@@ -179,7 +179,7 @@ class TestAbsorbingRadii:
             return res
 
         monkeypatch.setattr(pullback, "weighted_forcing_integral", missed)
-        est = absorbing_radius_stoch(0.0, self.omega, 0.5, with_eps(0.5), prof)
+        est = absorbing_radius_stoch(0.0, self.omega, with_eps(0.5), prof)
         assert est.forcing_integral_rel_error == pytest.approx(1e-3, rel=1e-12)
 
 
@@ -216,7 +216,7 @@ class TestAbsorption:
         dom = make_domain(2, math.pi, 16)
         fam = TemperedFamily(radius_fn=1e-12, sample_count=2, sampler_seed=1)
         cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0, record_stride=10**9)
-        est = measure_absorption("det", 0.0, None, 0.0, fam, PARAMS, zero_forcing(),
+        est = measure_absorption(0.0, None, fam, PARAMS, zero_forcing(),
                                  [0.5, 1.0], cfg, domain=dom)
         assert est.entry_time == 0.5
 
@@ -230,7 +230,7 @@ class TestAbsorption:
                              include_boundary=True)
         cfg = SolverConfig(dt=1e-2, t_start=0.0, t_end=1.0, record_stride=10**9)
         ladder = [0.7, 1.4, 2.1, 2.8, 3.5]
-        est = measure_absorption("det", 0.0, None, 0.0, fam, params, zero_forcing(),
+        est = measure_absorption(0.0, None, fam, params, zero_forcing(),
                                  ladder, cfg, domain=dom)
         deadline = 2.0 * math.log(rho)  # analytic bound on the entry time
         assert est.entry_time is not None and est.entry_time <= deadline
@@ -242,9 +242,9 @@ class TestAbsorption:
         fam = TemperedFamily(radius_fn=2.0, sample_count=3, sampler_seed=2)
         cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0, record_stride=10**9)
         omega = sample_path(4, -10.0, 2.0, 5e-3)
-        det = measure_absorption("det", 0.0, None, 0.0, fam, PARAMS, zero_forcing(),
+        det = measure_absorption(0.0, None, fam, PARAMS, zero_forcing(),
                                  [1.0, 2.0, 3.0], cfg, domain=dom)
-        sto = measure_absorption("stoch", 0.0, omega, 0.0, fam, with_eps(0.0),
+        sto = measure_absorption(0.0, omega, fam, with_eps(0.0),
                                  zero_forcing(), [1.0, 2.0, 3.0], cfg, domain=dom)
         assert det.entry_time == sto.entry_time
         assert det.rung_max_norm_sq == sto.rung_max_norm_sq
@@ -255,7 +255,7 @@ class TestAttractorSampling:
         dom = make_domain(2, math.pi, 16)
         fam = TemperedFamily(radius_fn=1.0, sample_count=4, sampler_seed=3)
         cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0, record_stride=10**9)
-        samp = sample_attractor("det", 0.0, None, 0.0, PARAMS, zero_forcing(),
+        samp = sample_attractor(0.0, None, PARAMS, zero_forcing(),
                                 [4.0, 8.0, 12.0], fam, cfg, domain=dom)
         assert max(norms(p).h_norm_sq for p in samp.points) <= 1e-8
         assert samp.convergence_diag[-1] <= samp.convergence_diag[0]
@@ -266,7 +266,7 @@ class TestAttractorSampling:
         prof = periodic_forcing(g, period=1.0, delta=0.5)
         fam = TemperedFamily(radius_fn=1.0, sample_count=4, sampler_seed=4)
         cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0, record_stride=10**9)
-        samp = sample_attractor("det", 0.0, None, 0.0, PARAMS, prof,
+        samp = sample_attractor(0.0, None, PARAMS, prof,
                                 [2.0, 4.0, 6.0, 8.0], fam, cfg, domain=dom)
         assert samp.diag_decreasing
 
@@ -275,11 +275,23 @@ class TestAttractorSampling:
         fam = TemperedFamily(radius_fn=1.0, sample_count=3, sampler_seed=5)
         cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0, record_stride=10**9)
         omega = sample_path(6, -8.0, 2.0, 5e-3)
-        det = sample_attractor("det", 0.0, None, 0.0, PARAMS, zero_forcing(),
+        det = sample_attractor(0.0, None, PARAMS, zero_forcing(),
                                [2.0, 4.0], fam, cfg, domain=dom)
-        sto = sample_attractor("stoch", 0.0, omega, 0.0, with_eps(0.0), zero_forcing(),
+        sto = sample_attractor(0.0, omega, with_eps(0.0), zero_forcing(),
                                [2.0, 4.0], fam, cfg, domain=dom)
         assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(det.points, sto.points))
+
+    def test_path_selects_the_cocycle(self):
+        # without a path the sample is deterministic whatever params.epsilon holds
+        dom = make_domain(2, math.pi, 8)
+        fam = TemperedFamily(radius_fn=0.5, sample_count=2, sampler_seed=5)
+        cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0, record_stride=10**9)
+        omega = sample_path(6, -1.0, 1.0, 5e-3)
+        runs = [sample_attractor(0.0, path, params, zero_forcing(), [0.01, 0.02], fam, cfg, domain=dom)
+                for path, params in ((None, PARAMS), (None, with_eps(0.5)), (omega, with_eps(0.5)))]
+        assert [r.epsilon for r in runs] == [0.0, 0.0, 0.5]
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(runs[0].points, runs[1].points))
+        assert not np.array_equal(runs[1].points[0].coeffs, runs[2].points[0].coeffs)
 
 
 class TestHausdorff:
@@ -340,7 +352,7 @@ class TestSemicontinuity:
         assert weights == ["unit", "z2", "z2"]
         worst = absorbing_radius_det(0.0, PARAMS, prof).forcing_integral_rel_error
         for row in sweep.rows:
-            est = absorbing_radius_stoch(0.0, omega, row.epsilon, with_eps(row.epsilon), prof)
+            est = absorbing_radius_stoch(0.0, omega, with_eps(row.epsilon), prof)
             assert row.radius_sq == est.radius_sq
             worst = max(worst, est.forcing_integral_rel_error)
         assert sweep.forcing_integral_rel_error == worst
@@ -412,9 +424,9 @@ class TestAttractorContainment:
         cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0, record_stride=10**9)
         omega = sample_path(9, -60.0, 2.0, 5e-3)
         eps = 0.25
-        samp = sample_attractor("stoch", 0.0, omega, eps, with_eps(eps), prof,
+        samp = sample_attractor(0.0, omega, with_eps(eps), prof,
                                 [4.0, 8.0], fam, cfg, domain=dom)
-        radius = absorbing_radius_stoch(0.0, omega, eps, with_eps(eps), prof).radius_sq
+        radius = absorbing_radius_stoch(0.0, omega, with_eps(eps), prof).radius_sq
         assert all(norms(p).h_norm_sq <= radius * (1 + 1e-6) for p in samp.points)
 
 
@@ -424,7 +436,7 @@ class TestNotAbsorbedReporting:
         fam = TemperedFamily(radius_fn=50.0, sample_count=1, sampler_seed=10,
                              include_boundary=True)
         cfg = SolverConfig(dt=1e-2, t_start=0.0, t_end=1.0, record_stride=10**9)
-        est = measure_absorption("det", 0.0, None, 0.0, fam, PARAMS, zero_forcing(),
+        est = measure_absorption(0.0, None, fam, PARAMS, zero_forcing(),
                                  [0.5, 1.0], cfg, domain=dom)
         assert est.entry_time is None
         assert all(m > est.radius_sq for m in est.rung_max_norm_sq)
