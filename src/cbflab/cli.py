@@ -262,6 +262,10 @@ def parse_config(text) -> RunConfig:
         raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
     if ex["kind"] == "tails" and not ex.get("tail_radii"):
         raise ConfigError("experiment.tail_radii: required for the tails experiment")
+    radii = ex.get("tail_radii")
+    if radii is not None and not (_nonneg_list(radii) and all(0 < k and k * math.sqrt(2.0) < domain.L for k in radii)):
+        # the cutoff annulus of radius sqrt(2) k must fit inside the box
+        raise ConfigError(f"experiment.tail_radii: every radius k needs k > 0 and sqrt(2) k < L = {domain.L}")
     if "tail_epsilons" in ex and not _nonneg_list(ex["tail_epsilons"]):
         raise ConfigError("experiment.tail_epsilons: expected a non-empty list of values >= 0")
     _check_keys("experiment.family", ex.get("family", {}), _FAMILY_KEYS)

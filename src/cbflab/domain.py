@@ -91,6 +91,7 @@ class TorusDomain:
     box_k_sq: np.ndarray = dc_field(init=False, repr=False)
     box_weight: np.ndarray = dc_field(init=False, repr=False)
     box_projection: tuple = dc_field(init=False, repr=False)
+    box_reflect: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -132,6 +133,9 @@ class TorusDomain:
         rows = np.arange(N) if 2 * cut == N else np.r_[: cut + 1, N - cut : N]
         ix = np.ix_(*([rows] * (d - 1) + [np.arange(cut + 1)]))
         set_attr(self, "box_index", ix)
+        # box row of -m for every box row m, the rows being 0..c, then -c..-1
+        reflect = -np.arange(rows.size) % rows.size
+        set_attr(self, "box_reflect", np.ix_(*([reflect] * (d - 1))))
         set_attr(self, "box_phase", phase[ix])
         set_attr(self, "box_k_sq", k_sq[ix])
         # first derivatives take a zero Nyquist wavenumber, as for any real
@@ -276,11 +280,12 @@ def leray_project(domain, raw) -> SpectralVelocityField:
 # min(2 mode_cut + 1, N), hold the leading-axis rows |m_i| <= mode_cut in FFT
 # order and the real transform's columns 0..mode_cut.  A real field's other
 # coefficients are uhat(-k) = conj(uhat(k)) or, outside the box, zero.
-
-
-def _reflect(x, axes):
-    """``x[-m]`` along FFT-ordered axes."""
-    return np.roll(np.flip(x, axis=axes), 1, axis=axes)
+#
+# The pruned transforms write every pass into a buffer the caller passes in,
+# shaped by _inverse_shapes and _forward_shapes (fresh arrays when none are
+# passed), so that a solve can build its buffers once and reuse them at every
+# step.  A pass writes the whole of its buffer, the zero rows of a pad
+# included, so a buffer may hold anything between calls.
 
 
 def _box_neg(domain):
@@ -308,30 +313,82 @@ def _box_hermitian(domain, box):
     """Make the self-conjugate columns (last-axis 0, and N/2 when kept) Hermitian in place."""
     for j in (0, domain.N // 2) if 2 * domain.mode_cut == domain.N else (0,):
         col = box[..., j]
-        col[...] = 0.5 * (col + np.conj(_reflect(col, tuple(range(1, col.ndim)))))
+        col[...] = 0.5 * (col + np.conj(col[(Ellipsis,) + domain.box_reflect]))
     return box
 
 
-def _box_inverse(domain, box):
-    """Real grid rows of box coefficients: ``irfftn``, zero-padding one leading axis at a time."""
-    N, x = domain.N, box
+def _inverse_shapes(domain, lead):
+    """
+    Buffer shapes of :func:`_box_inverse` for box arrays of leading shape
+    ``lead``, in the order the passes use them: per leading axis the
+    zero-padded input (when the box drops rows) and the output.
+    """
+    shape = list(lead) + list(domain.box_phase.shape)
+    shapes = []
+    for axis in range(-domain.d, -1):
+        if shape[axis] < domain.N:
+            shape[axis] = domain.N
+            shapes.append(tuple(shape))
+        shapes.append(tuple(shape))
+    return shapes
+
+
+def _box_inverse(domain, box, bufs=None, out=None):
+    """
+    Real grid rows of box coefficients: ``irfftn``, zero-padding one leading
+    axis at a time.  The leading-axis passes write into ``bufs`` (see
+    :func:`_inverse_shapes`) and the last pass into ``out``; fresh arrays
+    stand in for those not given.
+    """
+    N, c = domain.N, domain.mode_cut
+    rows = domain.box_index[0].ravel()
+    bufs = iter(bufs if bufs is not None else
+                [np.empty(s, dtype=np.complex128) for s in _inverse_shapes(domain, box.shape[: -domain.d])])
+    x = box
     for axis in range(-domain.d, -1):
         if x.shape[axis] < N:
-            pad = np.zeros(x.shape[:axis] + (N,) + x.shape[axis + 1 :], dtype=np.complex128)
-            pad[(Ellipsis, domain.box_index[0].ravel()) + (slice(None),) * (-axis - 1)] = x
+            tail = (slice(None),) * (-axis - 1)
+            pad = next(bufs)
+            pad[(Ellipsis, slice(c + 1, N - c)) + tail] = 0.0  # the rows outside the box
+            pad[(Ellipsis, rows) + tail] = x
             x = pad
-        x = np.fft.ifft(x, axis=axis)
-    return np.fft.irfft(x, n=N, axis=-1)
+        x = np.fft.ifft(x, axis=axis, out=next(bufs))
+    return np.fft.irfft(x, n=N, axis=-1, out=out)
 
 
-def _box_forward(domain, grid):
-    """Box coefficients of real grid rows: ``rfftn`` keeping the box rows after every pass."""
-    rows = domain.box_index[0].ravel()
-    x = np.fft.rfft(grid, axis=-1)[..., : domain.mode_cut + 1]
+def _forward_shapes(domain, lead):
+    """
+    Output shapes of the passes of :func:`_box_forward` for grid rows of
+    leading shape ``lead``, in order: the ``rfft``, then per leading axis the
+    ``fft`` and (when the box drops rows) its kept rows.
+    """
+    kept = domain.box_phase.shape[0]
+    shape = list(lead) + [domain.N] * (domain.d - 1) + [domain.N // 2 + 1]
+    shapes = [tuple(shape)]
+    shape[-1] = domain.mode_cut + 1
     for axis in range(-2, -domain.d - 1, -1):
-        x = np.fft.fft(x, axis=axis)
+        shapes.append(tuple(shape))
+        if kept < domain.N:
+            shape[axis] = kept
+            shapes.append(tuple(shape))
+    return shapes
+
+
+def _box_forward(domain, grid, bufs=None):
+    """
+    Box coefficients of real grid rows: ``rfftn`` keeping the box rows after
+    every pass.  The passes write into ``bufs`` (see :func:`_forward_shapes`;
+    fresh arrays when None), and the result is the last of them.
+    """
+    rows = domain.box_index[0].ravel()
+    bufs = iter(bufs if bufs is not None else
+                [np.empty(s, dtype=np.complex128) for s in _forward_shapes(domain, grid.shape[: -domain.d])])
+    x = np.fft.rfft(grid, axis=-1, out=next(bufs))[..., : domain.mode_cut + 1]
+    for axis in range(-2, -domain.d - 1, -1):
+        x = np.fft.fft(x, axis=axis, out=next(bufs))
         if x.shape[axis] > rows.size:
-            x = np.take(x, rows, axis=axis)
+            # mode "clip" takes into out directly; "raise" would buffer a copy
+            x = np.take(x, rows, axis=axis, out=next(bufs), mode="clip")
     return x
 
 
@@ -469,7 +526,8 @@ def _hermitian_gaussian(domain, rng, keep, weight=1.0):
     raw *= weight
     if keep is not None:
         raw *= keep
-    raw = 0.5 * (raw + np.conj(_reflect(raw, domain.spatial_axes)))
+    axes = domain.spatial_axes
+    raw = 0.5 * (raw + np.conj(np.roll(np.flip(raw, axis=axes), 1, axis=axes)))
     return project_coeffs(domain, dealias_coeffs(domain, raw))
 
 

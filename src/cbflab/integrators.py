@@ -35,6 +35,8 @@ from .domain import (
     _box_inverse,
     _box_part,
     _energy_sq,
+    _forward_shapes,
+    _inverse_shapes,
     _project,
 )
 from .operators import PhysicalParameters, validate_params
@@ -179,36 +181,85 @@ def _half_divergence(k, flux, d):
     return div
 
 
-def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C):
+def _nbytes(shape, dtype):
+    return math.prod(shape) * np.dtype(dtype).itemsize
+
+
+def _carve(buf, offset, specs):
+    """Arrays of ``(shape, dtype)`` laid one after another in a byte buffer, from ``offset``."""
+    out = []
+    for shape, dtype in specs:
+        n = _nbytes(shape, dtype)
+        out.append(buf[offset : offset + n].view(dtype).reshape(shape))
+        offset += n
+    return out
+
+
+class _Workspace:
+    """
+    Every array :func:`_explicit_rhs` writes into, for one domain and one
+    ``include_B``: a solve builds it once, so that no step allocates a grid
+    or transform array.
+
+    ``stack`` holds the grid rows of the forward pass and has a buffer of
+    its own.  The grid stage's arrays (the phased state ``x``, a gradient's
+    coefficients ``g``, the grid rows ``u``, the scratch rows ``tmp``,
+    ``speed_sq = |u|^2``, ``pw = |u|^(r-1)`` and the ``inverse`` pass
+    buffers) and the ``forward`` pass outputs are views of one shared byte
+    buffer: the forward pass starts when the grid stage is done with its
+    arrays.  The forward outputs alternate between the buffer's two parts,
+    before and after ``split``, so that no pass writes over its own input.
+    """
+
+    def __init__(self, dom, include_B):
+        d, c16, f8 = dom.d, np.complex128, np.float64
+        grid = (dom.N,) * d
+        box = (d,) + dom.box_phase.shape
+        self.stack = np.empty((d + (d * (d + 1) // 2 if include_B else 0),) + grid)
+        inverse = _inverse_shapes(dom, (d,))
+        stage = [(box, c16), (box, c16), ((d,) + grid, f8), ((d,) + grid, f8), (grid, f8), (grid, f8)]
+        stage += [(s, c16) for s in inverse]
+        forward = _forward_shapes(dom, self.stack.shape[:1])
+        split = max(_nbytes(s, c16) for s in forward[0::2])
+        size = max(sum(_nbytes(*spec) for spec in stage), split + max(_nbytes(s, c16) for s in forward[1::2]))
+        buf = np.empty(size, dtype=np.uint8)
+
+        self.x, self.g, self.u, self.tmp, self.speed_sq, self.pw, *self.inverse = _carve(buf, 0, stage)
+        self.forward = [_carve(buf, split * (k % 2), [(s, c16)])[0] for k, s in enumerate(forward)]
+
+
+def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C, ws):
     """
     Grid stage of :func:`_explicit_rhs`: the ledger row of the state and the
     real rows ``[combined term (d), u_i u_j for i <= j]`` to transform
-    forward (None when both nonlinear terms are off).
+    forward, in ``ws.stack`` (None when both nonlinear terms are off).
     """
     d, N = dom.d, dom.N
     nd = N**d
-    x = dom.box_phase * coeffs
-    u = _box_inverse(dom, x)
+    x = np.multiply(dom.box_phase, coeffs, out=ws.x)
+    u = _box_inverse(dom, x, ws.inverse, ws.u)
     u *= nd
-    speed_sq = np.sum(u**2, axis=0)
+    speed_sq = np.sum(np.square(u, out=ws.tmp), axis=0, out=ws.speed_sq)
     if params.r == 1.0:
         pw, lr_density = None, speed_sq
     else:
-        pw = speed_sq ** (0.5 * (params.r - 1.0))
-        lr_density = pw * speed_sq
+        pw = np.power(speed_sq, 0.5 * (params.r - 1.0), out=ws.pw)
+        lr_density = np.multiply(pw, speed_sq, out=ws.tmp[0])
     row = _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density)
     if not (include_B or include_C):
         return None, row
 
-    stack = np.empty((d + (d * (d + 1) // 2 if include_B else 0),) + u.shape[1:])
+    stack = ws.stack
     comb = stack[:d]
     comb[...] = 0.0
     if include_B:
         # (u . grad) u one gradient row d_i u at a time
         for i in range(d):
-            g = dom.box_kvec[i] * x
+            g = np.multiply(dom.box_kvec[i], x, out=ws.g)
             g *= 1j
-            comb += u[i] * _box_inverse(dom, g)
+            grad = _box_inverse(dom, g, ws.inverse, ws.tmp)
+            grad *= u[i]
+            comb += grad
         comb *= -0.5 * nd / z
         p = d
         for i in range(d):
@@ -216,11 +267,12 @@ def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C):
                 np.multiply(u[i], u[j], out=stack[p])
                 p += 1
     if include_C:
-        comb -= (params.beta * z ** (1.0 - params.r)) * (u if pw is None else pw * u)
+        damp = u if pw is None else np.multiply(pw, u, out=ws.tmp)
+        comb -= np.multiply(params.beta * z ** (1.0 - params.r), damp, out=ws.tmp)
     return stack, row
 
 
-def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C):
+def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C, ws=None):
     """
     Projected box coefficients of the explicit terms at weight z,
 
@@ -232,13 +284,20 @@ def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C):
     term together with the symmetric flux ``u_i u_j``, whose divergence is the
     skew-symmetric half of the advection.  The box is the dealias mask, and
     the self-conjugate columns of the result are made exactly Hermitian.
+
+    Every grid and transform array is written into the workspace ``ws`` (a
+    :class:`_Workspace` for ``dom`` and ``include_B``; a fresh one when
+    None), so that calls through one workspace allocate only box-sized
+    arrays.  The returned coefficients are a new array, never a view of the
+    workspace: callers may keep them across calls.
     """
-    stack, row = _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C)
+    if ws is None:
+        ws = _Workspace(dom, include_B)
+    stack, row = _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C, ws)
     if stack is None:
         n_hat = np.zeros_like(coeffs)
     else:
-        out = _box_forward(dom, stack)
-        del stack  # free the grid rows before the spectral stage
+        out = _box_forward(dom, stack, ws.forward)
         out *= dom.box_phase / dom.N**dom.d
         n_hat = out[: dom.d]
         if include_B:
@@ -246,6 +305,7 @@ def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C):
         _box_hermitian(dom, n_hat)
     if forcing is not None:
         n_hat += z * (forcing[0](t) * forcing[1])
+    # the projection returns a new array, so the result never aliases the workspace
     return _project(n_hat, dom.box_projection), row
 
 
@@ -287,6 +347,14 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     coefficients must vanish outside the box (:class:`OutOfBoxError`);
     inside it the solve starts from their Hermitian part, which is the
     initial field itself for real input.
+
+    The path is evaluated on the whole step grid before the first step, so a
+    path whose window is too short fails there (:class:`OutOfWindowError`).
+    Every right-hand side writes into one :class:`_Workspace` built here,
+    and the coefficients it returns are new arrays, so the ones a step keeps
+    (the previous step's for AB2, the predictor's for Heun) outlive the next
+    call.  The full-layout snapshots are built after the last step, once the
+    workspace is freed.
     """
     if system not in ("deterministic", "conjugated", "stratonovich"):
         raise ValueError(f"unknown system {system!r}")
@@ -307,11 +375,21 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"(t_end - t_start) = {span} is not a multiple of dt = {dt}")
 
-    zf = ConjugationProcess(path, params.epsilon).value if system == "conjugated" else lambda s: 1.0
+    grid = config.t_start + dt * np.arange(n_steps + 1)
+    # the conjugation factor at every node, and the Heun step's noise
+    # increments, from whole-grid path evaluations; math.exp per node keeps
+    # the factor exactly 1.0 at zero intensity
+    if system == "conjugated":
+        zs = [math.exp(-params.epsilon * w) for w in path.value(grid).tolist()]
+    else:
+        zs = [1.0] * (n_steps + 1)
+    if system == "stratonovich":
+        noise = (params.epsilon * (path.value(grid[:-1] + dt) - path.value(grid[:-1]))).tolist()
     forcing = _box_forcing(dom, profile)
+    ws = _Workspace(dom, config.include_B)
 
     def rhs(c, s, z):
-        return _explicit_rhs(dom, c, s, params, forcing, z, config.include_B, config.include_C)
+        return _explicit_rhs(dom, c, s, params, forcing, z, config.include_B, config.include_C, ws)
 
     # the linear part, per mode: exact integrating factors for IMEX, explicit for Heun
     lam = params.mu * dom.box_k_sq + params.alpha if config.include_linear else np.zeros_like(dom.box_k_sq)
@@ -320,42 +398,46 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     second_order = config.scheme != "imex_euler"
     cfl_scale = dt * dom.N / dom.L
 
-    grid = config.t_start + dt * np.arange(n_steps + 1)
     rows = np.empty((n_steps + 1, len(_LEDGER)))
     coeffs = _initial_box(dom, initial.coeffs)
-    states = [SpectralVelocityField(dom, _box_full(dom, coeffs))]
+    # box states at the snapshot steps: no step writes into a state array, so
+    # references suffice, and the full-layout copies wait until the loop is done
+    snaps = [coeffs]
     snap_times = [config.t_start]
     prev = None
 
     for i in range(n_steps):
         t = float(grid[i])
-        n0, row = rhs(coeffs, t, zf(t))
+        n0, row = rhs(coeffs, t, zs[i])
         rows[i] = row
         _check_row(row, t, cfl_scale)
         if system == "stratonovich":
             # Heun predictor-corrector on the drift rhs - lam c with the noise eps c dW
-            noise = params.epsilon * (path.value(t + dt) - path.value(t))
             g0 = n0 - lam * coeffs
-            pred = coeffs + dt * g0 + noise * coeffs
+            pred = coeffs + dt * g0 + noise[i] * coeffs
             g1 = rhs(pred, t + dt, 1.0)[0] - lam * pred
-            coeffs = coeffs + 0.5 * dt * (g0 + g1) + 0.5 * noise * (coeffs + pred)
+            coeffs = coeffs + 0.5 * dt * (g0 + g1) + 0.5 * noise[i] * (coeffs + pred)
         elif not second_order:
             coeffs = e1 * (coeffs + dt * n0)
         elif prev is None:
             # Heun startup step: local error O(dt^3), as for AB2
             pred = e1 * (coeffs + dt * n0)
-            coeffs = e1 * coeffs + 0.5 * dt * (e1 * n0 + rhs(pred, t + dt, zf(t + dt))[0])
+            coeffs = e1 * coeffs + 0.5 * dt * (e1 * n0 + rhs(pred, t + dt, zs[1])[0])
         else:
             # AB2 with integrating factors: u+ = E u + dt (3/2 E N(t, u) - 1/2 E^2 N(t - dt, u_prev))
             coeffs = e1 * coeffs + dt * (1.5 * (e1 * n0) - 0.5 * (e2 * prev))
         prev = n0
         if (i + 1) % config.record_stride == 0 or i + 1 == n_steps:
-            states.append(SpectralVelocityField(dom, _box_full(dom, coeffs)))
+            snaps.append(coeffs)
             snap_times.append(float(grid[i + 1]))
 
     t_last = float(grid[n_steps])
-    rows[n_steps] = row = _grid_terms(dom, coeffs, t_last, params, forcing, zf(t_last), False, False)[1]
+    rows[n_steps] = row = _grid_terms(dom, coeffs, t_last, params, forcing, zs[n_steps], False, False, ws)[1]
     _check_row(row, t_last, 0.0)  # no step follows the last row, so no CFL guard
+    # free the workspace before the full-layout snapshots are built, so that
+    # the two never take memory together
+    del rhs, ws
+    states = [SpectralVelocityField(dom, _box_full(dom, c)) for c in snaps]
 
     return Trajectory(system=system, params=params, config=config, times=np.asarray(snap_times),
                       states=states, ledger=dict(zip(_LEDGER, rows.T), t=grid), path=path, profile=profile)

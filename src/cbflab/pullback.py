@@ -17,6 +17,7 @@ is diagnosed, never proved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -97,6 +98,8 @@ class TemperedFamily:
         probe = [math.exp(-t) * fn(t) ** 2 for t in ladder]
         if any(b >= a for a, b in zip(probe, probe[1:])):
             raise ValueError("family is not tempered: e^{-t} rho(t)^2 fails to decrease on the test ladder")
+        if isinstance(self.sample_count, bool) or not isinstance(self.sample_count, numbers.Integral):
+            raise ValueError(f"sample_count must be an integer, got {self.sample_count!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
 

@@ -118,10 +118,18 @@ class TestParseConfig:
         ({"kind": "attractor", "horizons": [0.1], "family": {"samples": 0}},
          {}, "experiment.family: sample_count must be >= 1"),
         ({"family": {"radius": 1.0, "seed": 2}}, {}, "experiment.family: unknown key(s) ['seed']"),
+        ({"kind": "tails", "horizons": [0.1], "tail_radii": [0.5, 0.0]}, {}, "experiment.tail_radii"),
+        ({"kind": "tails", "horizons": [0.1], "tail_radii": [-1.0]}, {}, "experiment.tail_radii"),
+        # sqrt(2) k >= L = pi: the cutoff annulus leaves the box
+        ({"kind": "tails", "horizons": [0.1], "tail_radii": [0.5, 2.3]}, {}, "experiment.tail_radii"),
+        ({"kind": "tails", "horizons": [0.1], "tail_radii": ["1"]}, {}, "experiment.tail_radii"),
+        ({"kind": "attractor", "horizons": [0.1], "family": {"samples": 2.5}},
+         {}, "experiment.family: sample_count must be an integer, got 2.5"),
     ], ids=["unknown-system", "pullback-no-horizons", "attractor-no-horizons", "empty-horizons",
             "negative-horizon", "text-horizon", "semicontinuity-no-horizons", "tails-no-horizons",
             "no-epsilon-ladder", "no-tail-radii", "negative-tail-epsilon", "unknown-family-key",
-            "zero-samples", "simulate-unknown-family-key"])
+            "zero-samples", "simulate-unknown-family-key", "zero-tail-radius", "negative-tail-radius",
+            "tail-radius-exceeds-box", "text-tail-radius", "fractional-samples"])
     def test_rejected_before_the_run(self, experiment, params, message, tmp_path, capsys):
         kind = experiment.get("kind", "simulate")
         raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "params": params,

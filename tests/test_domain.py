@@ -17,6 +17,8 @@ from cbflab.domain import (
     _box_hermitian,
     _box_inverse,
     _box_part,
+    _forward_shapes,
+    _inverse_shapes,
     check_interpolation,
     constant_field,
     field_from_physical,
@@ -194,6 +196,44 @@ class TestHalfSpectrumBox:
         grid = rng.standard_normal((4,) + (N,) * d)
         expect = np.fft.rfftn(grid, axes=axes)[(slice(None),) + dom.box_index]
         assert np.array_equal(_box_forward(dom, grid), expect)
+
+    @pytest.mark.parametrize("d,N,dealias", [(2, 24, 2.0 / 3.0), (3, 16, 2.0 / 3.0), (2, 12, 1.0), (3, 8, 1.0)])
+    def test_transforms_into_stale_buffers(self, d, N, dealias):
+        # buffers full of NaN, as a reused workspace may hand them over: every
+        # pass writes the whole buffer, the zero rows of the pads included
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(73)
+        shape = (3,) + dom.box_phase.shape
+        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid = rng.standard_normal((4,) + (N,) * d)
+
+        def stale(shapes):
+            return [np.full(s, np.nan, dtype=complex) for s in shapes]
+
+        inverse = stale(_inverse_shapes(dom, (3,)))
+        out = np.full((3,) + (N,) * d, np.nan)
+        assert _box_inverse(dom, box, inverse, out) is out
+        assert np.array_equal(out, _box_inverse(dom, box))
+        forward = stale(_forward_shapes(dom, (4,)))
+        got = _box_forward(dom, grid, forward)
+        assert got is forward[-1]
+        assert np.array_equal(got, _box_forward(dom, grid))
+        # a second call through the same buffers
+        assert np.array_equal(_box_inverse(dom, 2.0 * box, inverse, out), _box_inverse(dom, 2.0 * box))
+
+    @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
+    def test_hermitian_columns_match_flip_and_roll(self, d, N, dealias):
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(74)
+        shape = (d,) + dom.box_phase.shape
+        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expect = box.copy()
+        for j in (0, N // 2) if 2 * dom.mode_cut == N else (0,):
+            col = expect[..., j]
+            axes = tuple(range(1, col.ndim))
+            col[...] = 0.5 * (col + np.conj(np.roll(np.flip(col, axis=axes), 1, axis=axes)))
+        assert np.array_equal(_box_hermitian(dom, box), expect)
 
     @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
     @pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])

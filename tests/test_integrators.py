@@ -1,9 +1,12 @@
 """Time integration: schemes, energy ledger audits, analytic envelopes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import cbflab.integrators as integrators
 
 from cbflab.domain import (
     SpectralVelocityField,
@@ -31,6 +34,7 @@ from cbflab.integrators import (
     solve,
     uniform_estimates_check,
     _LEDGER,
+    _Workspace,
     _box_forcing,
     _explicit_rhs,
     _initial_box,
@@ -43,6 +47,7 @@ from cbflab.operators import (
 )
 from cbflab.stochastic import (
     ConjugationProcess,
+    OutOfWindowError,
     constant_forcing,
     periodic_forcing,
     sample_path,
@@ -111,6 +116,28 @@ class TestStepping:
         conj = solve("conjugated", u0, cfg, params_with_eps(0.0), zero_forcing(), path=path)
         for a, b in zip(det.states, conj.states):
             assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_conjugation_factor_per_node(self):
+        # one path evaluation per solve gives the scalar process's value at every node
+        dom = make_domain(2, math.pi, 16)
+        path = shift_path(sample_path(11, -2.0, 2.0, 3e-3), -0.4)
+        cfg = SolverConfig(dt=2e-3, t_start=0.1, t_end=0.3)
+        traj = solve("conjugated", random_field(dom, seed=4, amplitude=0.5), cfg, params_with_eps(0.6),
+                     zero_forcing(), path=path)
+        proc = ConjugationProcess(path, 0.6)
+        assert traj.ledger["z"].tolist() == [proc.value(t) for t in traj.ledger["t"].tolist()]
+
+    @pytest.mark.parametrize("system,scheme", [("conjugated", "imex_cn_ab2"),
+                                               ("stratonovich", "heun_stratonovich")])
+    def test_short_path_window_fails_before_the_first_step(self, system, scheme, monkeypatch):
+        calls = []
+        monkeypatch.setattr(integrators, "_explicit_rhs", lambda *args: calls.append(args))
+        dom = make_domain(2, math.pi, 16)
+        cfg = SolverConfig(dt=0.01, scheme=scheme, t_start=0.0, t_end=0.5)
+        with pytest.raises(OutOfWindowError):
+            solve(system, random_field(dom, seed=4, amplitude=0.5), cfg, params_with_eps(0.5),
+                  zero_forcing(), path=sample_path(12, -1.0, 0.2, 0.01))
+        assert calls == []
 
     def test_conjugated_weight_exponents(self):
         # one Euler step isolates the weights: z^(-1) on advection, z^(1-r) on damping
@@ -555,6 +582,109 @@ class TestFusedRhs:
         points = {(2, 16): 3 * (192 + 192) + 1280 + 480,
                   (3, 8): 4 * (360 + 576 + 576) + 4608 + 1728 + 1080}
         assert sum(math.prod(shape) for _, shape in calls) == points[(d, N)]
+
+
+def workspace_arrays(ws):
+    """Every array a workspace holds, the transform buffers included."""
+    return [a for value in vars(ws).values() for a in (value if isinstance(value, list) else [value])]
+
+
+class TestWorkspace:
+    """One workspace carries every right-hand side of a solve."""
+
+    @staticmethod
+    def problem(d, N, dealias=2.0 / 3.0):
+        dom = make_domain(d, math.pi, N, dealias)
+        params = PhysicalParameters(d, 1.0, 1.0, 0.7, 3.5)
+        forcing = _box_forcing(dom, periodic_forcing(random_field(dom, seed=90, amplitude=0.3), 0.5))
+        a, b = (_box_part(dom, random_field(dom, seed=seed, amplitude=0.6).coeffs) for seed in (91, 92))
+        return dom, params, forcing, a, b
+
+    @pytest.mark.parametrize("include_B,include_C", TOGGLES)
+    @pytest.mark.parametrize("d,N,dealias", [(2, 16, 2.0 / 3.0), (3, 8, 2.0 / 3.0), (2, 12, 1.0), (3, 8, 1.0)])
+    def test_reuse_matches_fresh(self, d, N, dealias, include_B, include_C):
+        dom, params, forcing, a, b = self.problem(d, N, dealias)
+        ws = _Workspace(dom, include_B)
+        for coeffs, t, z in ((a, 0.1, 1.3), (b, 0.2, 0.8), (a, 0.1, 1.3)):
+            got, row = _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C, ws)
+            want, want_row = _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C)
+            assert np.array_equal(got, want)
+            assert row == want_row
+
+    @pytest.mark.parametrize("d,N,dealias", [(2, 16, 2.0 / 3.0), (3, 8, 1.0)])
+    def test_stale_content_is_ignored(self, d, N, dealias):
+        dom, params, forcing, a, _ = self.problem(d, N, dealias)
+        ws = _Workspace(dom, True)
+        for arr in workspace_arrays(ws):
+            arr.fill(np.nan)
+        got, row = _explicit_rhs(dom, a, 0.1, params, forcing, 1.3, True, True, ws)
+        want, want_row = _explicit_rhs(dom, a, 0.1, params, forcing, 1.3, True, True)
+        assert np.array_equal(got, want)
+        assert row == want_row
+
+    @pytest.mark.parametrize("include_B,include_C", TOGGLES)
+    def test_results_do_not_alias_the_workspace(self, include_B, include_C):
+        dom, params, forcing, a, b = self.problem(2, 16)
+        ws = _Workspace(dom, include_B)
+        first = _explicit_rhs(dom, a, 0.1, params, forcing, 1.3, include_B, include_C, ws)[0]
+        assert not any(np.shares_memory(first, arr) for arr in workspace_arrays(ws))
+        kept = first.copy()
+        _explicit_rhs(dom, b, 0.2, params, forcing, 0.8, include_B, include_C, ws)
+        assert np.array_equal(first, kept)
+        # writing into a result changes nothing the next call reads
+        first[...] = np.nan
+        assert np.array_equal(_explicit_rhs(dom, a, 0.1, params, forcing, 1.3, include_B, include_C, ws)[0], kept)
+
+    @pytest.mark.parametrize("system,scheme,d,N", [
+        ("conjugated", "imex_cn_ab2", 2, 16), ("conjugated", "imex_cn_ab2", 3, 8),
+        ("deterministic", "imex_euler", 2, 16), ("stratonovich", "heun_stratonovich", 2, 16)])
+    def test_solve_matches_fresh_workspaces(self, system, scheme, d, N, monkeypatch):
+        dom = make_domain(d, math.pi, N)
+        params = PhysicalParameters(d, 1.0, 1.0, 1.0, 3.0, 0.5)
+        profile = periodic_forcing(random_field(dom, seed=93, amplitude=0.3), 0.5)
+        cfg = SolverConfig(dt=2e-3, scheme=scheme, t_start=0.0, t_end=0.02, record_stride=3)
+        u = random_field(dom, seed=94, amplitude=0.6)
+        path = sample_path(95, -1.0, 1.0, 2e-3)
+        reused = solve(system, u, cfg, params, profile, path=path)
+
+        kernel, workspaces = integrators._explicit_rhs, []
+
+        def fresh(*args):
+            workspaces.append(args[-1])
+            return kernel(*args[:-1])  # without the solve's workspace: a fresh one per call
+
+        monkeypatch.setattr(integrators, "_explicit_rhs", fresh)
+        again = solve(system, u, cfg, params, profile, path=path)
+        # 10 steps: AB2 adds one startup evaluation, Heun evaluates twice per step
+        assert len(workspaces) == {"imex_cn_ab2": 11, "imex_euler": 10, "heun_stratonovich": 20}[scheme]
+        assert len({id(ws) for ws in workspaces}) == 1
+        for name in _LEDGER:
+            assert np.array_equal(reused.ledger[name], again.ledger[name]), name
+        assert len(reused.states) == len(again.states) == 5
+        for sa, sb in zip(reused.states, again.states):
+            assert np.array_equal(sa.coeffs, sb.coeffs)
+
+    def test_warm_call_allocates_less_than_one_field(self):
+        d, N = 3, 32
+        dom = make_domain(d, math.pi, N)
+        params = PhysicalParameters(d, 1.0, 1.0, 1.0, 5.0, 0.5)
+        forcing = _box_forcing(dom, periodic_forcing(random_field(dom, seed=96, amplitude=0.3), 0.5))
+        coeffs = _box_part(dom, random_field(dom, seed=97, amplitude=0.5).coeffs)
+        field_bytes = d * N**d * 16  # one full-layout complex field, 1.5 MB
+
+        def peak(*ws):
+            tracemalloc.start()
+            try:
+                _explicit_rhs(dom, coeffs, 0.2, params, forcing, 1.3, True, True, *ws)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ws = _Workspace(dom, True)
+        _explicit_rhs(dom, coeffs, 0.2, params, forcing, 1.3, True, True, ws)
+        assert peak(ws) < field_bytes
+        # without a workspace the call allocates every grid and transform array
+        assert peak() > 3 * field_bytes
 
 
 class TestBoxState:

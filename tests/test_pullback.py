@@ -195,6 +195,15 @@ class TestTemperedFamily:
         with pytest.raises(ValueError, match="tempered"):
             TemperedFamily(radius_fn=lambda t: math.exp(t), sample_count=2)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, "3", True])
+    def test_non_integer_sample_count_rejected(self, count):
+        with pytest.raises(ValueError, match="sample_count must be an integer"):
+            TemperedFamily(radius_fn=1.0, sample_count=count)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        fam = TemperedFamily(radius_fn=1.0, sample_count=np.int64(2))
+        assert len(fam.samples(make_domain(2, math.pi, 8), 1.0)) == 2
+
     def test_deterministic_per_seed_and_age(self):
         dom = make_domain(2, math.pi, 16)
         fam = TemperedFamily(radius_fn=2.0, sample_count=3, sampler_seed=7)
