@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .domain import bump_field, make_domain, random_field, save_snapshot, single_mode_field
-from .integrators import BlowupError, SolverConfig, solve
+from .integrators import BlowupError, SolverConfig, _step_count, solve
 from .operators import PhysicalParameters, validate_params
 from .pullback import (
     TemperedFamily,
@@ -132,6 +132,14 @@ def _nonneg_list(value):
         isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in value)
 
 
+def _check_span(where, t_start, t_end, dt):
+    """ConfigError unless a solve can step ``dt`` from ``t_start`` to ``t_end``, by the test of :func:`solve`."""
+    try:
+        _step_count(t_start, t_end, dt)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _merge_defaults(data):
     merged = {}
     for section, defaults in _DEFAULTS.items():
@@ -233,19 +241,25 @@ def parse_config(text) -> RunConfig:
     if ex["system"] not in ("deterministic", "conjugated", "stratonovich"):
         raise ConfigError(f"experiment.system: unknown system {ex['system']!r}")
     tau = ex["tau"]
+    if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+        raise ConfigError(f"experiment.tau: expected a number, got {tau!r}")
     scheme = sv["scheme"]
     if ex["kind"] == "simulate" and ex["system"] == "stratonovich":
         scheme = "heun_stratonovich"  # the one scheme of the noisy system
     elif scheme == "heun_stratonovich":
         raise ConfigError("solver.scheme: heun_stratonovich runs only a simulate of the stratonovich system")
     try:
+        # the pullback kinds give each solve its own span, from the horizons
         solver = SolverConfig(
-            dt=sv["dt"], scheme=scheme, t_start=tau, t_end=max(ex["t_end"], tau),
+            dt=sv["dt"], scheme=scheme, t_start=tau, t_end=tau,
             record_stride=sv["record_stride"],
             include_B=sv.get("include_B", True), include_C=sv.get("include_C", True),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"solver: {exc}") from exc
+    if ex["kind"] == "simulate":
+        _check_span("experiment.t_end", tau, ex["t_end"], solver.dt)
+        solver = replace(solver, t_end=ex["t_end"])
 
     if ex["system"] == "stratonovich" and ex.get("path_dt", solver.dt) > solver.dt:
         # the Heun step would take interpolated, smoothed increments
@@ -258,6 +272,10 @@ def parse_config(text) -> RunConfig:
         raise ConfigError(f"experiment.horizons: {ex['kind']} needs a non-empty list of values >= 0")
     if horizons is not None and any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ConfigError("experiment.horizons: must increase strictly")
+    if pulls_back:
+        # horizon h is a cocycle solve from tau - h to (tau - h) + h; tails solves only the last
+        for h in horizons[-1:] if ex["kind"] == "tails" else horizons:
+            _check_span("experiment.horizons", tau - h, (tau - h) + h, solver.dt)
     if ex["kind"] == "semicontinuity" and not ladder:
         raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
     if ex["kind"] == "tails" and not ex.get("tail_radii"):

@@ -22,6 +22,8 @@ pullback estimates, and the trajectory-level perturbation bounds.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,26 +101,60 @@ class SolverConfig:
             raise ValueError("t_end must not precede t_start")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        stride = self.record_stride
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValueError(f"record_stride must be an integer >= 1, got {stride!r}")
+
+
+def _step_count(t_start, t_end, dt) -> int:
+    """Steps of ``dt`` from ``t_start`` to ``t_end``; ValueError unless the span is a multiple of dt >= 0."""
+    span = t_end - t_start
+    if span < 0:
+        raise ValueError(f"t_end = {t_end} precedes t_start = {t_start}")
+    n_steps = int(round(span / dt))
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError(f"(t_end - t_start) = {span} is not a multiple of dt = {dt}")
+    return n_steps
+
+
+class _Snapshots(Sequence):
+    """
+    Read-only sequence of the full Hermitian fields of a solve's box states.
+    Each field is expanded (:func:`_box_full`) on its first read and kept, so
+    a reader of the final state alone builds one full-layout array.
+    """
+
+    def __init__(self, domain, boxes):
+        self.domain = domain
+        self._boxes = boxes
+        self._fields = [None] * len(boxes)
+
+    def __len__(self):
+        return len(self._boxes)
+
+    def __getitem__(self, index):
+        i = range(len(self))[index]  # negative indices, and IndexError out of range
+        if self._fields[i] is None:
+            self._fields[i] = SpectralVelocityField(self.domain, _box_full(self.domain, self._boxes[i]))
+        return self._fields[i]
 
 
 @dataclass
 class Trajectory:
-    """Snapshots plus a dense per-step energy ledger."""
+    """Snapshots (full fields, built on first read) plus a dense per-step energy ledger."""
 
     system: str
     params: PhysicalParameters
     config: SolverConfig
     times: np.ndarray
-    states: list
+    states: _Snapshots
     ledger: dict
     path: Optional[WienerPath] = None
     profile: Optional[ForcingProfile] = None
 
     @property
     def domain(self):
-        return self.states[0].domain
+        return self.states.domain
 
     @property
     def epsilon(self) -> float:
@@ -343,7 +379,9 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     from ``params.epsilon``.
 
     The step loop carries the state on the dealiased half-spectrum box (see
-    :mod:`cbflab.domain`) and records full Hermitian snapshots.  The initial
+    :mod:`cbflab.domain`) and records the box state every ``record_stride``
+    steps and at the end; ``Trajectory.states`` expands each to its full
+    Hermitian field on first read.  The initial
     coefficients must vanish outside the box (:class:`OutOfBoxError`);
     inside it the solve starts from their Hermitian part, which is the
     initial field itself for real input.
@@ -353,8 +391,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     Every right-hand side writes into one :class:`_Workspace` built here,
     and the coefficients it returns are new arrays, so the ones a step keeps
     (the previous step's for AB2, the predictor's for Heun) outlive the next
-    call.  The full-layout snapshots are built after the last step, once the
-    workspace is freed.
+    call.
     """
     if system not in ("deterministic", "conjugated", "stratonovich"):
         raise ValueError(f"unknown system {system!r}")
@@ -370,10 +407,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
 
     dom = initial.domain
     dt = config.dt
-    span = config.t_end - config.t_start
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(f"(t_end - t_start) = {span} is not a multiple of dt = {dt}")
+    n_steps = _step_count(config.t_start, config.t_end, dt)
 
     grid = config.t_start + dt * np.arange(n_steps + 1)
     # the conjugation factor at every node, and the Heun step's noise
@@ -401,7 +435,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     rows = np.empty((n_steps + 1, len(_LEDGER)))
     coeffs = _initial_box(dom, initial.coeffs)
     # box states at the snapshot steps: no step writes into a state array, so
-    # references suffice, and the full-layout copies wait until the loop is done
+    # references suffice
     snaps = [coeffs]
     snap_times = [config.t_start]
     prev = None
@@ -434,13 +468,10 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     t_last = float(grid[n_steps])
     rows[n_steps] = row = _grid_terms(dom, coeffs, t_last, params, forcing, zs[n_steps], False, False, ws)[1]
     _check_row(row, t_last, 0.0)  # no step follows the last row, so no CFL guard
-    # free the workspace before the full-layout snapshots are built, so that
-    # the two never take memory together
-    del rhs, ws
-    states = [SpectralVelocityField(dom, _box_full(dom, c)) for c in snaps]
 
     return Trajectory(system=system, params=params, config=config, times=np.asarray(snap_times),
-                      states=states, ledger=dict(zip(_LEDGER, rows.T), t=grid), path=path, profile=profile)
+                      states=_Snapshots(dom, snaps), ledger=dict(zip(_LEDGER, rows.T), t=grid),
+                      path=path, profile=profile)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,15 @@ class TestParseConfig:
         raw["experiment"].update(system="conjugated", path_dt=path_dt)
         parse_config(json.dumps(raw))
 
-    @pytest.mark.parametrize("experiment, params, message", [
+    def test_tails_checks_only_its_last_horizon(self):
+        raw = {"solver": {"dt": 0.01},
+               "experiment": {"kind": "tails", "horizons": [0.015, 0.03], "tail_radii": [0.5]}}
+        assert parse_config(json.dumps(raw)).experiment["horizons"] == [0.015, 0.03]
+        raw["experiment"]["kind"] = "attractor"
+        with pytest.raises(ConfigError, match="experiment.horizons"):
+            parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("experiment, sections, message", [
         ({"system": "foo"}, {}, "experiment.system"),
         ({"kind": "pullback"}, {}, "experiment.horizons"),
         ({"kind": "attractor"}, {}, "experiment.horizons"),
@@ -106,7 +114,7 @@ class TestParseConfig:
         ({"kind": "attractor", "horizons": [-0.5, 0.1]}, {}, "experiment.horizons"),
         ({"kind": "attractor", "horizons": ["x"]}, {}, "experiment.horizons"),
         ({"kind": "semicontinuity", "seed": 1, "path_window": [-40.0, 1.0]},
-         {"epsilon_ladder": [0.5]}, "experiment.horizons"),
+         {"params": {"epsilon_ladder": [0.5]}}, "experiment.horizons"),
         ({"kind": "tails", "tail_radii": [0.5]}, {}, "experiment.horizons"),
         ({"kind": "semicontinuity", "horizons": [0.1], "seed": 1, "path_window": [-40.0, 1.0]},
          {}, "params.epsilon_ladder"),
@@ -125,15 +133,33 @@ class TestParseConfig:
         ({"kind": "tails", "horizons": [0.1], "tail_radii": ["1"]}, {}, "experiment.tail_radii"),
         ({"kind": "attractor", "horizons": [0.1], "family": {"samples": 2.5}},
          {}, "experiment.family: sample_count must be an integer, got 2.5"),
+        ({}, {"solver": {"record_stride": 2.5}}, "solver: record_stride must be an integer >= 1, got 2.5"),
+        ({}, {"solver": {"record_stride": True}}, "solver: record_stride must be an integer >= 1, got True"),
+        ({"t_end": -1}, {}, "experiment.t_end: t_end = -1 precedes t_start = 0.0"),
+        ({"tau": 2.0, "t_end": 1.0}, {}, "experiment.t_end: t_end = 1.0 precedes t_start = 2.0"),
+        ({"t_end": 0.015}, {}, "experiment.t_end: (t_end - t_start) = 0.015 is not a multiple of dt = 0.01"),
+        ({"kind": "pullback", "horizons": [0.015, 0.03]}, {}, "experiment.horizons: (t_end - t_start) = 0.015"),
+        ({"kind": "attractor", "horizons": [0.01, 0.015]}, {}, "experiment.horizons: (t_end - t_start) = 0.015"),
+        ({"kind": "semicontinuity", "horizons": [0.025, 0.05], "seed": 1, "path_window": [-40.0, 1.0]},
+         {"params": {"epsilon_ladder": [0.5]}}, "experiment.horizons: (t_end - t_start) = 0.025"),
+        # tails solves only the last horizon
+        ({"kind": "tails", "horizons": [0.01, 0.015], "tail_radii": [0.5]}, {},
+         "experiment.horizons: (t_end - t_start) = 0.015"),
+        ({"tau": "0"}, {}, "experiment.tau: expected a number, got '0'"),
     ], ids=["unknown-system", "pullback-no-horizons", "attractor-no-horizons", "empty-horizons",
             "negative-horizon", "text-horizon", "semicontinuity-no-horizons", "tails-no-horizons",
             "no-epsilon-ladder", "no-tail-radii", "negative-tail-epsilon", "unknown-family-key",
             "zero-samples", "simulate-unknown-family-key", "zero-tail-radius", "negative-tail-radius",
-            "tail-radius-exceeds-box", "text-tail-radius", "fractional-samples"])
-    def test_rejected_before_the_run(self, experiment, params, message, tmp_path, capsys):
+            "tail-radius-exceeds-box", "text-tail-radius", "fractional-samples",
+            "fractional-record-stride", "boolean-record-stride", "negative-t-end", "t-end-before-tau",
+            "t-end-off-the-step-grid", "pullback-horizon-off-the-step-grid",
+            "attractor-horizon-off-the-step-grid", "semicontinuity-horizon-off-the-step-grid",
+            "tails-last-horizon-off-the-step-grid", "text-tau"])
+    def test_rejected_before_the_run(self, experiment, sections, message, tmp_path, capsys):
         kind = experiment.get("kind", "simulate")
-        raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "params": params,
-               "experiment": dict(experiment, kind=kind)}
+        raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "experiment": dict(experiment, kind=kind)}
+        for name, values in sections.items():
+            raw[name] = {**raw.get(name, {}), **values}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
@@ -200,6 +226,31 @@ class TestRun:
         assert run(cfg) == 0
         rows = (out / "tails.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 4
+
+    def test_simulate_expands_only_the_final_state(self, tmp_path, monkeypatch):
+        import cbflab.domain as domain
+        import cbflab.integrators as integrators
+
+        calls = []
+        box_full = domain._box_full
+
+        def counted(dom, box):
+            calls.append(box.shape)
+            return box_full(dom, box)
+
+        monkeypatch.setattr(domain, "_box_full", counted)
+        monkeypatch.setattr(integrators, "_box_full", counted)
+        cfg = parse_config(json.dumps({
+            "domain": {"d": 3, "N": 8},
+            "params": {"r": 5.0},
+            "solver": {"dt": 0.01, "record_stride": 1},
+            "experiment": {"kind": "simulate", "t_end": 0.05, "seed": 4},
+            "output": {"dir": str(tmp_path)},
+        }))
+        assert run(cfg) == 0
+        # six snapshots recorded, one written: the others stay box states
+        assert len(calls) == 1
+        assert (tmp_path / "final_state.csv").exists()
 
     def test_verify_cli_exit_code(self, tmp_path, capsys):
         code = main(["verify", "--out", str(tmp_path / "v")])

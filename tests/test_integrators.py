@@ -437,6 +437,58 @@ class TestTrajectoryReconstruction:
         assert norms(traj.states[2]).h_norm_sq < norms(u0).h_norm_sq
 
 
+class TestSnapshots:
+    """``Trajectory.states`` expands each recorded box state on its first read and keeps it."""
+
+    @staticmethod
+    def counted_solve(monkeypatch):
+        """A 5-step solve with stride 2 (snapshots at steps 0, 2, 4, 5), counting the expansions."""
+        calls = []
+
+        def counted(dom, box):
+            calls.append(box)
+            return _box_full(dom, box)
+
+        monkeypatch.setattr(integrators, "_box_full", counted)
+        dom = make_domain(2, math.pi, 16)
+        cfg = SolverConfig(dt=1e-3, t_start=0.0, t_end=5e-3, record_stride=2)
+        traj = solve("deterministic", random_field(dom, seed=45, amplitude=0.5), cfg, PARAMS_2D, zero_forcing())
+        return traj, calls
+
+    def test_behaves_like_a_list(self, monkeypatch):
+        traj, _ = self.counted_solve(monkeypatch)
+        states = traj.states
+        assert len(states) == len(traj.times) == 4
+        assert states[-1] is states[3] and states[-4] is states[0]
+        for bad in (4, -5):
+            with pytest.raises(IndexError):
+                states[bad]
+        read = [s for s in states]
+        assert len(read) == 4 and all(s is states[i] for i, s in enumerate(read))
+        first, *_, last = states
+        assert first is states[0] and last is states[3]
+
+    def test_each_state_is_built_once_on_first_read(self, monkeypatch):
+        traj, calls = self.counted_solve(monkeypatch)
+        assert calls == []
+        assert traj.domain.N == 16 and calls == []  # the domain builds nothing
+        last = traj.states[-1]
+        assert len(calls) == 1
+        assert traj.states[3] is last and len(calls) == 1
+        list(traj.states)
+        assert len(calls) == 4
+
+    def test_states_are_the_expanded_box_states(self, monkeypatch):
+        traj, calls = self.counted_solve(monkeypatch)
+        dom = traj.domain
+        states = list(traj.states)
+        assert len(calls) == len(states)
+        for state, box in zip(states, calls):
+            assert isinstance(state, SpectralVelocityField) and state.domain is dom
+            assert np.array_equal(state.coeffs.view(np.uint64), _box_full(dom, box).view(np.uint64))
+        assert np.array_equal(calls[0], _initial_box(dom, random_field(dom, seed=45, amplitude=0.5).coeffs))
+
+
 def reference_rhs(dom, coeffs, t, params, profile, z, include_B, include_C):
     """``-B(u)/z - beta z^(1-r) C(u) + z f`` composed from the full-spectrum operators."""
     u_phys = transform_inverse(dom, coeffs)
