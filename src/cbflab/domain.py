@@ -87,6 +87,7 @@ class TorusDomain:
     # rows |m| <= mode_cut in FFT order, the last axis keeps 0..mode_cut
     box_index: tuple = dc_field(init=False, repr=False)
     box_phase: np.ndarray = dc_field(init=False, repr=False)
+    box_scale: np.ndarray = dc_field(init=False, repr=False)
     box_kvec: np.ndarray = dc_field(init=False, repr=False)
     box_k_sq: np.ndarray = dc_field(init=False, repr=False)
     box_weight: np.ndarray = dc_field(init=False, repr=False)
@@ -137,6 +138,8 @@ class TorusDomain:
         reflect = -np.arange(rows.size) % rows.size
         set_attr(self, "box_reflect", np.ix_(*([reflect] * (d - 1))))
         set_attr(self, "box_phase", phase[ix])
+        # the phase and 1/N^d of a forward pass onto the box
+        set_attr(self, "box_scale", self.box_phase / N**d)
         set_attr(self, "box_k_sq", k_sq[ix])
         # first derivatives take a zero Nyquist wavenumber, as for any real
         # field; the projection also removes the Nyquist components along k
@@ -170,6 +173,14 @@ class TorusDomain:
     def radius_sq_grid(self):
         """Pointwise ``|x|^2`` on the collocation grid."""
         return np.sum(self.coords**2, axis=0)
+
+
+def _l2_norm(x):
+    """
+    Euclidean norm of a complex array: the two sums of squares that
+    ``np.linalg.norm`` takes, as ufunc sums, which unlike BLAS wake no thread.
+    """
+    return math.sqrt(float(np.sum(np.square(x.real)) + np.sum(np.square(x.imag))))
 
 
 def _safe_sq(k):
@@ -211,7 +222,7 @@ class SpectralVelocityField:
         if arr.shape != dom.shape:
             raise ShapeMismatchError(f"expected coeffs of shape {dom.shape}, got {arr.shape}")
         self.coeffs = arr
-        scale = np.linalg.norm(arr)
+        scale = _l2_norm(arr)
         if scale > 0:
             div = np.abs(np.sum(dom.kvec * arr, axis=0)).max()
             if div > DIV_TOL * scale:
@@ -542,7 +553,7 @@ def random_field(domain, seed, amplitude=1.0, max_mode=None, spectral_slope=2.0)
     keep = None if max_mode is None else _mode_box(domain, max_mode)
     raw = _hermitian_gaussian(domain, np.random.default_rng(seed), keep,
                               (1.0 + domain.k_sq) ** (-spectral_slope / 2.0))
-    norm = math.sqrt(domain.measure) * np.linalg.norm(raw)
+    norm = math.sqrt(domain.measure) * _l2_norm(raw)
     if norm > 0:
         raw *= amplitude / norm
     return SpectralVelocityField(domain, raw)

@@ -193,7 +193,9 @@ _LEDGER = ("h_sq", "grad_sq", "lr_pow", "f_pair", "z", "max_speed")
 def _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density):
     """Norm row of the ledger, in ``_LEDGER`` order, from ``|u|^2`` and ``|u|^(r+1)`` on the grid."""
     c2 = dom.box_weight * np.abs(coeffs) ** 2
-    f_pair = 0.0 if forcing is None else forcing[0](t) * dom.measure * float(np.real(np.vdot(coeffs, forcing[2])))
+    # ufunc sums, not np.vdot: BLAS would wake its threads on a 32^3 box
+    f_pair = 0.0 if forcing is None else forcing[0](t) * dom.measure * float(
+        np.sum(coeffs.real * forcing[2].real + coeffs.imag * forcing[2].imag))
     return (
         dom.measure * float(np.sum(c2)),
         dom.measure * float(np.sum(dom.box_k_sq * c2)),
@@ -231,6 +233,21 @@ def _carve(buf, offset, specs):
     return out
 
 
+def _rotational(dom):
+    """
+    Whether the advection takes the rotational form ``omega x u``: when
+    ``3 c < N`` an aliased product mode falls outside the box on its axis, so
+    the box is alias-free for quadratic products and the rotational and
+    skew-symmetric forms project to the same Galerkin term.
+    """
+    return 3 * dom.mode_cut < dom.N
+
+
+# box rows (a, b) of each vorticity row d_a u_b - d_b u_a: the one row of
+# 2D, the three of 3D
+_CURL = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
+
+
 class _Workspace:
     """
     Every array :func:`_explicit_rhs` writes into, for one domain and one
@@ -238,8 +255,11 @@ class _Workspace:
     or transform array.
 
     ``stack`` holds the grid rows of the forward pass and has a buffer of
-    its own.  The grid stage's arrays (the phased state ``x``, a gradient's
-    coefficients ``g``, the grid rows ``u``, the scratch rows ``tmp``,
+    its own: the ``d`` combined rows, followed on the skew-symmetric path
+    (see :func:`_rotational`) by the ``d(d+1)/2`` flux rows when
+    ``include_B``.  The grid stage's arrays (the phased state ``x``, the
+    coefficients ``g`` of a gradient row or of the vorticity, the grid rows
+    ``u``, the vorticity rows ``w``, the scratch rows ``tmp``,
     ``speed_sq = |u|^2``, ``pw = |u|^(r-1)`` and the ``inverse`` pass
     buffers) and the ``forward`` pass outputs are views of one shared byte
     buffer: the forward pass starts when the grid stage is done with its
@@ -251,24 +271,31 @@ class _Workspace:
         d, c16, f8 = dom.d, np.complex128, np.float64
         grid = (dom.N,) * d
         box = (d,) + dom.box_phase.shape
-        self.stack = np.empty((d + (d * (d + 1) // 2 if include_B else 0),) + grid)
+        flux = d * (d + 1) // 2 if include_B and not _rotational(dom) else 0
+        self.stack = np.empty((d + flux,) + grid)
         inverse = _inverse_shapes(dom, (d,))
-        stage = [(box, c16), (box, c16), ((d,) + grid, f8), ((d,) + grid, f8), (grid, f8), (grid, f8)]
+        stage = [(box, c16), (box, c16), ((d,) + grid, f8), ((len(_CURL[d]),) + grid, f8), ((d,) + grid, f8),
+                 (grid, f8), (grid, f8)]
         stage += [(s, c16) for s in inverse]
         forward = _forward_shapes(dom, self.stack.shape[:1])
         split = max(_nbytes(s, c16) for s in forward[0::2])
         size = max(sum(_nbytes(*spec) for spec in stage), split + max(_nbytes(s, c16) for s in forward[1::2]))
         buf = np.empty(size, dtype=np.uint8)
 
-        self.x, self.g, self.u, self.tmp, self.speed_sq, self.pw, *self.inverse = _carve(buf, 0, stage)
+        self.x, self.g, self.u, self.w, self.tmp, self.speed_sq, self.pw, *self.inverse = _carve(buf, 0, stage)
         self.forward = [_carve(buf, split * (k % 2), [(s, c16)])[0] for k, s in enumerate(forward)]
 
 
 def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C, ws):
     """
     Grid stage of :func:`_explicit_rhs`: the ledger row of the state and the
-    real rows ``[combined term (d), u_i u_j for i <= j]`` to transform
-    forward, in ``ws.stack`` (None when both nonlinear terms are off).
+    real rows to transform forward, in ``ws.stack`` (None when both
+    nonlinear terms are off).  The first ``d`` rows combine the advection
+    and the damping.  On an alias-free box (:func:`_rotational`) the
+    advection is ``-(1/z) omega x u`` from one inverse pass of the vorticity
+    rows, and nothing follows; otherwise it is the ``(u . grad) u`` half of
+    the skew-symmetric form from one inverse pass per gradient row, and the
+    flux rows ``u_i u_j`` for ``i <= j`` follow.
     """
     d, N = dom.d, dom.N
     nd = N**d
@@ -287,8 +314,32 @@ def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C, ws):
 
     stack = ws.stack
     comb = stack[:d]
-    comb[...] = 0.0
-    if include_B:
+    rotational = _rotational(dom)
+    if include_B and rotational:
+        # omega = i k x uhat on the box, then -omega x u = u x omega on the grid
+        k, curl = dom.box_kvec, _CURL[d]
+        g = ws.g[: len(curl)]
+        for row_g, (a, b) in zip(g, curl):
+            np.multiply(k[a], x[b], out=row_g)
+            row_g -= k[b] * x[a]
+        g *= 1j
+        w = _box_inverse(dom, g, [buf[: len(curl)] for buf in ws.inverse], ws.w)
+        scale = nd / z
+        if d == 2:
+            # u x (w e_z) = (u_1 w, -u_0 w)
+            np.multiply(u[1], w[0], out=comb[0])
+            np.multiply(u[0], w[0], out=comb[1])
+            comb[0] *= scale
+            comb[1] *= -scale
+        else:
+            for i in range(3):
+                a, b = (i + 1) % 3, (i + 2) % 3
+                np.multiply(u[a], w[b], out=comb[i])
+                comb[i] -= np.multiply(u[b], w[a], out=ws.tmp[0])
+            comb *= scale
+    else:
+        comb[...] = 0.0
+    if include_B and not rotational:
         # (u . grad) u one gradient row d_i u at a time
         for i in range(d):
             g = np.multiply(dom.box_kvec[i], x, out=ws.g)
@@ -315,11 +366,18 @@ def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C, ws=N
         -(1/z) B(u) - beta z^(1-r) C(u) + z f,
 
     and the ledger row of the state, by the transform method on the box:
-    pruned real inverse passes for ``u`` and the gradient rows, advection and
-    damping combined on the grid, and one pruned forward pass of the combined
-    term together with the symmetric flux ``u_i u_j``, whose divergence is the
-    skew-symmetric half of the advection.  The box is the dealias mask, and
-    the self-conjugate columns of the result are made exactly Hermitian.
+    pruned real inverse passes, advection and damping combined on the grid
+    (:func:`_grid_terms`), and one pruned forward pass.  On an alias-free box
+    (:func:`_rotational`) the advection is the rotational form
+    ``P[omega x u]``, 9 single-row transforms per 3D call (5 in 2D).  On
+    every other box it is the skew-symmetric form, 21 transforms (11 in 2D):
+    the forward pass also transforms the symmetric flux ``u_i u_j``, whose
+    divergence is the other half of the advection.  The two forms differ by
+    the gradient ``grad |u|^2 / 2``, which the projection removes; where the
+    box aliases they also differ at its edge rows, and only the
+    skew-symmetric form agrees there with :func:`cbflab.operators.bilinear_B`.
+    The box is the dealias mask, and the self-conjugate columns of the result
+    are made exactly Hermitian.
 
     Every grid and transform array is written into the workspace ``ws`` (a
     :class:`_Workspace` for ``dom`` and ``include_B``; a fresh one when
@@ -334,9 +392,9 @@ def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C, ws=N
         n_hat = np.zeros_like(coeffs)
     else:
         out = _box_forward(dom, stack, ws.forward)
-        out *= dom.box_phase / dom.N**dom.d
+        out *= dom.box_scale
         n_hat = out[: dom.d]
-        if include_B:
+        if include_B and not _rotational(dom):
             n_hat = n_hat - (0.5j / z) * _half_divergence(dom.box_kvec, out[dom.d :], dom.d)
         _box_hermitian(dom, n_hat)
     if forcing is not None:

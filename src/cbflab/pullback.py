@@ -27,6 +27,7 @@ from .domain import (
     SpectralVelocityField,
     _energy_sq,
     _hermitian_gaussian,
+    _l2_norm,
     _mode_box,
     cutoff_xi,
     transform_inverse,
@@ -115,7 +116,7 @@ class TemperedFamily:
         n_random = self.sample_count - (1 if self.include_boundary else 0)
         for _ in range(max(n_random, 0)):
             raw = _hermitian_gaussian(domain, rng, keep)
-            norm = math.sqrt(domain.measure) * np.linalg.norm(raw)
+            norm = math.sqrt(domain.measure) * _l2_norm(raw)
             radius = rho * rng.uniform() ** (1.0 / n_dof)
             if norm > 0:
                 raw *= radius / norm

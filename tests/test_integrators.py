@@ -1,6 +1,10 @@
 """Time integration: schemes, energy ledger audits, analytic envelopes."""
 
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -597,8 +601,13 @@ class TestFusedRhs:
         # the kernel on the start state matches the full-spectrum operators
         self.assert_matches(dom, start, params, profile)
 
-    @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
-    def test_transform_count(self, d, N, monkeypatch):
+    # 3c < N on the first two boxes, which take the rotational form; 3c = N on
+    # the 2/3 boxes with 3 | N, and 3c > N on every box at dealias 1, which
+    # take the skew-symmetric form
+    @pytest.mark.parametrize("d,N,dealias", [(2, 16, 2.0 / 3.0), (3, 8, 2.0 / 3.0), (2, 12, 2.0 / 3.0),
+                                             (3, 12, 2.0 / 3.0), (3, 8, 1.0)],
+                             ids=["2-16", "3-8", "2-12", "3-12", "3-8-1.0"])
+    def test_transform_count(self, d, N, dealias, monkeypatch):
         names = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft",
                  "rfftn", "irfftn", "rfft2", "irfft2", "hfft", "ihfft")
         calls = []
@@ -617,23 +626,36 @@ class TestFusedRhs:
 
         for name in names:
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-        dom = make_domain(d, math.pi, N)
+        dom = make_domain(d, math.pi, N, dealias)
         params = PhysicalParameters(d, 1.0, 1.0, 1.0, 5.0)
         u = random_field(dom, seed=64, amplitude=0.5)
         profile = periodic_forcing(random_field(dom, seed=65, amplitude=0.3), 0.5)
         _explicit_rhs(dom, _box_part(dom, u.coeffs), 0.2, params, _box_forcing(dom, profile), 1.3, True, True)
-        # d + 1 inverse passes of d rows and one forward pass of the d + d(d+1)/2
-        # grid rows; every leading-axis pass transforms only the kept rows and columns
-        c, kept = dom.mode_cut, 2 * dom.mode_cut + 1
-        rows = d + d * (d + 1) // 2
-        inverse = [("ifft", (d,) + (N,) * (a + 1) + (kept,) * (d - 2 - a) + (c + 1,)) for a in range(d - 1)]
-        inverse.append(("irfft", (d,) + (N,) * (d - 1) + (c + 1,)))
-        forward = [("rfft", (rows,) + (N,) * d)]
-        forward += [("fft", (rows,) + (N,) * (d - 1 - a) + (kept,) * a + (c + 1,)) for a in range(d - 1)]
-        assert calls == inverse * (d + 1) + forward
-        points = {(2, 16): 3 * (192 + 192) + 1280 + 480,
-                  (3, 8): 4 * (360 + 576 + 576) + 4608 + 1728 + 1080}
-        assert sum(math.prod(shape) for _, shape in calls) == points[(d, N)]
+        c, kept = dom.mode_cut, min(2 * dom.mode_cut + 1, N)
+
+        def inverse(rows):
+            passes = [("ifft", (rows,) + (N,) * (a + 1) + (kept,) * (d - 2 - a) + (c + 1,)) for a in range(d - 1)]
+            return passes + [("irfft", (rows,) + (N,) * (d - 1) + (c + 1,))]
+
+        def forward(rows):
+            passes = [("rfft", (rows,) + (N,) * d)]
+            return passes + [("fft", (rows,) + (N,) * (d - 1 - a) + (kept,) * a + (c + 1,)) for a in range(d - 1)]
+
+        # every leading-axis pass transforms only the kept rows and columns
+        if 3 * c < N:
+            # inverse passes of u and of the 1 (2D) or 3 (3D) vorticity rows,
+            # and one forward pass of the d combined rows
+            assert calls == inverse(d) + inverse(2 * d - 3) + forward(d)
+        else:
+            # d + 1 inverse passes of d rows and one forward pass of the
+            # d + d(d+1)/2 combined and flux rows
+            assert calls == inverse(d) * (d + 1) + forward(d + d * (d + 1) // 2)
+        points = {(2, 16, 2.0 / 3.0): (192 + 192) + (96 + 96) + 512 + 192,
+                  (3, 8, 2.0 / 3.0): (360 + 576 + 576) + (360 + 576 + 576) + 1536 + 576 + 360,
+                  (2, 12, 2.0 / 3.0): 3 * (120 + 120) + 720 + 300,
+                  (3, 12, 2.0 / 3.0): 4 * (1620 + 2160 + 2160) + 15552 + 6480 + 4860,
+                  (3, 8, 1.0): 4 * (960 + 960 + 960) + 4608 + 2880 + 2880}
+        assert sum(math.prod(shape) for _, shape in calls) == points[(d, N, dealias)]
 
 
 def workspace_arrays(ws):
@@ -789,3 +811,41 @@ class TestBoxState:
         for sa, sb in zip(a.states, b.states):
             assert np.array_equal(sa.coeffs, sb.coeffs)
         assert np.array_equal(a.states[0].coeffs, real.coeffs)
+
+
+def other_threads_utime():
+    """User CPU ticks of every thread of this process but the calling one, from Linux /proc."""
+    me = threading.get_native_id()
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != me:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                # fields after the parenthesised name; utime is field 14 of stat(5)
+                ticks[tid] = int(fh.read().rsplit(")", 1)[1].split()[11])
+    return ticks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads per-thread CPU time from /proc")
+def test_a_forced_3d_solve_runs_on_one_core():
+    # a 32^3 box (14,553 complex values) is above OpenBLAS's threading
+    # threshold, so a BLAS reduction in the solve would wake its workers
+    dom = make_domain(3, math.pi, 32)
+    params = PhysicalParameters(3, 1.0, 1.0, 1.0, 5.0)
+    cfg = SolverConfig(dt=2e-3, t_start=0.0, t_end=0.01)
+
+    def run():
+        profile = periodic_forcing(random_field(dom, seed=98, amplitude=0.3), 0.5)
+        traj = solve("deterministic", random_field(dom, seed=99, amplitude=0.5), cfg, params, profile)
+        return traj.states[-1]
+
+    run()
+    # let threads that earlier work left spinning fall idle
+    ticks = other_threads_utime()
+    for _ in range(20):
+        time.sleep(0.1)
+        ticks, previous = other_threads_utime(), ticks
+        if ticks == previous:
+            break
+    run()
+    grown = {tid: t - ticks.get(tid, 0) for tid, t in other_threads_utime().items()}
+    assert sum(grown.values()) == 0, grown
