@@ -23,10 +23,14 @@ import numpy as np
 
 from . import __version__
 from .domain import bump_field, make_domain, random_field, save_snapshot, single_mode_field
-from .integrators import BlowupError, SolverConfig, _step_count, solve
+from .integrators import _SCHEMES, _SYSTEMS, BlowupError, SolverConfig, _check_stride, _step_count, solve
 from .operators import PhysicalParameters, validate_params
 from .pullback import (
     TemperedFamily,
+    _check_cutoff,
+    _check_horizons,
+    _check_ladder,
+    _check_sample_count,
     _endpoint_cloud,
     measure_absorption,
     sample_attractor,
@@ -36,6 +40,7 @@ from .pullback import (
 from .stochastic import (
     _QUAD_REL_TOL,
     ForcingProfile,
+    _check_window,
     constant_forcing,
     decaying_forcing,
     periodic_forcing,
@@ -51,33 +56,9 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-_DEFAULTS = {
-    "domain": {"d": 2, "L": math.pi, "N": 32, "dealias": 2.0 / 3.0},
-    "params": {"mu": 1.0, "alpha": 1.0, "beta": 1.0, "r": 3.0, "epsilon": 0.0},
-    "forcing": {"kind": "zero"},
-    "solver": {"scheme": "imex_cn_ab2", "dt": 1e-3, "record_stride": 10},
-    "experiment": {"kind": "simulate", "tau": 0.0, "t_end": 1.0, "system": "deterministic"},
-    "output": {"dir": "out"},
-    "workers": 1,
-}
-
-_KNOWN_KEYS = {
-    "domain": {"d", "L", "N", "dealias"},
-    "params": {"mu", "alpha", "beta", "r", "epsilon", "epsilon_ladder"},
-    "forcing": {"kind", "template", "period", "gamma", "delta"},
-    "solver": {"scheme", "dt", "record_stride", "include_B", "include_C"},
-    "experiment": {
-        "kind", "system", "tau", "t_end", "horizons", "seed", "family",
-        "path_window", "path_dt", "tail_radii", "tail_epsilons",
-    },
-    "output": {"dir"},
-}
-_FAMILY_KEYS = {"radius", "samples", "max_mode", "include_boundary"}
-
-
 @dataclass
 class RunConfig:
-    """Fully resolved configuration plus the raw dictionary it came from."""
+    """The built objects of a configuration, and ``raw``: its resolved dict, every default filled in."""
 
     raw: dict
     domain: object
@@ -118,215 +99,6 @@ def _plain(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _check_keys(where, obj, known):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-
-
-def _nonneg_list(value):
-    """True for a non-empty list of numbers >= 0."""
-    return isinstance(value, list) and bool(value) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in value)
-
-
-def _check_span(where, t_start, t_end, dt):
-    """ConfigError unless a solve can step ``dt`` from ``t_start`` to ``t_end``, by the test of :func:`solve`."""
-    try:
-        _step_count(t_start, t_end, dt)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _merge_defaults(data):
-    merged = {}
-    for section, defaults in _DEFAULTS.items():
-        if section == "workers":
-            continue
-        user = data.get(section, {})
-        _check_keys(section, user, _KNOWN_KEYS[section])
-        merged[section] = {**defaults, **user}
-    merged["workers"] = data.get("workers", _DEFAULTS["workers"])
-    unknown_sections = set(data) - set(_DEFAULTS)
-    if unknown_sections:
-        raise ConfigError(f"unknown section(s) {sorted(unknown_sections)}")
-    return merged
-
-
-def _build_template(domain, spec):
-    if not isinstance(spec, dict) or "shape" not in spec:
-        raise ConfigError("forcing.template: expected an object with a 'shape' key")
-    shape = spec["shape"]
-    if shape == "single_mode":
-        return single_mode_field(domain, spec.get("mode", [0, 1]), spec.get("amplitude", 1.0))
-    if shape == "bump":
-        return bump_field(
-            domain,
-            center=spec.get("center"),
-            width=spec.get("width", 1.0),
-            amplitude=spec.get("amplitude", 1.0),
-            support_radius=spec.get("support_radius"),
-        )
-    raise ConfigError(f"forcing.template.shape: unknown shape {shape!r}")
-
-
-def _build_forcing(domain, fc, alpha):
-    kind = fc["kind"]
-    delta = fc.get("delta", 0.5)
-    if kind != "zero" and not (0.0 <= delta < alpha):
-        raise ConfigError(f"forcing.delta: need 0 <= delta < alpha, got {delta} with alpha={alpha}")
-    try:
-        if kind == "zero":
-            return zero_forcing()
-        template = _build_template(domain, fc.get("template"))
-        if kind == "constant_field":
-            return constant_forcing(template, delta=delta)
-        if kind == "periodic":
-            if "period" not in fc:
-                raise ConfigError("forcing.period: required for periodic forcing")
-            return periodic_forcing(template, fc["period"], delta=delta)
-        if kind == "decaying":
-            return decaying_forcing(template, fc.get("gamma", 1.0), delta=delta)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"forcing: {exc}") from exc
-    raise ConfigError(f"forcing.kind: unknown kind {kind!r}")
-
-
-def parse_config(text) -> RunConfig:
-    """Parse and cross-validate a JSON run configuration."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    merged = _merge_defaults(data)
-    # still validated so old configs keep parsing; every solve runs in the calling thread
-    workers = merged["workers"]
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers: expected an integer >= 1, got {workers!r}")
-
-    dm = merged["domain"]
-    try:
-        domain = make_domain(dm["d"], dm["L"], dm["N"], dm["dealias"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"domain: {exc}") from exc
-
-    pm = merged["params"]
-    ladder = pm.pop("epsilon_ladder", None)
-    try:
-        params = PhysicalParameters(
-            d=dm["d"], mu=pm["mu"], alpha=pm["alpha"], beta=pm["beta"],
-            r=pm["r"], epsilon=pm["epsilon"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    verdict = validate_params(params)
-    if not verdict.admissible:
-        raise ConfigError(f"inadmissible-params: {verdict.reason}")
-    if ladder is not None:
-        if any(not (0.0 < e <= 1.0) for e in ladder):
-            raise ConfigError("params.epsilon_ladder: every value must lie in (0, 1]")
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ConfigError("params.epsilon_ladder: ladder must decrease strictly")
-
-    profile = _build_forcing(domain, merged["forcing"], params.alpha)
-
-    sv = merged["solver"]
-    ex = dict(merged["experiment"])
-    if ex["kind"] not in ("verify", "simulate", "pullback", "attractor", "semicontinuity", "tails"):
-        raise ConfigError(f"experiment.kind: unknown kind {ex['kind']!r}")
-    if ex["system"] not in ("deterministic", "conjugated", "stratonovich"):
-        raise ConfigError(f"experiment.system: unknown system {ex['system']!r}")
-    tau = ex["tau"]
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-        raise ConfigError(f"experiment.tau: expected a number, got {tau!r}")
-    scheme = sv["scheme"]
-    if ex["kind"] == "simulate" and ex["system"] == "stratonovich":
-        scheme = "heun_stratonovich"  # the one scheme of the noisy system
-    elif scheme == "heun_stratonovich":
-        raise ConfigError("solver.scheme: heun_stratonovich runs only a simulate of the stratonovich system")
-    try:
-        # the pullback kinds give each solve its own span, from the horizons
-        solver = SolverConfig(
-            dt=sv["dt"], scheme=scheme, t_start=tau, t_end=tau,
-            record_stride=sv["record_stride"],
-            include_B=sv.get("include_B", True), include_C=sv.get("include_C", True),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-    if ex["kind"] == "simulate":
-        _check_span("experiment.t_end", tau, ex["t_end"], solver.dt)
-        solver = replace(solver, t_end=ex["t_end"])
-
-    if ex["system"] == "stratonovich" and ex.get("path_dt", solver.dt) > solver.dt:
-        # the Heun step would take interpolated, smoothed increments
-        raise ConfigError(f"experiment.path_dt: {ex['path_dt']} is coarser than solver.dt = "
-                          f"{solver.dt}; the stratonovich system needs the step's own increments")
-
-    pulls_back = ex["kind"] in ("pullback", "attractor", "semicontinuity", "tails")
-    horizons = ex.get("horizons")
-    if pulls_back and not _nonneg_list(horizons):
-        raise ConfigError(f"experiment.horizons: {ex['kind']} needs a non-empty list of values >= 0")
-    if horizons is not None and any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ConfigError("experiment.horizons: must increase strictly")
-    if pulls_back:
-        # horizon h is a cocycle solve from tau - h to (tau - h) + h; tails solves only the last
-        for h in horizons[-1:] if ex["kind"] == "tails" else horizons:
-            _check_span("experiment.horizons", tau - h, (tau - h) + h, solver.dt)
-    if ex["kind"] == "semicontinuity" and not ladder:
-        raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
-    if ex["kind"] == "tails" and not ex.get("tail_radii"):
-        raise ConfigError("experiment.tail_radii: required for the tails experiment")
-    radii = ex.get("tail_radii")
-    if radii is not None and not (_nonneg_list(radii) and all(0 < k and k * math.sqrt(2.0) < domain.L for k in radii)):
-        # the cutoff annulus of radius sqrt(2) k must fit inside the box
-        raise ConfigError(f"experiment.tail_radii: every radius k needs k > 0 and sqrt(2) k < L = {domain.L}")
-    if "tail_epsilons" in ex and not _nonneg_list(ex["tail_epsilons"]):
-        raise ConfigError("experiment.tail_epsilons: expected a non-empty list of values >= 0")
-    _check_keys("experiment.family", ex.get("family", {}), _FAMILY_KEYS)
-    try:
-        family = _family_from(ex) if pulls_back else None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"experiment.family: {exc}") from exc
-
-    stochastic = (
-        ex["kind"] in ("semicontinuity",)
-        or (ex["kind"] == "simulate" and ex["system"] in ("conjugated", "stratonovich"))
-        or (ex["kind"] in ("pullback", "attractor", "tails") and (params.epsilon > 0 or ladder))
-        or (ex["kind"] == "tails" and any(e > 0 for e in ex.get("tail_epsilons", [0.0])))
-    )
-    if stochastic and "seed" not in ex:
-        raise ConfigError("experiment.seed: required for stochastic experiments")
-    if stochastic:
-        window = ex.get("path_window")
-        if window is None:
-            raise ConfigError("experiment.path_window: required for stochastic experiments")
-        need_past = max(horizons) if horizons else 0.0
-        # the shifted-path anchor sits at -tau in base time
-        need_past = max(need_past, tau)
-        need_future = max(-tau, 0.0)
-        if -window[0] < need_past or window[1] < need_future:
-            raise ConfigError(
-                "experiment.path_window: window must cover the largest pullback "
-                "horizon and the anchor at -tau"
-            )
-
-    return RunConfig(
-        raw=merged,
-        domain=domain,
-        params=params,
-        profile=profile,
-        solver=solver,
-        experiment=ex,
-        epsilon_ladder=list(ladder) if ladder else [],
-        family=family,
-        out_dir=merged["output"]["dir"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # artifact writers
 
@@ -342,20 +114,9 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _family_from(ex):
-    fam = ex.get("family", {})
-    return TemperedFamily(
-        radius_fn=fam.get("radius", 1.0),
-        sample_count=fam.get("samples", 8),
-        sampler_seed=ex.get("seed", 0),
-        max_mode=fam.get("max_mode", 2),
-        include_boundary=fam.get("include_boundary", False),
-    )
-
-
 def _path_from(ex, dt):
     window = ex["path_window"]
-    return sample_path(ex["seed"], window[0], window[1], ex.get("path_dt", dt))
+    return sample_path(ex["seed"], window[0], window[1], ex["path_dt"] or dt)
 
 
 def _cocycle_path(ex, dt, eps):
@@ -383,8 +144,7 @@ def _run_simulate(cfg, out, artifacts, summary):
     ex = cfg.experiment
     system = ex["system"]
     path = _path_from(ex, cfg.solver.dt) if system in ("conjugated", "stratonovich") else None
-    u0 = random_field(cfg.domain, seed=ex.get("seed", 0),
-                      amplitude=ex.get("family", {}).get("radius", 1.0))
+    u0 = random_field(cfg.domain, seed=ex["seed"] or 0, amplitude=ex["family"]["radius"])
     traj = solve(system, u0, cfg.solver, cfg.params, cfg.profile, path=path)
     led = traj.ledger
     rows = list(zip(
@@ -457,7 +217,7 @@ def _run_semicontinuity(cfg, out, artifacts, summary):
 
 def _run_tails(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    epsilons = ex.get("tail_epsilons", [cfg.params.epsilon])
+    epsilons = ex["tail_epsilons"] or [cfg.params.epsilon]
     horizon = ex["horizons"][-1]
     rows = []
     for eps in epsilons:
@@ -481,6 +241,228 @@ _EXPERIMENTS = {
     "semicontinuity": _run_semicontinuity,
     "tails": _run_tails,
 }
+
+
+# ---------------------------------------------------------------------------
+# configuration: one table, one pass over it, then each cross-field rule once
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+
+
+def _one_of(choices):
+    return choices.__contains__, f"in {list(choices)}"
+
+
+# (section, key, default, type, constraint).  A None default makes a key optional, and
+# null leaves it unset.  The constraint is (test, wording), applied to the value or to
+# each entry of a list, or the owning class's own check, which tests the type as well.
+# An "object" key is the section named by its path; a template's shape adds its own keys.
+_TABLE = (
+    ("", "domain", {}, "object", None),
+    ("", "params", {}, "object", None),
+    ("", "forcing", {}, "object", None),
+    ("", "solver", {}, "object", None),
+    ("", "experiment", {}, "object", None),
+    ("", "output", {}, "object", None),
+    ("", "workers", 1, "integer", (lambda v: v >= 1, ">= 1")),  # still accepted; no effect
+    ("domain", "d", 2, "integer", _one_of((2, 3))),
+    ("domain", "L", math.pi, "number", _POSITIVE),
+    ("domain", "N", 32, "integer", (lambda v: v >= 4 and v % 2 == 0, "that is even and >= 4")),
+    ("domain", "dealias", 2.0 / 3.0, "number", (lambda v: 0 < v <= 1, "in (0, 1]")),
+    ("params", "mu", 1.0, "number", _POSITIVE),
+    ("params", "alpha", 1.0, "number", _POSITIVE),
+    ("params", "beta", 1.0, "number", _POSITIVE),
+    ("params", "r", 3.0, "number", (lambda v: v >= 1, ">= 1")),
+    ("params", "epsilon", 0.0, "number", _NONNEGATIVE),
+    ("params", "epsilon_ladder", None, "number list", None),  # range: pullback._check_ladder
+    ("forcing", "kind", "zero", "string", _one_of(("zero", "constant_field", "periodic", "decaying"))),
+    ("forcing", "template", None, "object", None),
+    ("forcing", "period", None, "number", _POSITIVE),
+    ("forcing", "gamma", 1.0, "number", None),
+    ("forcing", "delta", 0.5, "number", _NONNEGATIVE),
+    ("forcing.template", "shape", None, "string", _one_of(("single_mode", "bump"))),
+    ("forcing.template.single_mode", "mode", [0, 1], "integer list", None),
+    ("forcing.template.single_mode", "amplitude", 1.0, "number", None),
+    ("forcing.template.bump", "center", None, "number list", None),
+    ("forcing.template.bump", "width", 1.0, "number", _POSITIVE),
+    ("forcing.template.bump", "amplitude", 1.0, "number", None),
+    ("forcing.template.bump", "support_radius", None, "number", _POSITIVE),
+    ("solver", "scheme", "imex_cn_ab2", "string", _one_of(_SCHEMES)),
+    ("solver", "dt", 1e-3, "number", _POSITIVE),
+    ("solver", "record_stride", 10, "integer", _check_stride),
+    ("solver", "include_B", True, "bool", None),
+    ("solver", "include_C", True, "bool", None),
+    ("experiment", "kind", "simulate", "string", _one_of(tuple(_EXPERIMENTS))),
+    ("experiment", "system", "deterministic", "string", _one_of(_SYSTEMS)),
+    ("experiment", "tau", 0.0, "number", None),
+    ("experiment", "t_end", 1.0, "number", None),
+    ("experiment", "horizons", None, "number list", _NONNEGATIVE),
+    ("experiment", "seed", None, "integer", _NONNEGATIVE),
+    ("experiment", "family", {}, "object", None),
+    ("experiment", "path_window", None, "number pair", None),  # range: stochastic._check_window
+    ("experiment", "path_dt", None, "number", _POSITIVE),
+    ("experiment", "tail_radii", None, "number list", None),  # range: pullback._check_cutoff
+    ("experiment", "tail_epsilons", None, "number list", _NONNEGATIVE),
+    ("experiment.family", "radius", 1.0, "number", _NONNEGATIVE),
+    ("experiment.family", "samples", 8, "integer", _check_sample_count),
+    ("experiment.family", "max_mode", 2, "integer", _NONNEGATIVE),
+    ("experiment.family", "include_boundary", False, "bool", None),
+    ("output", "dir", "out", "string", None),
+)
+_SECTIONS = {s: {k: row for s2, k, *row in _TABLE if s2 == s} for s, *_ in _TABLE}
+_TYPES = {"number": (int, float), "integer": int, "bool": bool, "string": str, "object": dict}
+_WORDS = {
+    "number": "a number", "integer": "an integer", "bool": "true or false", "string": "a string",
+    "object": "an object", "number list": "a non-empty list of numbers",
+    "integer list": "a non-empty list of integers", "number pair": "a list of two numbers",
+}
+
+
+def _is(elem, v):
+    """Whether the JSON value ``v`` has the table type ``elem``; a bool is never a number."""
+    return (isinstance(v, bool) == (elem == "bool") and isinstance(v, _TYPES[elem])
+            and not (isinstance(v, float) and not math.isfinite(v)))
+
+
+def _check(path, value, kind, rule):
+    """ConfigError unless ``value`` has the type ``kind`` and meets ``rule``."""
+    if callable(rule):
+        try:
+            return rule(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path.rpartition('.')[0]}: {exc} ({path})") from exc
+    elem, _, form = kind.partition(" ")
+    entries = value if form else [value]
+    shaped = isinstance(entries, list) and (len(entries) == 2 if form == "pair" else len(entries) > 0)
+    if not (shaped and all(_is(elem, v) and (rule is None or rule[0](v)) for v in entries)):
+        raise ConfigError(f"{path}: expected {_WORDS[kind]}{' ' + rule[1] if rule else ''}, got {value!r}")
+
+
+def _fill(where, user, overrides):
+    """Check every key of section ``where`` against the table and fill in the defaults."""
+    rows = _SECTIONS[where]
+    if "shape" in rows:
+        rows = {**rows, **_SECTIONS.get(f"{where}.{user.get('shape')}", {})}
+    out = {}
+    for key, (default, kind, rule) in rows.items():
+        path = f"{where}.{key}".lstrip(".")
+        value = overrides.get(path, user.get(key, default))
+        if value is not None or default is not None:
+            _check(path, value, kind, rule)
+        out[key] = _fill(path, value, overrides) if kind == "object" and value is not None else value
+    unknown = set(user) - set(rows)
+    if unknown:
+        raise ConfigError(f"{where or 'config'}: unknown key(s) {sorted(unknown)}")
+    return out
+
+
+def _owned(where, check, *args):
+    """``check(*args)``, a rule of the library, with its ValueError reported at ``where``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _forcing(domain, fc):
+    kind, spec, delta = fc["kind"], fc["template"], fc["delta"]
+    if kind == "zero":
+        return zero_forcing()
+    template = (single_mode_field(domain, spec["mode"], spec["amplitude"]) if spec["shape"] == "single_mode"
+                else bump_field(domain, spec["center"], spec["width"], spec["amplitude"], spec["support_radius"]))
+    if kind == "periodic":
+        return periodic_forcing(template, fc["period"], delta=delta)
+    if kind == "decaying":
+        return decaying_forcing(template, fc["gamma"], delta=delta)
+    return constant_forcing(template, delta=delta)
+
+
+def _resolve(data, overrides) -> RunConfig:
+    """The run configuration of decoded JSON: the table pass, then each cross-field rule once."""
+    _check("config", data, "object", None)
+    c = _fill("", data, overrides)
+    dm, pm, fc, sv, ex = (c[s] for s in ("domain", "params", "forcing", "solver", "experiment"))
+    domain = make_domain(dm["d"], dm["L"], dm["N"], dm["dealias"])
+    params = PhysicalParameters(dm["d"], pm["mu"], pm["alpha"], pm["beta"], pm["r"], pm["epsilon"])
+    verdict = validate_params(params)
+    if not verdict.admissible:
+        raise ConfigError(f"inadmissible-params: {verdict.reason}")
+    ladder = pm["epsilon_ladder"]
+    if ladder is not None:
+        _owned("params.epsilon_ladder", _check_ladder, ladder)
+
+    if fc["kind"] != "zero":
+        if fc["delta"] >= params.alpha:
+            raise ConfigError(f"forcing.delta: need 0 <= delta < alpha, got {fc['delta']} with alpha={params.alpha}")
+        if fc["template"] is None or fc["template"]["shape"] is None:
+            raise ConfigError("forcing.template: expected an object with a 'shape' key")
+        if fc["kind"] == "periodic" and fc["period"] is None:
+            raise ConfigError("forcing.period: required for periodic forcing")
+    profile = _owned("forcing", _forcing, domain, fc)
+
+    kind, system, tau, horizons = ex["kind"], ex["system"], ex["tau"], ex["horizons"]
+    scheme, dt = sv["scheme"], sv["dt"]
+    if kind == "simulate" and system == "stratonovich":
+        scheme = "heun_stratonovich"  # the one scheme of the noisy system
+    elif scheme == "heun_stratonovich":
+        raise ConfigError("solver.scheme: heun_stratonovich runs only a simulate of the stratonovich system")
+    if kind == "simulate":
+        _owned("experiment.t_end", _step_count, tau, ex["t_end"], dt)
+    # the pullback kinds give each solve its own span, from the horizons
+    solver = SolverConfig(dt=dt, scheme=scheme, t_start=tau, t_end=ex["t_end"] if kind == "simulate" else tau,
+                          record_stride=sv["record_stride"], include_B=sv["include_B"], include_C=sv["include_C"])
+
+    window, path_dt = ex["path_window"], ex["path_dt"]
+    if window is not None:
+        _owned("experiment.path_window", _check_window, *window)
+    if system == "stratonovich" and (path_dt or dt) > dt:
+        # the Heun step would take interpolated, smoothed increments
+        raise ConfigError(f"experiment.path_dt: {path_dt} is coarser than solver.dt = {dt}; "
+                          "the stratonovich system needs the step's own increments")
+
+    pulls_back = kind in ("pullback", "attractor", "semicontinuity", "tails")
+    if pulls_back and horizons is None:
+        raise ConfigError(f"experiment.horizons: {kind} needs a non-empty list of values >= 0")
+    if horizons is not None:
+        _owned("experiment.horizons", _check_horizons, horizons)
+    if pulls_back:
+        # horizon h is a cocycle solve from tau - h to (tau - h) + h; tails solves only the last
+        for h in horizons[-1:] if kind == "tails" else horizons:
+            _owned("experiment.horizons", _step_count, tau - h, (tau - h) + h, dt)
+    if kind == "semicontinuity" and ladder is None:
+        raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
+    if kind == "tails" and ex["tail_radii"] is None:
+        raise ConfigError("experiment.tail_radii: required for the tails experiment")
+    for k in ex["tail_radii"] or ():
+        _owned("experiment.tail_radii", _check_cutoff, k, domain.L)
+    fam = ex["family"]
+    family = _owned("experiment.family", TemperedFamily, fam["radius"], fam["samples"], ex["seed"] or 0,
+                    fam["max_mode"], fam["include_boundary"]) if pulls_back else None
+
+    stochastic = (kind == "simulate" and system != "deterministic") or pulls_back and (
+        kind == "semicontinuity" or params.epsilon > 0 or ladder is not None
+        or kind == "tails" and any(e > 0 for e in ex["tail_epsilons"] or ()))
+    if stochastic and ex["seed"] is None:
+        raise ConfigError("experiment.seed: required for stochastic experiments")
+    if stochastic and window is None:
+        raise ConfigError("experiment.path_window: required for stochastic experiments")
+    # the shifted-path anchor sits at -tau in base time
+    if stochastic and (-window[0] < max(horizons[-1] if horizons else 0.0, tau) or window[1] < -tau):
+        raise ConfigError("experiment.path_window: window must cover the largest pullback horizon and the anchor at -tau")
+
+    return RunConfig(raw=c, domain=domain, params=params, profile=profile, solver=solver, experiment=ex,
+                     epsilon_ladder=ladder or [], family=family, out_dir=c["output"]["dir"])
+
+
+def parse_config(text) -> RunConfig:
+    """Parse and cross-validate a JSON run configuration."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _resolve(data, {})
 
 
 def run(cfg: RunConfig) -> int:
@@ -529,19 +511,13 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=None, help="accepted and validated; no effect")
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
+    overrides = {"experiment.kind": args.command, "experiment.seed": args.seed,
+                 "output.dir": args.out, "workers": args.workers}
 
     try:
-        text = Path(args.config).read_text() if args.config else "{}"
-        data = json.loads(text)
-        data.setdefault("experiment", {})["kind"] = args.command
-        if args.seed is not None:
-            data["experiment"]["seed"] = args.seed
-        if args.out is not None:
-            data.setdefault("output", {})["dir"] = args.out
-        if args.workers is not None:
-            data["workers"] = args.workers
-        cfg = parse_config(json.dumps(data))
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(args.config).read_text()) if args.config else {}
+        cfg = _resolve(data, {k: v for k, v in overrides.items() if v is not None})
+    except (OSError, ValueError) as exc:  # ConfigError, bad JSON, a file that is not text
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

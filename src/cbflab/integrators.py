@@ -62,6 +62,7 @@ __all__ = [
 
 _IMEX_SCHEMES = ("imex_cn_ab2", "imex_euler")
 _SCHEMES = _IMEX_SCHEMES + ("heun_stratonovich",)
+_SYSTEMS = ("deterministic", "conjugated", "stratonovich")
 
 
 class BlowupError(RuntimeError):
@@ -101,9 +102,12 @@ class SolverConfig:
             raise ValueError("t_end must not precede t_start")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
-        stride = self.record_stride
-        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-            raise ValueError(f"record_stride must be an integer >= 1, got {stride!r}")
+        _check_stride(self.record_stride)
+
+
+def _check_stride(stride):
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"record_stride must be an integer >= 1, got {stride!r}")
 
 
 def _step_count(t_start, t_end, dt) -> int:
@@ -451,7 +455,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     (the previous step's for AB2, the predictor's for Heun) outlive the next
     call.
     """
-    if system not in ("deterministic", "conjugated", "stratonovich"):
+    if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
     verdict = validate_params(params)
     if not verdict.admissible:

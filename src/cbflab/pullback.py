@@ -99,10 +99,7 @@ class TemperedFamily:
         probe = [math.exp(-t) * fn(t) ** 2 for t in ladder]
         if any(b >= a for a, b in zip(probe, probe[1:])):
             raise ValueError("family is not tempered: e^{-t} rho(t)^2 fails to decrease on the test ladder")
-        if isinstance(self.sample_count, bool) or not isinstance(self.sample_count, numbers.Integral):
-            raise ValueError(f"sample_count must be an integer, got {self.sample_count!r}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        _check_sample_count(self.sample_count)
 
     def samples(self, domain, age) -> list:
         """Initial states for a pullback of the given age."""
@@ -127,6 +124,13 @@ class TemperedFamily:
             coeffs[idx] = rho / math.sqrt(domain.measure)
             out.append(SpectralVelocityField(domain, coeffs))
         return out
+
+
+def _check_sample_count(count):
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"sample_count must be an integer, got {count!r}")
+    if count < 1:
+        raise ValueError("sample_count must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +258,13 @@ def _endpoint_cloud(t, tau, omega, family, params, profile, config, domain):
 
 def _horizon_clouds(horizons, tau, omega, family, params, profile, config, domain):
     """One endpoint cloud per pullback horizon; the horizons must increase strictly."""
+    _check_horizons(horizons)
+    return [_endpoint_cloud(t, tau, omega, family, params, profile, config, domain) for t in horizons]
+
+
+def _check_horizons(horizons):
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must increase strictly")
-    return [_endpoint_cloud(t, tau, omega, family, params, profile, config, domain) for t in horizons]
 
 
 def measure_absorption(tau, omega, family: TemperedFamily, params: PhysicalParameters,
@@ -364,6 +372,13 @@ class SemicontinuitySweep:
     forcing_integral_rel_error: float = 0.0
 
 
+def _check_ladder(eps_ladder):
+    if any(not (0.0 < e <= 1.0) for e in eps_ladder):
+        raise ValueError("intensity ladder must lie in (0, 1]")
+    if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
+        raise ValueError("intensity ladder must decrease strictly")
+
+
 def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalParameters,
                          profile: ForcingProfile, horizons, family: TemperedFamily,
                          config: SolverConfig, *, domain) -> SemicontinuitySweep:
@@ -374,10 +389,7 @@ def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalPar
     beyond any finite ladder.
     """
     eps_ladder = list(eps_ladder)
-    if any(not (0.0 < e <= 1.0) for e in eps_ladder):
-        raise ValueError("intensity ladder must lie in (0, 1]")
-    if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("intensity ladder must decrease strictly")
+    _check_ladder(eps_ladder)
     base = sample_attractor(tau, None, params, profile, horizons, family, config, domain=domain)
     base_est = absorbing_radius_det(tau, params, profile)
     rel = base_est.forcing_integral_rel_error
@@ -407,10 +419,14 @@ def tail_mass(field: SpectralVelocityField, k) -> float:
     ``xi(|x|^2 / k^2) |u(x)|^2``.  The cutoff annulus must fit inside the box.
     """
     dom = field.domain
-    if k <= 0:
-        raise ValueError(f"cutoff radius must be positive, got {k}")
-    if k * math.sqrt(2.0) >= dom.L:
-        raise ValueError(f"annulus-exceeds-box: need sqrt(2) k < L, got k={k}, L={dom.L}")
+    _check_cutoff(k, dom.L)
     u = transform_inverse(dom, field.coeffs)
     weight = cutoff_xi(dom.radius_sq_grid() / k**2)
     return float(np.sum(weight * np.sum(u**2, axis=0)) * dom.dx**dom.d)
+
+
+def _check_cutoff(k, L):
+    if k <= 0:
+        raise ValueError(f"cutoff radius must be positive, got {k}")
+    if k * math.sqrt(2.0) >= L:
+        raise ValueError(f"annulus-exceeds-box: need sqrt(2) k < L, got k={k}, L={L}")

@@ -101,8 +101,7 @@ def sample_path(seed, t_min, t_max, dt_grid) -> WienerPath:
     Draw one Brownian path on ``[t_min, t_max]`` by cumulative sums of
     independent Gaussian increments outward from zero.  Deterministic per seed.
     """
-    if not (t_min < 0.0 < t_max):
-        raise ValueError(f"invalid-range: need t_min < 0 < t_max, got ({t_min}, {t_max})")
+    _check_window(t_min, t_max)
     if dt_grid <= 0:
         raise ValueError(f"invalid-range: dt_grid must be positive, got {dt_grid}")
     n_pos = int(math.ceil(t_max / dt_grid))
@@ -116,6 +115,11 @@ def sample_path(seed, t_min, t_max, dt_grid) -> WienerPath:
     values[n_neg + 1 :] = np.cumsum(inc_pos)
     values[:n_neg] = -np.cumsum(inc_neg)[::-1]
     return path_from_values(values, dt_grid, n_neg)
+
+
+def _check_window(t_min, t_max):
+    if not (t_min < 0.0 < t_max):
+        raise ValueError(f"invalid-range: need t_min < 0 < t_max, got ({t_min}, {t_max})")
 
 
 def path_from_values(values, dt_grid, n_neg) -> WienerPath:

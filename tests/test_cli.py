@@ -3,10 +3,11 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from cbflab.cli import ConfigError, main, parse_config, run
+from cbflab.cli import _SECTIONS, _TABLE, _WORDS, ConfigError, main, parse_config, run
 
 
 def cfg_text(**overrides):
@@ -146,6 +147,44 @@ class TestParseConfig:
         ({"kind": "tails", "horizons": [0.01, 0.015], "tail_radii": [0.5]}, {},
          "experiment.horizons: (t_end - t_start) = 0.015"),
         ({"tau": "0"}, {}, "experiment.tau: expected a number, got '0'"),
+        ({"path_window": 5}, {}, "experiment.path_window: expected a list of two numbers, got 5"),
+        ({"path_window": [-1.0]}, {}, "experiment.path_window: expected a list of two numbers, got [-1.0]"),
+        ({}, {"params": {"epsilon_ladder": [0.5, "x"]}},
+         "params.epsilon_ladder: expected a non-empty list of numbers, got [0.5, 'x']"),
+        ({}, {"params": {"epsilon_ladder": 0.5}}, "params.epsilon_ladder: expected a non-empty list of numbers"),
+        ({"horizons": 0.5}, {}, "experiment.horizons: expected a non-empty list of numbers >= 0, got 0.5"),
+        ({}, {"forcing": {"kind": "periodic", "period": "1", "template": {"shape": "single_mode"}}},
+         "forcing.period: expected a number > 0, got '1'"),
+        ({}, {"forcing": {"kind": "constant_field", "delta": "0.1", "template": {"shape": "single_mode"}}},
+         "forcing.delta: expected a number >= 0, got '0.1'"),
+        ({}, {"forcing": {"kind": "decaying", "gamma": "x", "template": {"shape": "single_mode"}}},
+         "forcing.gamma: expected a number, got 'x'"),
+        ({}, {"forcing": {"kind": "constant_field", "template": {"shape": "single_mode", "amplitude": "x"}}},
+         "forcing.template.amplitude: expected a number, got 'x'"),
+        ({}, {"forcing": {"kind": "constant_field", "template": {"shape": "bump", "width": "x"}}},
+         "forcing.template.width: expected a number > 0, got 'x'"),
+        ({"path_dt": 0}, {}, "experiment.path_dt: expected a number > 0, got 0"),
+        ({"path_dt": -0.01}, {}, "experiment.path_dt: expected a number > 0, got -0.01"),
+        ({"seed": "a"}, {}, "experiment.seed: expected an integer >= 0, got 'a'"),
+        ({"seed": -1}, {}, "experiment.seed: expected an integer >= 0, got -1"),
+        # sample_path needs t_min < 0 < t_max
+        ({"system": "conjugated", "seed": 1, "path_window": [0.0, 1.0]}, {"params": {"epsilon": 0.5}},
+         "experiment.path_window: invalid-range: need t_min < 0 < t_max, got (0.0, 1.0)"),
+        ({"family": {"radius": "big"}}, {}, "experiment.family.radius: expected a number >= 0, got 'big'"),
+        ({"family": {"max_mode": "2"}}, {}, "experiment.family.max_mode: expected an integer >= 0, got '2'"),
+        ({}, {"domain": {"N": "16"}}, "domain.N: expected an integer that is even and >= 4, got '16'"),
+        ({}, {"domain": {"N": 16.5}}, "domain.N: expected an integer that is even and >= 4, got 16.5"),
+        ({}, {"domain": {"L": "3"}}, "domain.L: expected a number > 0, got '3'"),
+        ({}, {"domain": {"dealias": "0.5"}}, "domain.dealias: expected a number in (0, 1], got '0.5'"),
+        ({}, {"solver": {"include_B": "no"}}, "solver.include_B: expected true or false, got 'no'"),
+        ({}, {"params": {"r": True}}, "params.r: expected a number >= 1, got True"),
+        ({"family": {"include_boundary": "yes"}}, {},
+         "experiment.family.include_boundary: expected true or false, got 'yes'"),
+        ({"family": {"max_mode": -1}}, {}, "experiment.family.max_mode: expected an integer >= 0, got -1"),
+        ({}, {"forcing": {"kind": "constant_field", "template": {"shape": "bump", "extra": 1}}},
+         "forcing.template: unknown key(s) ['extra']"),
+        ({}, {"params": {"mu": "1"}}, "params.mu: expected a number > 0, got '1'"),
+        ({}, {"solver": {"dt": "0.01"}}, "solver.dt: expected a number > 0, got '0.01'"),
     ], ids=["unknown-system", "pullback-no-horizons", "attractor-no-horizons", "empty-horizons",
             "negative-horizon", "text-horizon", "semicontinuity-no-horizons", "tails-no-horizons",
             "no-epsilon-ladder", "no-tail-radii", "negative-tail-epsilon", "unknown-family-key",
@@ -154,7 +193,13 @@ class TestParseConfig:
             "fractional-record-stride", "boolean-record-stride", "negative-t-end", "t-end-before-tau",
             "t-end-off-the-step-grid", "pullback-horizon-off-the-step-grid",
             "attractor-horizon-off-the-step-grid", "semicontinuity-horizon-off-the-step-grid",
-            "tails-last-horizon-off-the-step-grid", "text-tau"])
+            "tails-last-horizon-off-the-step-grid", "text-tau", "number-path-window",
+            "short-path-window", "text-in-epsilon-ladder", "number-epsilon-ladder", "number-horizons",
+            "text-period", "text-delta", "text-gamma", "text-template-amplitude", "text-template-width",
+            "zero-path-dt", "negative-path-dt", "text-seed", "negative-seed", "path-window-without-zero",
+            "text-family-radius", "text-max-mode", "text-N", "fractional-N", "text-L", "text-dealias",
+            "text-include-B", "boolean-r", "text-include-boundary", "negative-max-mode",
+            "unknown-template-key", "text-mu", "text-dt"])
     def test_rejected_before_the_run(self, experiment, sections, message, tmp_path, capsys):
         kind = experiment.get("kind", "simulate")
         raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "experiment": dict(experiment, kind=kind)}
@@ -166,6 +211,102 @@ class TestParseConfig:
         assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[]", '{"experiment": 5}', '{"output": []}', '{"output": {"dir": 5}}',
+                                      "\xff{"],
+                             ids=["list", "number-experiment", "list-output", "number-output-dir", "not-utf-8"])
+    def test_non_object_rejected(self, text, tmp_path, capsys, monkeypatch):
+        # main writes --seed and the subcommand into sections that must be objects
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text.encode("latin-1"))
+        assert main(["simulate", "--config", str(cfg), "--seed", "2"]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+
+# a value of the wrong type for each table type, and an out-of-range value for each key with a range
+WRONG_TYPE = {
+    "number": ["1", True, None], "integer": [2.5, True, "2"], "bool": ["yes", 1], "string": [5, ["a"]],
+    "object": [5, []], "number list": [0.5, [0.5, "x"], [], [True]], "integer list": [[0, 1.5], 1],
+    "number pair": [5, [-1.0], [-1.0, "x"]],
+}
+OUT_OF_RANGE = {
+    "workers": [0], "domain.d": [1, 4], "domain.L": [0, -1.0], "domain.N": [2, 17], "domain.dealias": [0, 1.5],
+    "params.mu": [0], "params.alpha": [-1.0], "params.beta": [0.0], "params.r": [0.5], "params.epsilon": [-0.1],
+    "forcing.kind": ["steady"], "forcing.period": [0], "forcing.delta": [-0.5], "forcing.template.shape": ["ring"],
+    "forcing.template.bump.width": [0], "forcing.template.bump.support_radius": [-1.0],
+    "solver.scheme": ["rk4"], "solver.dt": [0, -0.01], "solver.record_stride": [0],
+    "experiment.kind": ["run"], "experiment.system": ["ito"], "experiment.horizons": [[0.1, -0.1]],
+    "experiment.seed": [-1], "experiment.path_dt": [0], "experiment.tail_epsilons": [[0.5, -0.5]],
+    "experiment.family.radius": [-1.0], "experiment.family.samples": [0], "experiment.family.max_mode": [-1],
+}
+
+
+def table_cases():
+    for section, key, default, kind, rule in _TABLE:
+        bad = WRONG_TYPE[kind] + OUT_OF_RANGE.get(f"{section}.{key}".lstrip("."), [])
+        for value in bad:
+            if value is None and default is None:
+                continue  # null leaves an optional key unset
+            yield pytest.param(section, key, value, kind, rule, id=f"{section}.{key}={value!r}".lstrip("."))
+
+
+def test_out_of_range_list_covers_every_ranged_key():
+    assert set(OUT_OF_RANGE) == {f"{s}.{k}".lstrip(".") for s, k, _, _, rule in _TABLE if rule is not None}
+
+
+@pytest.mark.parametrize("section, key, value, kind, rule", table_cases())
+def test_every_table_key_checked_before_the_run(section, key, value, kind, rule, tmp_path, capsys, monkeypatch):
+    """Each key, given a wrong type or an out-of-range value, stops the run at parse time and is named."""
+    raw = {}
+    names = section.split(".") if section else []
+    shape = names.pop() if section.startswith("forcing.template.") else None
+    node = raw
+    for name in names:
+        node = node.setdefault(name, {})
+    if shape:
+        node["shape"] = shape
+    node[key] = value
+    # a template's keys are reported under forcing.template, whatever its shape
+    path = ".".join(names + [key])
+    if callable(rule):
+        expected = f"({path})"  # the owning class's message, with the key appended
+    else:
+        expected = f"config error: {path}: expected {_WORDS[kind]}"
+    if path == "experiment.kind":
+        # the subcommand always sets the kind, so only parse_config can see a bad one
+        with pytest.raises(ConfigError, match=f"^{path}: expected"):
+            parse_config(json.dumps(raw))
+        return
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and expected in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_readme_configuration_matches_the_table():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Configuration\n", 1)[1].split("\n### ", 1)[0]
+    full, bump = [json.loads(block.split("```", 1)[0]) for block in section.split("```json\n")[1:]]
+
+    def walk(where, doc):
+        rows = _SECTIONS[where]
+        if "shape" in rows:
+            rows = {**rows, **_SECTIONS[f"{where}.{doc['shape']}"]}
+        assert set(doc) == set(rows), where
+        for key, value in doc.items():
+            if rows[key][1] == "object":
+                walk(f"{where}.{key}".lstrip("."), value)
+
+    walk("", full)
+    walk("forcing.template", bump)
+    assert {full["forcing"]["template"]["shape"], bump["shape"]} == {"single_mode", "bump"}
 
 
 class TestRun:

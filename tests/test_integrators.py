@@ -237,6 +237,32 @@ class TestStratonovich:
             solve("stratonovich", zero_field(dom), cfg2, PARAMS_2D, zero_forcing(), path=path)
 
 
+class TestTimeOrder:
+    """Observed order of the end state at T = 0.4 on 24^2, against a dt = 1.25e-4 run of the same scheme."""
+
+    @pytest.mark.parametrize("system, scheme, least", [
+        ("deterministic", "imex_cn_ab2", 1.9),
+        # a path grid no finer than any dt: the step reads z on the path's own nodes
+        ("conjugated", "imex_cn_ab2", 1.9),
+        ("deterministic", "imex_euler", 0.9),
+    ])
+    def test_observed_order(self, system, scheme, least):
+        dom = make_domain(2, math.pi, 24)
+        profile = periodic_forcing(single_mode_field(dom, [0, 1], amplitude=0.3), 0.5, delta=0.5)
+        params = params_with_eps(0.5 if system == "conjugated" else 0.0)
+        path = sample_path(11, -1.0, 1.0, 4e-3) if system == "conjugated" else None
+        u0 = random_field(dom, seed=3, amplitude=1.0)
+
+        def end(dt):
+            cfg = SolverConfig(dt=dt, scheme=scheme, t_end=0.4, record_stride=10**9)
+            return solve(system, u0, cfg, params, profile, path=path).states[-1].coeffs
+
+        ref = end(1.25e-4)
+        errs = [np.linalg.norm(end(dt) - ref) / np.linalg.norm(ref) for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert min(orders) >= least, orders
+
+
 class TestEnergyIdentity:
     def test_zero_trajectory(self):
         dom = make_domain(2, math.pi, 16)
