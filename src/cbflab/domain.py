@@ -331,15 +331,14 @@ def _box_hermitian(domain, box):
 def _inverse_shapes(domain, lead):
     """
     Buffer shapes of :func:`_box_inverse` for box arrays of leading shape
-    ``lead``, in the order the passes use them: per leading axis the
-    zero-padded input (when the box drops rows) and the output.
+    ``lead``: one per leading axis, in pass order, which takes the
+    zero-padded input (when the box drops rows) and the pass's output in its
+    place.
     """
     shape = list(lead) + list(domain.box_phase.shape)
     shapes = []
     for axis in range(-domain.d, -1):
-        if shape[axis] < domain.N:
-            shape[axis] = domain.N
-            shapes.append(tuple(shape))
+        shape[axis] = domain.N
         shapes.append(tuple(shape))
     return shapes
 
@@ -348,8 +347,8 @@ def _box_inverse(domain, box, bufs=None, out=None):
     """
     Real grid rows of box coefficients: ``irfftn``, zero-padding one leading
     axis at a time.  The leading-axis passes write into ``bufs`` (see
-    :func:`_inverse_shapes`) and the last pass into ``out``; fresh arrays
-    stand in for those not given.
+    :func:`_inverse_shapes`), each in place in its pad, and the last pass
+    into ``out``; fresh arrays stand in for those not given.
     """
     N, c = domain.N, domain.mode_cut
     rows = domain.box_index[0].ravel()
@@ -357,13 +356,13 @@ def _box_inverse(domain, box, bufs=None, out=None):
                 [np.empty(s, dtype=np.complex128) for s in _inverse_shapes(domain, box.shape[: -domain.d])])
     x = box
     for axis in range(-domain.d, -1):
+        buf = next(bufs)
         if x.shape[axis] < N:
             tail = (slice(None),) * (-axis - 1)
-            pad = next(bufs)
-            pad[(Ellipsis, slice(c + 1, N - c)) + tail] = 0.0  # the rows outside the box
-            pad[(Ellipsis, rows) + tail] = x
-            x = pad
-        x = np.fft.ifft(x, axis=axis, out=next(bufs))
+            buf[(Ellipsis, slice(c + 1, N - c)) + tail] = 0.0  # the rows outside the box
+            buf[(Ellipsis, rows) + tail] = x
+            x = buf
+        x = np.fft.ifft(x, axis=axis, out=buf)
     return np.fft.irfft(x, n=N, axis=-1, out=out)
 
 
@@ -629,19 +628,22 @@ def save_snapshot(field: SpectralVelocityField, path, time=0.0):
     cols = ["kx", "ky", "kz"][: dom.d] + [f"{p}_u{c + 1}" for c in range(dom.d) for p in ("re", "im")]
     k1 = [repr(float(k)) for k in (np.pi / dom.L) * dom.modes]
     prefixes = map(",".join, itertools.product(k1, repeat=dom.d))
-    # one row per mode: re_u1, im_u1, re_u2, ...
-    values = np.stack([field.coeffs.real, field.coeffs.imag], axis=1).reshape(2 * dom.d, -1).T
+    flat = field.coeffs.reshape(dom.d, -1)
     zero_tail = ",0.0" * (2 * dom.d) + "\n"  # a row of +0.0 bits, as most dealiased modes are
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.write(",".join(cols) + "\n")
-        # rows in blocks, so the Python floats and strings of one block are all that is held;
-        # zip takes the block's rows first and so never draws a prefix past its end
-        for start in range(0, len(values), _SNAPSHOT_BLOCK):
-            block = values[start:start + _SNAPSHOT_BLOCK]
-            zero = (block.view(np.uint64) == 0).all(axis=1).tolist()
-            fh.write("".join(k + zero_tail if z else f"{k},{','.join(map(repr, row))}\n"
-                             for row, z, k in zip(block.tolist(), zero, prefixes)))
+        # rows in blocks, each built from its slice of the field, so the block's values and its
+        # nonzero rows' Python floats and strings are all that is held; zip takes the block's
+        # rows first and so never draws a prefix past its end
+        for start in range(0, flat.shape[1], _SNAPSHOT_BLOCK):
+            part = flat[:, start:start + _SNAPSHOT_BLOCK]
+            # one row per mode: re_u1, im_u1, re_u2, ...
+            block = np.stack([part.real, part.imag], axis=1).reshape(2 * dom.d, -1).T
+            zero = (block.view(np.uint64) == 0).all(axis=1)
+            rows = iter(block[~zero].tolist())
+            fh.write("".join(k + zero_tail if z else f"{k},{','.join(map(repr, next(rows)))}\n"
+                             for z, k in zip(zero.tolist(), prefixes)))
 
 
 def load_snapshot(path):

@@ -111,10 +111,12 @@ def _check_stride(stride):
 
 
 def _step_count(t_start, t_end, dt) -> int:
-    """Steps of ``dt`` from ``t_start`` to ``t_end``; ValueError unless the span is a multiple of dt >= 0."""
+    """Steps of ``dt`` from ``t_start`` to ``t_end``; ValueError unless the span is a finite multiple of dt >= 0."""
     span = t_end - t_start
     if span < 0:
         raise ValueError(f"t_end = {t_end} precedes t_start = {t_start}")
+    if not math.isfinite(span / dt):
+        raise ValueError(f"(t_end - t_start) / dt = {span} / {dt} is not finite")
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"(t_end - t_start) = {span} is not a multiple of dt = {dt}")

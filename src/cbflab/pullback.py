@@ -299,17 +299,32 @@ class AttractorSample:
     diag_decreasing: bool
 
 
+def _distances(rows, x):
+    """
+    ``np.linalg.norm(rows - x, axis=1)`` for a sequence of flat rows, in its
+    steps (``(v.conj() * v).real``, ``np.add.reduce``, ``sqrt``) and so to the
+    bit, but one row at a time: the scratch is two rows whatever the cloud size.
+    """
+    diff, sq = np.empty_like(x), np.empty_like(x)
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        np.subtract(row, x, out=diff)
+        np.multiply(np.conjugate(diff, out=sq), diff, out=sq)
+        out[i] = np.add.reduce(sq.real)
+    return np.sqrt(out, out=out)
+
+
 def _thin_cloud(points, cap=256):
     """Farthest-point thinning of a coefficient cloud to at most ``cap`` points."""
     if len(points) <= cap:
         return points
-    flat = np.array([p.coeffs.ravel() for p in points])
+    flat = [p.coeffs.ravel() for p in points]
     chosen = [0]
-    d_min = np.linalg.norm(flat - flat[0], axis=1)
+    d_min = _distances(flat, flat[0])
     while len(chosen) < cap:
         nxt = int(np.argmax(d_min))
         chosen.append(nxt)
-        d_min = np.minimum(d_min, np.linalg.norm(flat - flat[nxt], axis=1))
+        d_min = np.minimum(d_min, _distances(flat, flat[nxt]))
     return [points[i] for i in chosen]
 
 
@@ -343,15 +358,15 @@ def hausdorff_semidistance(a, b) -> float:
         raise EmptySetError("empty-set: both clouds must be non-empty")
     if isinstance(a[0], SpectralVelocityField):
         scale = math.sqrt(a[0].domain.measure)
-        fa = np.array([p.coeffs.ravel() for p in a])
-        fb = np.array([p.coeffs.ravel() for p in b])
+        fa = [p.coeffs.ravel() for p in a]
+        fb = [p.coeffs.ravel() for p in b]
     else:
         scale = 1.0
         fa = np.atleast_2d(np.asarray(a, dtype=float))
         fb = np.atleast_2d(np.asarray(b, dtype=float))
     worst = 0.0
     for row in fa:
-        d = np.min(np.linalg.norm(fb - row, axis=1))
+        d = np.min(_distances(fb, row))
         worst = max(worst, float(d))
     return scale * worst
 

@@ -185,6 +185,8 @@ class TestParseConfig:
          "forcing.template: unknown key(s) ['extra']"),
         ({}, {"params": {"mu": "1"}}, "params.mu: expected a number > 0, got '1'"),
         ({}, {"solver": {"dt": "0.01"}}, "solver.dt: expected a number > 0, got '0.01'"),
+        ({"t_end": 1e308}, {"solver": {"dt": 1e-300}},
+         "experiment.t_end: (t_end - t_start) / dt = 1e+308 / 1e-300 is not finite"),
     ], ids=["unknown-system", "pullback-no-horizons", "attractor-no-horizons", "empty-horizons",
             "negative-horizon", "text-horizon", "semicontinuity-no-horizons", "tails-no-horizons",
             "no-epsilon-ladder", "no-tail-radii", "negative-tail-epsilon", "unknown-family-key",
@@ -199,7 +201,7 @@ class TestParseConfig:
             "zero-path-dt", "negative-path-dt", "text-seed", "negative-seed", "path-window-without-zero",
             "text-family-radius", "text-max-mode", "text-N", "fractional-N", "text-L", "text-dealias",
             "text-include-B", "boolean-r", "text-include-boundary", "negative-max-mode",
-            "unknown-template-key", "text-mu", "text-dt"])
+            "unknown-template-key", "text-mu", "text-dt", "step-count-overflows"])
     def test_rejected_before_the_run(self, experiment, sections, message, tmp_path, capsys):
         kind = experiment.get("kind", "simulate")
         raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "experiment": dict(experiment, kind=kind)}

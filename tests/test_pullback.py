@@ -1,6 +1,7 @@
 """Cocycles, absorbing sets, attractor sampling, tails."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ PARAMS = PhysicalParameters(2, 1.0, 1.0, 1.0, 3.0)
 
 def with_eps(eps):
     return PhysicalParameters(2, 1.0, 1.0, 1.0, 3.0, eps)
+
+
+def traced_peak(call, *args):
+    """Peak bytes that tracemalloc sees during ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCocycle:
@@ -329,6 +340,51 @@ class TestHausdorff:
         with pytest.raises(EmptySetError):
             hausdorff_semidistance([], [[0.0]])
 
+    @staticmethod
+    def reference(a, b):
+        """The whole-cloud formula that the pairwise distances replaced."""
+        if isinstance(a[0], SpectralVelocityField):
+            scale = math.sqrt(a[0].domain.measure)
+            fa = np.array([p.coeffs.ravel() for p in a])
+            fb = np.array([p.coeffs.ravel() for p in b])
+        else:
+            scale = 1.0
+            fa = np.atleast_2d(np.asarray(a, dtype=float))
+            fb = np.atleast_2d(np.asarray(b, dtype=float))
+        worst = 0.0
+        for row in fa:
+            worst = max(worst, float(np.min(np.linalg.norm(fb - row, axis=1))))
+        return scale * worst
+
+    @pytest.mark.parametrize("d,N", [(2, 16), (2, 64), (3, 16)])
+    def test_fields_match_whole_cloud_formula(self, d, N):
+        dom = make_domain(d, 1.7, N)
+        a = [random_field(dom, seed=s, amplitude=0.5) for s in range(5)]
+        b = [random_field(dom, seed=s, amplitude=0.7) for s in range(10, 17)]
+        for x, y in ((a, b), (b, a), (a, a[:2])):
+            got, want = hausdorff_semidistance(x, y), self.reference(x, y)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_points_match_whole_cloud_formula(self):
+        rng = np.random.default_rng(31)
+        a, b = rng.standard_normal((9, 5)), 3.0 * rng.standard_normal((6, 5))
+        for x, y in ((a, b), (b, a), (a[:1], b), (a[:, :1].tolist(), b[:, :1].tolist())):
+            got, want = hausdorff_semidistance(x, y), self.reference(x, y)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    @pytest.mark.parametrize("a,b", [([[0.0], [math.nan], [10.0]], [[0.0]]), ([[math.nan]], [[0.0]]),
+                                     ([[1.0]], [[math.nan], [0.0]]), ([[2.0], [5.0]], [[math.inf]])])
+    def test_nan_distance_as_before(self, a, b):
+        # a NaN distance drops its row from the sup, as in the whole-cloud formula
+        got, want = hausdorff_semidistance(a, b), self.reference(a, b)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_scratch_is_a_few_fields(self):
+        dom = make_domain(2, math.pi, 64)
+        a = [random_field(dom, seed=s) for s in range(64)]
+        b = [random_field(dom, seed=s) for s in range(100, 164)]
+        assert traced_peak(hausdorff_semidistance, a, b) <= 4 * a[0].coeffs.nbytes
+
 
 class TestSemicontinuity:
     def test_unforced_sweep_near_zero(self):
@@ -463,3 +519,34 @@ class TestCloudThinning:
         means = sorted(float(p.coeffs[(0, 0, 0)].real) for p in thinned)
         assert means[0] == 0.0 and means[-1] == 39.0
         assert hausdorff_semidistance(points, thinned) <= hausdorff_semidistance(points, points[:10]) + 1e-12
+
+    @staticmethod
+    def reference_indices(points, cap):
+        """The whole-cloud farthest-point loop that the pairwise distances replaced."""
+        flat = np.array([p.coeffs.ravel() for p in points])
+        chosen = [0]
+        d_min = np.linalg.norm(flat - flat[0], axis=1)
+        while len(chosen) < cap:
+            nxt = int(np.argmax(d_min))
+            chosen.append(nxt)
+            d_min = np.minimum(d_min, np.linalg.norm(flat - flat[nxt], axis=1))
+        return chosen
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_indices_match_whole_cloud_formula(self, nan):
+        from cbflab.pullback import _thin_cloud
+
+        dom = make_domain(2, math.pi, 16)
+        points = [random_field(dom, seed=s, amplitude=1.0 + s % 3) for s in range(30)]
+        if nan:
+            points[7].coeffs[0, 1, 1] = math.nan
+        thinned = _thin_cloud(points, cap=12)
+        assert [id(p) for p in thinned] == [id(points[i]) for i in self.reference_indices(points, 12)]
+
+    def test_scratch_is_a_few_fields(self):
+        from cbflab.pullback import _thin_cloud
+
+        dom = make_domain(2, math.pi, 64)
+        points = [random_field(dom, seed=s) for s in range(40)]
+        # the whole-cloud loop held about 3 copies of the cloud, 15 MB here
+        assert traced_peak(_thin_cloud, points, 10) <= 4 * points[0].coeffs.nbytes
