@@ -37,16 +37,7 @@ from .pullback import (
     semicontinuity_sweep,
     tail_mass,
 )
-from .stochastic import (
-    _QUAD_REL_TOL,
-    ForcingProfile,
-    _check_window,
-    constant_forcing,
-    decaying_forcing,
-    periodic_forcing,
-    sample_path,
-    zero_forcing,
-)
+from .stochastic import _FORCING_KINDS, _QUAD_REL_TOL, ForcingProfile, _check_window, sample_path
 from .verification import run_all
 
 __all__ = ["RunConfig", "RunManifest", "ConfigError", "parse_config", "run", "main"]
@@ -114,14 +105,26 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _path_from(ex, dt):
+def _intensities(ex, epsilon, ladder):
+    """
+    The noise intensities a run solves at, and whether it draws a path: a
+    simulate does when its system is noisy, and a pullback kind when one of
+    its intensities is positive (a cocycle at zero intensity is deterministic).
+    """
+    kind = ex["kind"]
+    if kind == "simulate":
+        return [epsilon], ex["system"] != "deterministic"
+    eps = {"verify": [], "semicontinuity": ladder, "tails": ex["tail_epsilons"] or [epsilon]}.get(kind, [epsilon])
+    return eps, any(e > 0 for e in eps)
+
+
+def _run_path(cfg):
+    """The one path a run draws, or None when none of its solves reads a path."""
+    ex = cfg.experiment
+    if not _intensities(ex, cfg.params.epsilon, cfg.epsilon_ladder)[1]:
+        return None
     window = ex["path_window"]
-    return sample_path(ex["seed"], window[0], window[1], ex["path_dt"] or dt)
-
-
-def _cocycle_path(ex, dt, eps):
-    """The cocycles' path at noise intensity ``eps``; None runs the deterministic system."""
-    return _path_from(ex, dt) if eps > 0 else None
+    return sample_path(ex["seed"], window[0], window[1], ex["path_dt"] or cfg.solver.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +145,8 @@ def _run_verify(cfg, out, artifacts, summary):
 
 def _run_simulate(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    system = ex["system"]
-    path = _path_from(ex, cfg.solver.dt) if system in ("conjugated", "stratonovich") else None
     u0 = random_field(cfg.domain, seed=ex["seed"] or 0, amplitude=ex["family"]["radius"])
-    traj = solve(system, u0, cfg.solver, cfg.params, cfg.profile, path=path)
+    traj = solve(ex["system"], u0, cfg.solver, cfg.params, cfg.profile, path=_run_path(cfg))
     led = traj.ledger
     rows = list(zip(
         map(float, led["t"]), map(float, led["h_sq"]), map(float, led["grad_sq"]),
@@ -160,9 +161,8 @@ def _run_simulate(cfg, out, artifacts, summary):
 
 def _run_pullback(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    omega = _cocycle_path(ex, cfg.solver.dt, cfg.params.epsilon)
     est = measure_absorption(
-        ex["tau"], omega, cfg.family, cfg.params, cfg.profile,
+        ex["tau"], _run_path(cfg), cfg.family, cfg.params, cfg.profile,
         ex["horizons"], cfg.solver, domain=cfg.domain,
     )
     rows = [
@@ -179,9 +179,8 @@ def _run_pullback(cfg, out, artifacts, summary):
 
 def _run_attractor(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    omega = _cocycle_path(ex, cfg.solver.dt, cfg.params.epsilon)
     samp = sample_attractor(
-        ex["tau"], omega, cfg.params, cfg.profile,
+        ex["tau"], _run_path(cfg), cfg.params, cfg.profile,
         ex["horizons"], cfg.family, cfg.solver, domain=cfg.domain,
     )
     rows = [
@@ -200,9 +199,8 @@ def _run_attractor(cfg, out, artifacts, summary):
 
 def _run_semicontinuity(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    omega = _path_from(ex, cfg.solver.dt)
     sweep = semicontinuity_sweep(
-        ex["tau"], omega, cfg.epsilon_ladder, cfg.params, cfg.profile,
+        ex["tau"], _run_path(cfg), cfg.epsilon_ladder, cfg.params, cfg.profile,
         ex["horizons"], cfg.family, cfg.solver, domain=cfg.domain,
     )
     rows = [(float(r.epsilon), float(r.dist), float(r.radius_sq)) for r in sweep.rows]
@@ -217,12 +215,12 @@ def _run_semicontinuity(cfg, out, artifacts, summary):
 
 def _run_tails(cfg, out, artifacts, summary):
     ex = cfg.experiment
-    epsilons = ex["tail_epsilons"] or [cfg.params.epsilon]
+    epsilons, _ = _intensities(ex, cfg.params.epsilon, cfg.epsilon_ladder)
+    omega = _run_path(cfg)
     horizon = ex["horizons"][-1]
     rows = []
     for eps in epsilons:
-        omega = _cocycle_path(ex, cfg.solver.dt, eps)
-        ends = _endpoint_cloud(horizon, ex["tau"], omega, cfg.family,
+        ends = _endpoint_cloud(horizon, ex["tau"], omega if eps > 0 else None, cfg.family,
                                replace(cfg.params, epsilon=eps), cfg.profile, cfg.solver, cfg.domain)
         for k in ex["tail_radii"]:
             worst = max(tail_mass(e, k) for e in ends)
@@ -277,7 +275,7 @@ _TABLE = (
     ("params", "r", 3.0, "number", (lambda v: v >= 1, ">= 1")),
     ("params", "epsilon", 0.0, "number", _NONNEGATIVE),
     ("params", "epsilon_ladder", None, "number list", None),  # range: pullback._check_ladder
-    ("forcing", "kind", "zero", "string", _one_of(("zero", "constant_field", "periodic", "decaying"))),
+    ("forcing", "kind", "zero", "string", _one_of(_FORCING_KINDS)),
     ("forcing", "template", None, "object", None),
     ("forcing", "period", None, "number", _POSITIVE),
     ("forcing", "gamma", 1.0, "number", None),
@@ -367,16 +365,15 @@ def _owned(where, check, *args):
 
 
 def _forcing(domain, fc):
-    kind, spec, delta = fc["kind"], fc["template"], fc["delta"]
-    if kind == "zero":
-        return zero_forcing()
-    template = (single_mode_field(domain, spec["mode"], spec["amplitude"]) if spec["shape"] == "single_mode"
-                else bump_field(domain, spec["center"], spec["width"], spec["amplitude"], spec["support_radius"]))
-    if kind == "periodic":
-        return periodic_forcing(template, fc["period"], delta=delta)
-    if kind == "decaying":
-        return decaying_forcing(template, fc["gamma"], delta=delta)
-    return constant_forcing(template, delta=delta)
+    """The profile of the ``forcing`` section; the zero profile has no template."""
+    spec = fc["template"]
+    if fc["kind"] == "zero":
+        template = None
+    elif spec["shape"] == "single_mode":
+        template = single_mode_field(domain, spec["mode"], spec["amplitude"])
+    else:
+        template = bump_field(domain, spec["center"], spec["width"], spec["amplitude"], spec["support_radius"])
+    return ForcingProfile(fc["kind"], template, fc["delta"], fc["period"], fc["gamma"])
 
 
 def _resolve(data, overrides) -> RunConfig:
@@ -398,8 +395,6 @@ def _resolve(data, overrides) -> RunConfig:
             raise ConfigError(f"forcing.delta: need 0 <= delta < alpha, got {fc['delta']} with alpha={params.alpha}")
         if fc["template"] is None or fc["template"]["shape"] is None:
             raise ConfigError("forcing.template: expected an object with a 'shape' key")
-        if fc["kind"] == "periodic" and fc["period"] is None:
-            raise ConfigError("forcing.period: required for periodic forcing")
     profile = _owned("forcing", _forcing, domain, fc)
 
     kind, system, tau, horizons = ex["kind"], ex["system"], ex["tau"], ex["horizons"]
@@ -441,15 +436,13 @@ def _resolve(data, overrides) -> RunConfig:
     family = _owned("experiment.family", TemperedFamily, fam["radius"], fam["samples"], ex["seed"] or 0,
                     fam["max_mode"], fam["include_boundary"]) if pulls_back else None
 
-    stochastic = (kind == "simulate" and system != "deterministic") or pulls_back and (
-        kind == "semicontinuity" or params.epsilon > 0 or ladder is not None
-        or kind == "tails" and any(e > 0 for e in ex["tail_epsilons"] or ()))
-    if stochastic and ex["seed"] is None:
-        raise ConfigError("experiment.seed: required for stochastic experiments")
-    if stochastic and window is None:
-        raise ConfigError("experiment.path_window: required for stochastic experiments")
+    draws_path = _intensities(ex, params.epsilon, ladder)[1]
+    if draws_path and ex["seed"] is None:
+        raise ConfigError("experiment.seed: required for a run that draws a path")
+    if draws_path and window is None:
+        raise ConfigError("experiment.path_window: required for a run that draws a path")
     # the shifted-path anchor sits at -tau in base time
-    if stochastic and (-window[0] < max(horizons[-1] if horizons else 0.0, tau) or window[1] < -tau):
+    if draws_path and (-window[0] < max(horizons[-1] if horizons else 0.0, tau) or window[1] < -tau):
         raise ConfigError("experiment.path_window: window must cover the largest pullback horizon and the anchor at -tau")
 
     return RunConfig(raw=c, domain=domain, params=params, profile=profile, solver=solver, experiment=ex,

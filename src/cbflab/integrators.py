@@ -42,7 +42,7 @@ from .domain import (
     _project,
 )
 from .operators import PhysicalParameters, validate_params
-from .stochastic import ConjugationProcess, ForcingProfile, WienerPath
+from .stochastic import _NO_FORCING, ConjugationProcess, ForcingProfile, WienerPath
 
 __all__ = [
     "BlowupError",
@@ -156,7 +156,7 @@ class Trajectory:
     states: _Snapshots
     ledger: dict
     path: Optional[WienerPath] = None
-    profile: Optional[ForcingProfile] = None
+    profile: ForcingProfile = _NO_FORCING
 
     @property
     def domain(self):
@@ -185,8 +185,8 @@ class Trajectory:
 
 
 def _box_forcing(dom, profile):
-    """``(envelope, g, Parseval-weighted g)`` of the template's box part, or None."""
-    if profile is None or profile.is_zero:
+    """``(envelope, g, Parseval-weighted g)`` of the template's box part; None for the zero profile."""
+    if profile.is_zero:
         return None
     g = _box_part(dom, profile.template.coeffs)
     return profile.envelope, g, dom.box_weight * g
@@ -433,7 +433,7 @@ def _check_row(row, t, cfl_scale):
 
 
 def solve(system, initial: SpectralVelocityField, config: SolverConfig,
-          params: PhysicalParameters, profile: Optional[ForcingProfile] = None,
+          params: PhysicalParameters, profile: ForcingProfile = _NO_FORCING,
           path: Optional[WienerPath] = None) -> Trajectory:
     """
     Integrate one trajectory and populate its energy ledger.
@@ -542,13 +542,6 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
 # energy identity audit
 
 
-def _forcing_sq(profile, t):
-    """``|f(t)|^2_{V'}`` on the times ``t``."""
-    if profile is None or profile.is_zero:
-        return np.zeros_like(t)
-    return profile.envelope(t) ** 2 * profile.vprime_sq_template
-
-
 def _cumtrap(y, x):
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
@@ -594,7 +587,7 @@ def energy_identity_residual(traj: Trajectory, quadrature="trapezoid") -> np.nda
     if quadrature == "exact-linear":
         if traj.config.include_B or traj.config.include_C:
             raise ValueError("exact-linear quadrature requires both nonlinear terms disabled")
-        if traj.profile is not None and not traj.profile.is_zero:
+        if not traj.profile.is_zero:
             raise ValueError("exact-linear quadrature requires zero forcing")
         dom = traj.domain
         c2 = np.sum(np.abs(traj.states[0].coeffs) ** 2, axis=0).ravel() * dom.measure
@@ -709,7 +702,7 @@ def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
     g_v = conj_traj.ledger["grad_sq"]
     lr_u = det_traj.ledger["lr_pow"]
     lr_v = conj_traj.ledger["lr_pow"]
-    f_sq = _forcing_sq(det_traj.profile, t)
+    f_sq = det_traj.profile.vprime_sq(t)
 
     q_inv = np.abs(1.0 / z - 1.0)       # |e^{eps w} - 1|
     q_fwd = np.abs(z - 1.0)             # |e^{-eps w} - 1|
@@ -767,7 +760,7 @@ def decay_envelope_check(traj: Trajectory):
     led = traj.ledger
     t = led["t"]
     lhs = np.exp(p.alpha * (t - t[0])) * led["h_sq"]
-    forcing = _forcing_sq(traj.profile, t)
+    forcing = traj.profile.vprime_sq(t)
     rhs = led["h_sq"][0] + _cumtrap(np.exp(p.alpha * (t - t[0])) * forcing, t) / min(p.mu, p.alpha)
     return lhs, rhs
 
@@ -789,7 +782,7 @@ def uniform_estimates_check(traj: Trajectory, tau, past_integral):
     age = tau - t[0]
     precondition = math.exp(-p.alpha * age) * led["h_sq"][0] <= 1.0
 
-    forcing = _forcing_sq(traj.profile, t)
+    forcing = traj.profile.vprime_sq(t)
     w = np.exp(p.alpha * t)
     i_force = past_integral + _cumtrap(w * led["z"] ** 2 * forcing, t)
 

@@ -27,7 +27,6 @@ __all__ = [
     "DivergentIntegralError",
     "WienerPath",
     "ConjugationProcess",
-    "Envelope",
     "ForcingProfile",
     "WeightedIntegral",
     "SublinearReport",
@@ -192,107 +191,107 @@ def verify_sublinear(path: WienerPath, t0_ladder=None) -> SublinearReport:
 # forcing profiles
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Scalar time envelope: constant one, cosine with a period, or exp(gamma t)."""
-
-    kind: str  # 'one' | 'cosine' | 'exp'
-    period: float = 0.0
-    gamma: float = 0.0
-
-    def __call__(self, t):
-        """Envelope at a time (a float) or at an array of times (an array).
-
-        Both go through numpy's ufuncs, so an array call gives the bits of
-        the calls on its elements.
-        """
-        if self.kind == "one":
-            out = np.ones_like(t, dtype=float)
-        elif self.kind == "cosine":
-            out = np.cos(2.0 * math.pi * t / self.period)
-        elif self.kind == "exp":
-            out = np.exp(self.gamma * t)
-        else:
-            raise ValueError(f"unknown envelope kind {self.kind!r}")
-        return out if np.ndim(out) else float(out)
-
-    def past_sup_sq(self, t0) -> float:
-        """Upper bound on ``envelope(t)^2`` for all ``t <= t0``."""
-        if self.kind in ("one", "cosine"):
-            return 1.0
-        return math.exp(2.0 * self.gamma * t0)
-
-    def decay_rate(self) -> float:
-        """Exponential decay rate of ``envelope^2`` toward minus infinity."""
-        return 2.0 * self.gamma if self.kind == "exp" else 0.0
+# the profile kinds; the kind fixes the envelope: one, one, cos(2 pi t / period), exp(gamma t)
+_FORCING_KINDS = ("zero", "constant_field", "periodic", "decaying")
 
 
 @dataclass(frozen=True)
 class ForcingProfile:
     """
     Time-dependent forcing ``f(t) = envelope(t) * g`` with a fixed
-    divergence-free spatial template ``g``.
-
+    divergence-free spatial template ``g``.  The kind fixes the envelope;
+    only a periodic profile reads ``period``, only a decaying one ``gamma``.
     ``delta`` is the declared decay exponent in ``[0, alpha)`` under which
-    the past-weighted square integral of the dual norm is finite; it is
-    checked at construction for each envelope kind.
+    the past-weighted square integral of the dual norm is finite.
+
+    A profile is its own envelope: its call is ``envelope(t)``, and
+    ``profile.envelope`` is the profile itself.
     """
 
-    kind: str  # 'zero' | 'constant_field' | 'periodic' | 'decaying'
+    kind: str
     template: Optional[SpectralVelocityField]
-    envelope: Envelope
     delta: float = 0.0
-    vprime_sq_template: float = 0.0
+    period: Optional[float] = None
+    gamma: float = 0.0
+    vprime_sq_template: float = dc_field(default=0.0, init=False)
 
     def __post_init__(self):
+        if self.kind not in _FORCING_KINDS:
+            raise ValueError(f"unknown forcing kind {self.kind!r}; expected one of {list(_FORCING_KINDS)}")
         if self.kind != "zero" and self.template is None:
             raise ValueError(f"forcing kind {self.kind!r} needs a spatial template")
         if self.delta < 0:
             raise ValueError(f"decay exponent delta must be >= 0, got {self.delta}")
         if self.kind == "periodic":
-            if self.envelope.kind != "cosine" or self.envelope.period <= 0:
-                raise ValueError("periodic forcing needs a cosine envelope with positive period")
-            if self.delta <= 0:
-                raise ValueError("periodic forcing needs delta > 0 for the past integral to converge")
-            for t in (-7.3, 0.4, 11.0):
-                if abs(self.envelope(t + self.envelope.period) - self.envelope(t)) > 1e-9:
-                    raise ValueError("envelope is not periodic with the declared period")
-        if self.kind == "constant_field" and self.delta <= 0:
-            raise ValueError("constant forcing needs delta > 0 for the past integral to converge")
-        if self.kind == "decaying" and self.delta + self.envelope.decay_rate() <= 0:
+            if self.period is None or not self.period > 0:
+                raise ValueError(f"periodic forcing needs a positive period, got {self.period}")
+            probe = np.array([-7.3, 0.4, 11.0])
+            with np.errstate(all="ignore"):  # a tiny period overflows 2 pi t / period
+                drift = np.abs(self.envelope(probe + self.period) - self.envelope(probe))
+            if not np.all(drift <= 1e-9):
+                raise ValueError(f"the envelope is not finite and periodic with period {self.period}")
+        if self.kind in ("constant_field", "periodic") and self.delta <= 0:
+            raise ValueError(f"{self.kind} forcing needs delta > 0 for the past integral to converge")
+        if self.kind == "decaying" and self.delta + self.decay_rate() <= 0:
             raise ValueError("decaying forcing must satisfy delta + 2*gamma > 0")
         if self.template is not None:
             object.__setattr__(self, "vprime_sq_template", _norms(self.template).vprime_norm_sq)
+
+    def __call__(self, t):
+        """Envelope at a time (a float) or at an array of times (an array); both go
+        through numpy's ufuncs, so an array call gives the bits of the calls on its elements."""
+        if self.kind == "periodic":
+            out = np.cos(2.0 * math.pi * t / self.period)
+        elif self.kind == "decaying":
+            out = np.exp(self.gamma * t)
+        else:
+            out = np.ones_like(t, dtype=float)
+        return out if np.ndim(out) else float(out)
+
+    @property
+    def envelope(self) -> "ForcingProfile":
+        """The scalar envelope: the profile itself, whose call is ``envelope(t)``."""
+        return self
+
+    def past_sup_sq(self, t0) -> float:
+        """Upper bound on ``envelope(t)^2`` for all ``t <= t0``."""
+        return math.exp(2.0 * self.gamma * t0) if self.kind == "decaying" else 1.0
+
+    def decay_rate(self) -> float:
+        """Exponential decay rate of ``envelope^2`` toward minus infinity."""
+        return 2.0 * self.gamma if self.kind == "decaying" else 0.0
+
+    def vprime_sq(self, t):
+        """``|f(t)|^2_{V'}`` on the times ``t``."""
+        return self.envelope(t) ** 2 * self.vprime_sq_template
 
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    @property
-    def period(self) -> Optional[float]:
-        return self.envelope.period if self.kind == "periodic" else None
-
     def value_hat(self, t):
         """Fourier coefficients of ``f(t)``; ``None`` for the zero profile."""
-        if self.is_zero:
-            return None
-        return self.envelope(t) * self.template.coeffs
+        return None if self.is_zero else self.envelope(t) * self.template.coeffs
+
+
+# the one "no forcing": the default profile of a solve and of its trajectory
+_NO_FORCING = ForcingProfile("zero", None)
 
 
 def zero_forcing() -> ForcingProfile:
-    return ForcingProfile("zero", None, Envelope("one"), delta=0.0)
+    return _NO_FORCING
 
 
 def constant_forcing(template, delta=0.5) -> ForcingProfile:
-    return ForcingProfile("constant_field", template, Envelope("one"), delta=delta)
+    return ForcingProfile("constant_field", template, delta=delta)
 
 
 def periodic_forcing(template, period, delta=0.5) -> ForcingProfile:
-    return ForcingProfile("periodic", template, Envelope("cosine", period=period), delta=delta)
+    return ForcingProfile("periodic", template, delta=delta, period=period)
 
 
 def decaying_forcing(template, gamma, delta=0.0) -> ForcingProfile:
-    return ForcingProfile("decaying", template, Envelope("exp", gamma=gamma), delta=delta)
+    return ForcingProfile("decaying", template, delta=delta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +364,10 @@ def weighted_forcing_integral(
         return WeightedIntegral(0.0, 0.0, 0.0, tau)
     g_sq = profile.vprime_sq_template
     env = profile.envelope
-    margin_det = rate + env.decay_rate()
+    margin_det = rate + profile.decay_rate()
     if margin_det <= 0:
         raise DivergentIntegralError(
-            f"weight rate {rate} plus envelope decay {env.decay_rate()} is not positive"
+            f"weight rate {rate} plus envelope decay {profile.decay_rate()} is not positive"
         )
     unit_weight = path is None or (weight == "z2" and epsilon == 0.0)
     if not unit_weight and weight not in ("z2", "exp_abs"):
@@ -411,7 +410,7 @@ def weighted_forcing_integral(
             f"decay margin {margin_tail:.3g} <= 0 at the truncation point; "
             "cannot certify the improper integral"
         )
-    tail = g_sq * env.past_sup_sq(t_cut) * math.exp(log_weight(t_cut))
+    tail = g_sq * profile.past_sup_sq(t_cut) * math.exp(log_weight(t_cut))
     tail *= math.exp(rate * (t_cut - tau)) / margin_tail
     # value, error and tail all carry the exp(rate * tau) normalisation at the end
     scale = math.exp(rate * tau)

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import cbflab.cli as cli
 from cbflab.cli import _SECTIONS, _TABLE, _WORDS, ConfigError, main, parse_config, run
+from cbflab.stochastic import sample_path
 
 
 def cfg_text(**overrides):
@@ -99,6 +101,34 @@ class TestParseConfig:
         raw["experiment"].update(system="conjugated", path_dt=path_dt)
         parse_config(json.dumps(raw))
 
+    @pytest.mark.parametrize("experiment, params", [
+        ({"kind": "attractor"}, {"epsilon": 0.0, "epsilon_ladder": [0.5]}),
+        ({"kind": "tails", "tail_radii": [0.5], "tail_epsilons": [0.0]}, {"epsilon": 0.3}),
+    ], ids=["attractor-unused-ladder", "tails-zero-intensities"])
+    def test_run_without_a_path_needs_no_seed(self, experiment, params, tmp_path, monkeypatch):
+        """Neither run solves at a positive intensity, so it needs neither a seed nor a path window."""
+        def no_path(*args):
+            raise AssertionError("the run drew a path")
+
+        monkeypatch.setattr(cli, "sample_path", no_path)
+        raw = {"domain": {"N": 16}, "params": params, "solver": {"dt": 0.01},
+               "experiment": dict(experiment, horizons=[0.02], family={"samples": 2})}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([experiment["kind"], "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_tails_draws_its_path_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "sample_path", lambda *args: calls.append(args) or sample_path(*args))
+        raw = {"domain": {"N": 16}, "solver": {"dt": 0.01},
+               "experiment": {"kind": "tails", "horizons": [0.02], "tail_radii": [0.5], "seed": 3,
+                              "tail_epsilons": [0.5, 0.0, 0.25], "path_window": [-1.0, 1.0],
+                              "family": {"samples": 2}},
+               "output": {"dir": str(tmp_path / "out")}}
+        assert run(parse_config(json.dumps(raw))) == 0
+        assert calls == [(3, -1.0, 1.0, 0.01)]
+        assert len((tmp_path / "out" / "tails.csv").read_text().strip().split("\n")) == 4
+
     def test_tails_checks_only_its_last_horizon(self):
         raw = {"solver": {"dt": 0.01},
                "experiment": {"kind": "tails", "horizons": [0.015, 0.03], "tail_radii": [0.5]}}
@@ -187,6 +217,10 @@ class TestParseConfig:
         ({}, {"solver": {"dt": "0.01"}}, "solver.dt: expected a number > 0, got '0.01'"),
         ({"t_end": 1e308}, {"solver": {"dt": 1e-300}},
          "experiment.t_end: (t_end - t_start) / dt = 1e+308 / 1e-300 is not finite"),
+        ({}, {"forcing": {"kind": "periodic", "period": 1e-310, "delta": 0.5, "template": {"shape": "single_mode"}}},
+         "forcing: the envelope is not finite and periodic with period 1e-310"),
+        ({}, {"forcing": {"kind": "periodic", "template": {"shape": "single_mode"}}},
+         "forcing: periodic forcing needs a positive period, got None"),
     ], ids=["unknown-system", "pullback-no-horizons", "attractor-no-horizons", "empty-horizons",
             "negative-horizon", "text-horizon", "semicontinuity-no-horizons", "tails-no-horizons",
             "no-epsilon-ladder", "no-tail-radii", "negative-tail-epsilon", "unknown-family-key",
@@ -201,7 +235,8 @@ class TestParseConfig:
             "zero-path-dt", "negative-path-dt", "text-seed", "negative-seed", "path-window-without-zero",
             "text-family-radius", "text-max-mode", "text-N", "fractional-N", "text-L", "text-dealias",
             "text-include-B", "boolean-r", "text-include-boundary", "negative-max-mode",
-            "unknown-template-key", "text-mu", "text-dt", "step-count-overflows"])
+            "unknown-template-key", "text-mu", "text-dt", "step-count-overflows",
+            "period-underflows", "periodic-without-period"])
     def test_rejected_before_the_run(self, experiment, sections, message, tmp_path, capsys):
         kind = experiment.get("kind", "simulate")
         raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "experiment": dict(experiment, kind=kind)}

@@ -282,6 +282,16 @@ class TestEnergyIdentity:
         exact = np.exp(-lam * 0.5) * u0.coeffs
         assert np.allclose(traj.states[-1].coeffs, exact, rtol=1e-12, atol=1e-18)
 
+    def test_no_profile_is_the_zero_profile(self):
+        dom = make_domain(2, math.pi, 16)
+        cfg = SolverConfig(dt=0.01, t_start=0.0, t_end=0.1, include_B=False, include_C=False)
+        traj = solve("deterministic", random_field(dom, seed=12, amplitude=0.5), cfg, PARAMS_2D)
+        assert traj.profile is zero_forcing() and traj.profile.is_zero
+        assert np.all(traj.ledger["f_pair"] == 0.0)
+        lhs, rhs = decay_envelope_check(traj)
+        assert np.all(lhs <= rhs * (1 + 1e-12))
+        assert energy_identity_residual(traj, quadrature="exact-linear").max() <= 1e-12
+
     def test_richardson_order(self):
         dom = make_domain(2, math.pi, 16)
         u0 = random_field(dom, seed=10, amplitude=0.8)

@@ -1,6 +1,7 @@
 """Noise paths, shifts, the conjugation scalar, and forcing integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cbflab.domain import make_domain, norms, single_mode_field
 from cbflab.stochastic import (
     ConjugationProcess,
     DivergentIntegralError,
+    ForcingProfile,
     OutOfWindowError,
     constant_forcing,
     decaying_forcing,
@@ -173,6 +175,29 @@ class TestForcingProfiles:
         prof = periodic_forcing(self.g, period=2.0, delta=0.5)
         assert prof.envelope(0.3) == pytest.approx(prof.envelope(2.3), abs=1e-12)
         assert prof.period == 2.0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown forcing kind 'steady'"):
+            ForcingProfile("steady", self.g)
+
+    @pytest.mark.parametrize("period", [None, 0.0, -1.0, float("nan")])
+    def test_periodic_needs_a_positive_period(self, period):
+        with pytest.raises(ValueError, match="positive period"):
+            periodic_forcing(self.g, period)
+
+    def test_non_finite_envelope_fails_the_probe(self):
+        # 2 pi t / 1e-310 overflows, so the envelope is NaN away from t = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite and periodic"):
+                periodic_forcing(self.g, 1e-310)
+
+    def test_kind_fixes_the_envelope(self):
+        # a decaying profile reads gamma and never the period
+        prof = ForcingProfile("decaying", self.g, 0.5, period=1.0, gamma=0.5)
+        assert prof.envelope(0.0) == 1.0 and prof.envelope(2.0) == math.exp(1.0)
+        assert prof.decay_rate() == 1.0 and prof.past_sup_sq(-1.0) == math.exp(-1.0)
+        assert constant_forcing(self.g).envelope(3.7) == 1.0
 
     def test_decaying_requires_margin(self):
         with pytest.raises(ValueError):
