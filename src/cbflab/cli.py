@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .domain import bump_field, make_domain, random_field, save_snapshot, single_mode_field
-from .integrators import _SCHEMES, _SYSTEMS, BlowupError, SolverConfig, _check_stride, _step_count, solve
+from .integrators import (_SCHEMES, _SYSTEMS, BlowupError, SolverConfig, _check_heun_dt, _check_stride, _in_box,
+                          _step_count, solve)
 from .operators import PhysicalParameters, validate_params
 from .pullback import (
     TemperedFamily,
@@ -396,6 +397,8 @@ def _resolve(data, overrides) -> RunConfig:
         if fc["template"] is None or fc["template"]["shape"] is None:
             raise ConfigError("forcing.template: expected an object with a 'shape' key")
     profile = _owned("forcing", _forcing, domain, fc)
+    if not profile.is_zero:
+        _owned("forcing.template", _in_box, domain, profile.template.coeffs, "its coefficients")
 
     kind, system, tau, horizons = ex["kind"], ex["system"], ex["tau"], ex["horizons"]
     scheme, dt = sv["scheme"], sv["dt"]
@@ -403,6 +406,8 @@ def _resolve(data, overrides) -> RunConfig:
         scheme = "heun_stratonovich"  # the one scheme of the noisy system
     elif scheme == "heun_stratonovich":
         raise ConfigError("solver.scheme: heun_stratonovich runs only a simulate of the stratonovich system")
+    if scheme == "heun_stratonovich":
+        _owned("solver.dt", _check_heun_dt, domain, params, dt)
     if kind == "simulate":
         _owned("experiment.t_end", _step_count, tau, ex["t_end"], dt)
     # the pullback kinds give each solve its own span, from the horizons

@@ -123,6 +123,17 @@ def _step_count(t_start, t_end, dt) -> int:
     return n_steps
 
 
+def _check_heun_dt(dom, params, dt):
+    """
+    ValueError when Heun's explicit linear step is unstable on the box:
+    its stability function keeps ``|R(-lam dt)| <= 1`` only for
+    ``dt * lam <= 2``, and the top mode has ``lam = mu max|k|^2 + alpha``.
+    """
+    lam = params.mu * float(dom.box_k_sq.max()) + params.alpha
+    if dt * lam > 2.0:
+        raise ValueError(f"dt = {dt} exceeds Heun's stability bound 2 / (mu max|k|^2 + alpha) = {2.0 / lam:.6g}")
+
+
 class _Snapshots(Sequence):
     """
     Read-only sequence of the full Hermitian fields of a solve's box states.
@@ -184,32 +195,15 @@ class Trajectory:
 # right-hand side evaluation on the dealiased half-spectrum box
 
 
-def _box_forcing(dom, profile):
-    """``(envelope, g, Parseval-weighted g)`` of the template's box part; None for the zero profile."""
-    if profile.is_zero:
-        return None
-    g = _box_part(dom, profile.template.coeffs)
-    return profile.envelope, g, dom.box_weight * g
-
-
-# the columns of a ledger row, in the order _ledger_row returns them
+# the columns of a ledger row, in the order _Kernel.row returns them
 _LEDGER = ("h_sq", "grad_sq", "lr_pow", "f_pair", "z", "max_speed")
 
 
-def _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density):
-    """Norm row of the ledger, in ``_LEDGER`` order, from ``|u|^2`` and ``|u|^(r+1)`` on the grid."""
-    c2 = dom.box_weight * np.abs(coeffs) ** 2
-    # ufunc sums, not np.vdot: BLAS would wake its threads on a 32^3 box
-    f_pair = 0.0 if forcing is None else forcing[0](t) * dom.measure * float(
-        np.sum(coeffs.real * forcing[2].real + coeffs.imag * forcing[2].imag))
-    return (
-        dom.measure * float(np.sum(c2)),
-        dom.measure * float(np.sum(dom.box_k_sq * c2)),
-        dom.dx**dom.d * float(np.sum(lr_density)),
-        f_pair,
-        z,
-        float(np.sqrt(speed_sq.max())),
-    )
+def _in_box(dom, coeffs, what):
+    """Box part of full-layout ``coeffs`` (``what``); OutOfBoxError when they reach outside the dealiased box."""
+    if np.any(coeffs[:, ~dom.dealias_mask]):
+        raise OutOfBoxError(f"{what} reach outside the dealiased box |m_i| <= {dom.mode_cut}")
+    return _box_part(dom, coeffs)
 
 
 def _half_divergence(k, flux, d):
@@ -239,46 +233,65 @@ def _carve(buf, offset, specs):
     return out
 
 
-def _rotational(dom):
-    """
-    Whether the advection takes the rotational form ``omega x u``: when
-    ``3 c < N`` an aliased product mode falls outside the box on its axis, so
-    the box is alias-free for quadratic products and the rotational and
-    skew-symmetric forms project to the same Galerkin term.
-    """
-    return 3 * dom.mode_cut < dom.N
-
-
 # box rows (a, b) of each vorticity row d_a u_b - d_b u_a: the one row of
 # 2D, the three of 3D
 _CURL = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
 
 
-class _Workspace:
+class _Kernel:
     """
-    Every array :func:`_explicit_rhs` writes into, for one domain and one
-    ``include_B``: a solve builds it once, so that no step allocates a grid
-    or transform array.
+    The explicit terms of one solve at weight z,
 
-    ``stack`` holds the grid rows of the forward pass and has a buffer of
-    its own: the ``d`` combined rows, followed on the skew-symmetric path
-    (see :func:`_rotational`) by the ``d(d+1)/2`` flux rows when
-    ``include_B``.  The grid stage's arrays (the phased state ``x``, the
-    coefficients ``g`` of a gradient row or of the vorticity, the grid rows
-    ``u``, the vorticity rows ``w``, the scratch rows ``tmp``,
-    ``speed_sq = |u|^2``, ``pw = |u|^(r-1)`` and the ``inverse`` pass
-    buffers) and the ``forward`` pass outputs are views of one shared byte
-    buffer: the forward pass starts when the grid stage is done with its
-    arrays.  The forward outputs alternate between the buffer's two parts,
-    before and after ``split``, so that no pass writes over its own input.
+        -(1/z) B(u) - beta z^(1-r) C(u) + z f,
+
+    as projected box coefficients, and the ledger row of the state, by the
+    transform method on the box: pruned real inverse passes, advection and
+    damping combined on the grid, and one pruned forward pass.  The box is
+    the dealias mask, and the self-conjugate columns of the result are made
+    exactly Hermitian.
+
+    The advection takes one of two forms, fixed here as ``rotational`` and
+    ``skew``.  When ``3 c < N`` an aliased product mode falls outside the box
+    on its axis, so the box is alias-free for quadratic products, and the
+    advection is the rotational form ``P[omega x u]`` from one inverse pass
+    of the vorticity rows: 9 single-row transforms per 3D call (5 in 2D).  On
+    every other box it is the skew-symmetric form, 21 transforms (11 in 2D):
+    the ``(u . grad) u`` half from one inverse pass per gradient row, and the
+    forward pass also transforms the symmetric flux ``u_i u_j``, whose
+    divergence is the other half.  The two forms differ by the gradient
+    ``grad |u|^2 / 2``, which the projection removes; where the box aliases
+    they also differ at its edge rows, and only the skew-symmetric form
+    agrees there with :func:`cbflab.operators.bilinear_B`.
+
+    A solve builds one kernel, which keeps the box part of the forcing
+    template (:class:`OutOfBoxError` when the template reaches outside the
+    box) and every array a call writes into, so that a call allocates only
+    box-sized arrays.  ``stack`` holds the grid rows of the forward pass and
+    has a buffer of its own: the ``d`` combined rows, followed in the
+    skew-symmetric form by the ``d(d+1)/2`` flux rows.  The grid stage's
+    arrays (the phased state ``x``, the coefficients ``g`` of a gradient row
+    or of the vorticity, the grid rows ``u``, the vorticity rows ``w``, the
+    scratch rows ``tmp``, ``speed_sq = |u|^2``, ``pw = |u|^(r-1)`` and the
+    ``inverse`` pass buffers) and the ``forward`` pass outputs are views of
+    one shared byte buffer: the forward pass starts when the grid stage is
+    done with its arrays.  The forward outputs alternate between the
+    buffer's two parts, before and after ``split``, so that no pass writes
+    over its own input.  The returned coefficients are a new array, never a
+    view of a buffer: callers may keep them across calls.
     """
 
-    def __init__(self, dom, include_B):
+    def __init__(self, dom, params, profile, include_B, include_C):
+        self.dom, self.params, self.profile, self.include_C = dom, params, profile, include_C
+        # the template's box part, and its Parseval-weighted copy for the ledger; None without forcing
+        self.g_box = None if profile.is_zero else _in_box(dom, profile.template.coeffs, "forcing template coefficients")
+        self.g_weighted = None if self.g_box is None else dom.box_weight * self.g_box
+        self.rotational = include_B and 3 * dom.mode_cut < dom.N
+        self.skew = include_B and not self.rotational
+
         d, c16, f8 = dom.d, np.complex128, np.float64
         grid = (dom.N,) * d
         box = (d,) + dom.box_phase.shape
-        flux = d * (d + 1) // 2 if include_B and not _rotational(dom) else 0
-        self.stack = np.empty((d + flux,) + grid)
+        self.stack = np.empty((d + (d * (d + 1) // 2 if self.skew else 0),) + grid)
         inverse = _inverse_shapes(dom, (d,))
         stage = [(box, c16), (box, c16), ((d,) + grid, f8), ((len(_CURL[d]),) + grid, f8), ((d,) + grid, f8),
                  (grid, f8), (grid, f8)]
@@ -291,122 +304,93 @@ class _Workspace:
         self.x, self.g, self.u, self.w, self.tmp, self.speed_sq, self.pw, *self.inverse = _carve(buf, 0, stage)
         self.forward = [_carve(buf, split * (k % 2), [(s, c16)])[0] for k, s in enumerate(forward)]
 
+    def _grid(self, coeffs, z, envelope):
+        """The phased state, its grid rows, ``|u|^(r-1)`` and the ledger row, given the envelope at ``t``."""
+        dom = self.dom
+        x = np.multiply(dom.box_phase, coeffs, out=self.x)
+        u = _box_inverse(dom, x, self.inverse, self.u)
+        u *= dom.N**dom.d
+        speed_sq = np.sum(np.square(u, out=self.tmp), axis=0, out=self.speed_sq)
+        # r = 1 needs no fork: x**0.0 is exactly 1.0 and 1.0 * x is x
+        pw = np.power(speed_sq, 0.5 * (self.params.r - 1.0), out=self.pw)
+        lr_density = np.multiply(pw, speed_sq, out=self.tmp[0])
+        c2 = dom.box_weight * np.abs(coeffs) ** 2
+        # ufunc sums, not np.vdot: BLAS would wake its threads on a 32^3 box
+        f_pair = 0.0 if envelope is None else envelope * dom.measure * float(
+            np.sum(coeffs.real * self.g_weighted.real + coeffs.imag * self.g_weighted.imag))
+        row = (dom.measure * float(np.sum(c2)), dom.measure * float(np.sum(dom.box_k_sq * c2)),
+               dom.dx**dom.d * float(np.sum(lr_density)), f_pair, z, float(np.sqrt(speed_sq.max())))
+        return x, u, pw, row
 
-def _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C, ws):
-    """
-    Grid stage of :func:`_explicit_rhs`: the ledger row of the state and the
-    real rows to transform forward, in ``ws.stack`` (None when both
-    nonlinear terms are off).  The first ``d`` rows combine the advection
-    and the damping.  On an alias-free box (:func:`_rotational`) the
-    advection is ``-(1/z) omega x u`` from one inverse pass of the vorticity
-    rows, and nothing follows; otherwise it is the ``(u . grad) u`` half of
-    the skew-symmetric form from one inverse pass per gradient row, and the
-    flux rows ``u_i u_j`` for ``i <= j`` follow.
-    """
-    d, N = dom.d, dom.N
-    nd = N**d
-    x = np.multiply(dom.box_phase, coeffs, out=ws.x)
-    u = _box_inverse(dom, x, ws.inverse, ws.u)
-    u *= nd
-    speed_sq = np.sum(np.square(u, out=ws.tmp), axis=0, out=ws.speed_sq)
-    if params.r == 1.0:
-        pw, lr_density = None, speed_sq
-    else:
-        pw = np.power(speed_sq, 0.5 * (params.r - 1.0), out=ws.pw)
-        lr_density = np.multiply(pw, speed_sq, out=ws.tmp[0])
-    row = _ledger_row(dom, coeffs, t, forcing, z, speed_sq, lr_density)
-    if not (include_B or include_C):
-        return None, row
+    def row(self, coeffs, t, z):
+        """The ledger row of the state ``coeffs`` at ``(t, z)``, in ``_LEDGER`` order."""
+        return self._grid(coeffs, z, None if self.g_box is None else self.profile(t))[-1]
 
-    stack = ws.stack
-    comb = stack[:d]
-    rotational = _rotational(dom)
-    if include_B and rotational:
-        # omega = i k x uhat on the box, then -omega x u = u x omega on the grid
-        k, curl = dom.box_kvec, _CURL[d]
-        g = ws.g[: len(curl)]
-        for row_g, (a, b) in zip(g, curl):
-            np.multiply(k[a], x[b], out=row_g)
-            row_g -= k[b] * x[a]
-        g *= 1j
-        w = _box_inverse(dom, g, [buf[: len(curl)] for buf in ws.inverse], ws.w)
-        scale = nd / z
-        if d == 2:
-            # u x (w e_z) = (u_1 w, -u_0 w)
-            np.multiply(u[1], w[0], out=comb[0])
-            np.multiply(u[0], w[0], out=comb[1])
-            comb[0] *= scale
-            comb[1] *= -scale
+    def __call__(self, coeffs, t, z):
+        """``(n_hat, row)``: the projected explicit terms of ``coeffs`` at ``(t, z)``, and its ledger row."""
+        envelope = None if self.g_box is None else self.profile(t)
+        x, u, pw, row = self._grid(coeffs, z, envelope)
+        if self.rotational or self.skew or self.include_C:
+            n_hat = self._nonlinear(x, u, pw, z)
         else:
-            for i in range(3):
-                a, b = (i + 1) % 3, (i + 2) % 3
-                np.multiply(u[a], w[b], out=comb[i])
-                comb[i] -= np.multiply(u[b], w[a], out=ws.tmp[0])
-            comb *= scale
-    else:
-        comb[...] = 0.0
-    if include_B and not rotational:
-        # (u . grad) u one gradient row d_i u at a time
-        for i in range(d):
-            g = np.multiply(dom.box_kvec[i], x, out=ws.g)
+            n_hat = np.zeros_like(coeffs)
+        if envelope is not None:
+            n_hat += z * (envelope * self.g_box)
+        # the projection returns a new array, so the result never aliases a buffer
+        return _project(n_hat, self.dom.box_projection), row
+
+    def _nonlinear(self, x, u, pw, z):
+        """Box coefficients of ``-(1/z) B(u) - beta z^(1-r) C(u)``, before the projection."""
+        dom, d, nd = self.dom, self.dom.d, self.dom.N**self.dom.d
+        stack = self.stack
+        comb = stack[:d]
+        if self.rotational:
+            # omega = i k x uhat on the box, then -omega x u = u x omega on the grid
+            k, curl = dom.box_kvec, _CURL[d]
+            g = self.g[: len(curl)]
+            for row_g, (a, b) in zip(g, curl):
+                np.multiply(k[a], x[b], out=row_g)
+                row_g -= k[b] * x[a]
             g *= 1j
-            grad = _box_inverse(dom, g, ws.inverse, ws.tmp)
-            grad *= u[i]
-            comb += grad
-        comb *= -0.5 * nd / z
-        p = d
-        for i in range(d):
-            for j in range(i, d):
-                np.multiply(u[i], u[j], out=stack[p])
-                p += 1
-    if include_C:
-        damp = u if pw is None else np.multiply(pw, u, out=ws.tmp)
-        comb -= np.multiply(params.beta * z ** (1.0 - params.r), damp, out=ws.tmp)
-    return stack, row
-
-
-def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C, ws=None):
-    """
-    Projected box coefficients of the explicit terms at weight z,
-
-        -(1/z) B(u) - beta z^(1-r) C(u) + z f,
-
-    and the ledger row of the state, by the transform method on the box:
-    pruned real inverse passes, advection and damping combined on the grid
-    (:func:`_grid_terms`), and one pruned forward pass.  On an alias-free box
-    (:func:`_rotational`) the advection is the rotational form
-    ``P[omega x u]``, 9 single-row transforms per 3D call (5 in 2D).  On
-    every other box it is the skew-symmetric form, 21 transforms (11 in 2D):
-    the forward pass also transforms the symmetric flux ``u_i u_j``, whose
-    divergence is the other half of the advection.  The two forms differ by
-    the gradient ``grad |u|^2 / 2``, which the projection removes; where the
-    box aliases they also differ at its edge rows, and only the
-    skew-symmetric form agrees there with :func:`cbflab.operators.bilinear_B`.
-    The box is the dealias mask, and the self-conjugate columns of the result
-    are made exactly Hermitian.
-
-    Every grid and transform array is written into the workspace ``ws`` (a
-    :class:`_Workspace` for ``dom`` and ``include_B``; a fresh one when
-    None), so that calls through one workspace allocate only box-sized
-    arrays.  The returned coefficients are a new array, never a view of the
-    workspace: callers may keep them across calls.
-    """
-    if ws is None:
-        ws = _Workspace(dom, include_B)
-    stack, row = _grid_terms(dom, coeffs, t, params, forcing, z, include_B, include_C, ws)
-    if stack is None:
-        n_hat = np.zeros_like(coeffs)
-    else:
-        out = _box_forward(dom, stack, ws.forward)
+            w = _box_inverse(dom, g, [buf[: len(curl)] for buf in self.inverse], self.w)
+            scale = nd / z
+            if d == 2:
+                # u x (w e_z) = (u_1 w, -u_0 w)
+                np.multiply(u[1], w[0], out=comb[0])
+                np.multiply(u[0], w[0], out=comb[1])
+                comb[0] *= scale
+                comb[1] *= -scale
+            else:
+                for i in range(3):
+                    a, b = (i + 1) % 3, (i + 2) % 3
+                    np.multiply(u[a], w[b], out=comb[i])
+                    comb[i] -= np.multiply(u[b], w[a], out=self.tmp[0])
+                comb *= scale
+        else:
+            comb[...] = 0.0
+        if self.skew:
+            # (u . grad) u one gradient row d_i u at a time, then the flux rows u_i u_j for i <= j
+            for i in range(d):
+                g = np.multiply(dom.box_kvec[i], x, out=self.g)
+                g *= 1j
+                grad = _box_inverse(dom, g, self.inverse, self.tmp)
+                grad *= u[i]
+                comb += grad
+            comb *= -0.5 * nd / z
+            p = d
+            for i in range(d):
+                for j in range(i, d):
+                    np.multiply(u[i], u[j], out=stack[p])
+                    p += 1
+        if self.include_C:
+            damp = np.multiply(pw, u, out=self.tmp)
+            comb -= np.multiply(self.params.beta * z ** (1.0 - self.params.r), damp, out=self.tmp)
+        out = _box_forward(dom, stack, self.forward)
         out *= dom.box_scale
-        n_hat = out[: dom.d]
-        if include_B and not _rotational(dom):
-            n_hat = n_hat - (0.5j / z) * _half_divergence(dom.box_kvec, out[dom.d :], dom.d)
-        _box_hermitian(dom, n_hat)
-    if forcing is not None:
-        n_hat += z * (forcing[0](t) * forcing[1])
-    # the projection returns a new array, so the result never aliases the workspace
-    return _project(n_hat, dom.box_projection), row
+        n_hat = out[:d]
+        if self.skew:
+            n_hat = n_hat - (0.5j / z) * _half_divergence(dom.box_kvec, out[d:], d)
+        return _box_hermitian(dom, n_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +399,7 @@ def _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C, ws=N
 
 def _initial_box(dom, coeffs):
     """Box state of initial coefficients: the entry contract of :func:`solve`."""
-    if np.any(coeffs[:, ~dom.dealias_mask]):
-        raise OutOfBoxError(f"initial coefficients reach outside the dealiased box |m_i| <= {dom.mode_cut}")
-    box = _box_part(dom, coeffs)
+    box = _in_box(dom, coeffs, "initial coefficients")
     # on kept Nyquist planes the Hermitian part is projected again, so that
     # both k(m) and k(-m) of the full layout annihilate it
     return _project(box, dom.box_projection) if 2 * dom.mode_cut == dom.N else box
@@ -452,7 +434,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
 
     The path is evaluated on the whole step grid before the first step, so a
     path whose window is too short fails there (:class:`OutOfWindowError`).
-    Every right-hand side writes into one :class:`_Workspace` built here,
+    Every right-hand side goes through one :class:`_Kernel` built here,
     and the coefficients it returns are new arrays, so the ones a step keeps
     (the previous step's for AB2, the predictor's for Heun) outlive the next
     call.
@@ -472,6 +454,8 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     dom = initial.domain
     dt = config.dt
     n_steps = _step_count(config.t_start, config.t_end, dt)
+    if config.scheme == "heun_stratonovich" and config.include_linear:
+        _check_heun_dt(dom, params, dt)
 
     grid = config.t_start + dt * np.arange(n_steps + 1)
     # the conjugation factor at every node, and the Heun step's noise
@@ -483,12 +467,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
         zs = [1.0] * (n_steps + 1)
     if system == "stratonovich":
         noise = (params.epsilon * (path.value(grid[:-1] + dt) - path.value(grid[:-1]))).tolist()
-    forcing = _box_forcing(dom, profile)
-    ws = _Workspace(dom, config.include_B)
-
-    def rhs(c, s, z):
-        return _explicit_rhs(dom, c, s, params, forcing, z, config.include_B, config.include_C, ws)
-
+    kernel = _Kernel(dom, params, profile, config.include_B, config.include_C)
     # the linear part, per mode: exact integrating factors for IMEX, explicit for Heun
     lam = params.mu * dom.box_k_sq + params.alpha if config.include_linear else np.zeros_like(dom.box_k_sq)
     e1 = np.exp(-lam * dt)
@@ -506,21 +485,21 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
 
     for i in range(n_steps):
         t = float(grid[i])
-        n0, row = rhs(coeffs, t, zs[i])
+        n0, row = kernel(coeffs, t, zs[i])
         rows[i] = row
         _check_row(row, t, cfl_scale)
         if system == "stratonovich":
             # Heun predictor-corrector on the drift rhs - lam c with the noise eps c dW
             g0 = n0 - lam * coeffs
             pred = coeffs + dt * g0 + noise[i] * coeffs
-            g1 = rhs(pred, t + dt, 1.0)[0] - lam * pred
+            g1 = kernel(pred, t + dt, 1.0)[0] - lam * pred
             coeffs = coeffs + 0.5 * dt * (g0 + g1) + 0.5 * noise[i] * (coeffs + pred)
         elif not second_order:
             coeffs = e1 * (coeffs + dt * n0)
         elif prev is None:
             # Heun startup step: local error O(dt^3), as for AB2
             pred = e1 * (coeffs + dt * n0)
-            coeffs = e1 * coeffs + 0.5 * dt * (e1 * n0 + rhs(pred, t + dt, zs[1])[0])
+            coeffs = e1 * coeffs + 0.5 * dt * (e1 * n0 + kernel(pred, t + dt, zs[1])[0])
         else:
             # AB2 with integrating factors: u+ = E u + dt (3/2 E N(t, u) - 1/2 E^2 N(t - dt, u_prev))
             coeffs = e1 * coeffs + dt * (1.5 * (e1 * n0) - 0.5 * (e2 * prev))
@@ -530,7 +509,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
             snap_times.append(float(grid[i + 1]))
 
     t_last = float(grid[n_steps])
-    rows[n_steps] = row = _grid_terms(dom, coeffs, t_last, params, forcing, zs[n_steps], False, False, ws)[1]
+    rows[n_steps] = row = kernel.row(coeffs, t_last, zs[n_steps])
     _check_row(row, t_last, 0.0)  # no step follows the last row, so no CFL guard
 
     return Trajectory(system=system, params=params, config=config, times=np.asarray(snap_times),

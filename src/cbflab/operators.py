@@ -8,13 +8,13 @@ Core operators of the damped Navier-Stokes system.
 * Damping ``C(u) = P(|u|^(r-1) u)`` evaluated pointwise on the grid.
 * The monotonicity gap of the damping operator.
 
-The solvers evaluate ``B`` and ``C`` together with the fused kernel of
-:mod:`cbflab.integrators` on the dealiased half-spectrum box; the
-full-spectrum forms here are its reference.  On a box free of aliasing for
-quadratic products (``3 * mode_cut < N``) the kernel takes ``B`` in the
-rotational form ``P[omega x u]``, which differs from the skew-symmetric form
-by a gradient and so projects to the same term; on every other box it takes
-the skew-symmetric form, as here.
+The solvers evaluate ``B`` and ``C`` together with ``integrators._Kernel``
+on the dealiased half-spectrum box; the full-spectrum forms here are its
+reference.  On a box free of aliasing for quadratic products
+(``3 * mode_cut < N``) the kernel takes ``B`` in the rotational form
+``P[omega x u]``, which differs from the skew-symmetric form by a gradient
+and so projects to the same term; on every other box it takes the
+skew-symmetric form, as here.
 """
 
 from __future__ import annotations

@@ -221,6 +221,13 @@ class TestParseConfig:
          "forcing: the envelope is not finite and periodic with period 1e-310"),
         ({}, {"forcing": {"kind": "periodic", "template": {"shape": "single_mode"}}},
          "forcing: periodic forcing needs a positive period, got None"),
+        # 16^2: Heun's linear step is stable for dt <= 2 / (mu 50 + alpha) = 0.0392
+        ({"system": "stratonovich", "t_end": 0.04, "seed": 1, "path_window": [-1.0, 1.0]},
+         {"params": {"epsilon": 0.5}, "solver": {"dt": 0.04}},
+         "solver.dt: dt = 0.04 exceeds Heun's stability bound 2 / (mu max|k|^2 + alpha) = 0.0392157"),
+        ({}, {"domain": {"N": 32}, "forcing": {"kind": "constant_field",
+                                               "template": {"shape": "single_mode", "mode": [0, 12]}}},
+         "forcing.template: its coefficients reach outside the dealiased box |m_i| <= 10"),
     ], ids=["unknown-system", "pullback-no-horizons", "attractor-no-horizons", "empty-horizons",
             "negative-horizon", "text-horizon", "semicontinuity-no-horizons", "tails-no-horizons",
             "no-epsilon-ladder", "no-tail-radii", "negative-tail-epsilon", "unknown-family-key",
@@ -236,7 +243,7 @@ class TestParseConfig:
             "text-family-radius", "text-max-mode", "text-N", "fractional-N", "text-L", "text-dealias",
             "text-include-B", "boolean-r", "text-include-boundary", "negative-max-mode",
             "unknown-template-key", "text-mu", "text-dt", "step-count-overflows",
-            "period-underflows", "periodic-without-period"])
+            "period-underflows", "periodic-without-period", "heun-dt-unstable", "template-outside-box"])
     def test_rejected_before_the_run(self, experiment, sections, message, tmp_path, capsys):
         kind = experiment.get("kind", "simulate")
         raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "experiment": dict(experiment, kind=kind)}

@@ -38,9 +38,7 @@ from cbflab.integrators import (
     solve,
     uniform_estimates_check,
     _LEDGER,
-    _Workspace,
-    _box_forcing,
-    _explicit_rhs,
+    _Kernel,
     _initial_box,
 )
 from cbflab.operators import (
@@ -135,7 +133,7 @@ class TestStepping:
                                                ("stratonovich", "heun_stratonovich")])
     def test_short_path_window_fails_before_the_first_step(self, system, scheme, monkeypatch):
         calls = []
-        monkeypatch.setattr(integrators, "_explicit_rhs", lambda *args: calls.append(args))
+        monkeypatch.setattr(integrators, "_Kernel", lambda *args: calls.append(args))
         dom = make_domain(2, math.pi, 16)
         cfg = SolverConfig(dt=0.01, scheme=scheme, t_start=0.0, t_end=0.5)
         with pytest.raises(OutOfWindowError):
@@ -170,6 +168,17 @@ class TestStepping:
         cfg = SolverConfig(dt=0.05, t_start=0.0, t_end=1.0)
         with pytest.raises(BlowupError):
             solve("deterministic", u0, cfg, PARAMS_2D, zero_forcing())
+
+    def test_cfl_guard_trips_before_the_energy_does(self):
+        # a constant field of speed 20 on 16^2 at dt = 0.01: CFL number
+        # 20 * 0.01 * 16 / pi = 1.02 > 0.5, with a finite energy
+        dom = make_domain(2, math.pi, 16)
+        cfg = SolverConfig(dt=0.01, t_start=0.0, t_end=0.1, include_B=False, include_C=False)
+        with pytest.raises(BlowupError) as info:
+            solve("deterministic", constant_field(dom, [20.0, 0.0]), cfg, PARAMS_2D, zero_forcing())
+        assert info.value.t == 0.0 and info.value.max_speed == pytest.approx(20.0, rel=1e-12)
+        # at speed 9 (CFL number 0.46) the same solve runs
+        solve("deterministic", constant_field(dom, [9.0, 0.0]), cfg, PARAMS_2D, zero_forcing())
 
     def test_inadmissible_rejected(self):
         dom = make_domain(3, math.pi, 8)
@@ -226,6 +235,22 @@ class TestStratonovich:
             errs.append(np.max(np.abs(out.states[-1].coeffs - exact)))
         assert errs[0] > errs[1] > errs[2]
 
+    def test_linear_step_stability_bound(self):
+        # 16^2: the top box mode has |k|^2 = 50, so Heun's explicit linear
+        # step is stable for dt (mu 50 + alpha) <= 2, dt <= 2/51 = 0.0392
+        dom = make_domain(2, math.pi, 16)
+        u0 = random_field(dom, seed=16, amplitude=0.3)
+        path = sample_path(17, -1.0, 1.0, 0.039)
+
+        def heun(dt, **linear):
+            cfg = SolverConfig(dt=dt, scheme="heun_stratonovich", t_start=0.0, t_end=dt, **linear)
+            return solve("stratonovich", u0, cfg, params_with_eps(0.5), zero_forcing(), path=path)
+
+        heun(0.039)
+        with pytest.raises(ValueError, match="exceeds Heun's stability bound"):
+            heun(0.040)
+        heun(0.040, include_linear=False)  # without the linear part there is no bound
+
     def test_scheme_system_pairing(self):
         dom = make_domain(2, math.pi, 8)
         path = sample_path(15, -1.0, 1.0, 0.01)
@@ -245,12 +270,15 @@ class TestTimeOrder:
         # a path grid no finer than any dt: the step reads z on the path's own nodes
         ("conjugated", "imex_cn_ab2", 1.9),
         ("deterministic", "imex_euler", 0.9),
+        # at zero intensity the Heun step is the deterministic one, and the
+        # forcing is the only term that depends on t
+        ("stratonovich", "heun_stratonovich", 1.9),
     ])
     def test_observed_order(self, system, scheme, least):
         dom = make_domain(2, math.pi, 24)
         profile = periodic_forcing(single_mode_field(dom, [0, 1], amplitude=0.3), 0.5, delta=0.5)
         params = params_with_eps(0.5 if system == "conjugated" else 0.0)
-        path = sample_path(11, -1.0, 1.0, 4e-3) if system == "conjugated" else None
+        path = sample_path(11, -1.0, 1.0, 4e-3) if system != "deterministic" else None
         u0 = random_field(dom, seed=3, amplitude=1.0)
 
         def end(dt):
@@ -261,6 +289,34 @@ class TestTimeOrder:
         errs = [np.linalg.norm(end(dt) - ref) / np.linalg.norm(ref) for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= least, orders
+
+
+class TestSpaceConvergence:
+    """``dealias: 1`` and ``dealias: 2/3`` converge to one limit as N grows."""
+
+    def test_dealias_settings_agree(self):
+        # one smooth initial field in |m_i| <= 2, given by its coefficients on every grid
+        src = make_domain(2, math.pi, 12)
+        low = np.r_[0:3, -2:0]
+        start = random_field(src, seed=21, amplitude=1.0, max_mode=2).coeffs[np.ix_(range(2), low, low)]
+        params = PhysicalParameters(2, 0.05, 1.0, 1.0, 3.0)
+        cfg = SolverConfig(dt=1e-3, t_end=0.5, record_stride=10**9)
+
+        def low_modes(N, dealias):
+            dom = make_domain(2, math.pi, N, dealias)
+            coeffs = np.zeros(dom.shape, dtype=np.complex128)
+            coeffs[np.ix_(range(2), low % N, low % N)] = start
+            profile = periodic_forcing(single_mode_field(dom, [0, 1], amplitude=4.0), 0.5)
+            end = solve("deterministic", SpectralVelocityField(dom, coeffs), cfg, params, profile)
+            keep = np.r_[0:4, -3:0] % N
+            return end.states[-1].coeffs[np.ix_(range(2), keep, keep)]
+
+        gaps = []
+        for N in (12, 16, 24, 32):
+            ref = low_modes(N, 2.0 / 3.0)
+            gaps.append(np.abs(low_modes(N, 1.0) - ref).max() / np.abs(ref).max())
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 1e-12, gaps
 
 
 class TestEnergyIdentity:
@@ -581,9 +637,8 @@ class TestFusedRhs:
         """``coeffs``: a real (Hermitian) field inside the box, in the full layout."""
         keep = (slice(None),) + dom.box_index
         off_nyquist = ~nyquist_planes(dom)[dom.box_index]
-        forcing = _box_forcing(dom, profile)
         for include_B, include_C in TOGGLES:
-            got, row = _explicit_rhs(dom, _box_part(dom, coeffs), t, params, forcing, z, include_B, include_C)
+            got, row = _Kernel(dom, params, profile, include_B, include_C)(_box_part(dom, coeffs), t, z)
             ref = reference_rhs(dom, coeffs, t, params, profile, z, include_B, include_C)
             # off the Nyquist planes, where the reference's wavenumber is not zero
             assert np.abs(got - ref[keep])[:, off_nyquist].max() <= 1e-13 * np.abs(ref).max()
@@ -666,7 +721,7 @@ class TestFusedRhs:
         params = PhysicalParameters(d, 1.0, 1.0, 1.0, 5.0)
         u = random_field(dom, seed=64, amplitude=0.5)
         profile = periodic_forcing(random_field(dom, seed=65, amplitude=0.3), 0.5)
-        _explicit_rhs(dom, _box_part(dom, u.coeffs), 0.2, params, _box_forcing(dom, profile), 1.3, True, True)
+        _Kernel(dom, params, profile, True, True)(_box_part(dom, u.coeffs), 0.2, 1.3)
         c, kept = dom.mode_cut, min(2 * dom.mode_cut + 1, N)
 
         def inverse(rows):
@@ -694,56 +749,58 @@ class TestFusedRhs:
         assert sum(math.prod(shape) for _, shape in calls) == points[(d, N, dealias)]
 
 
-def workspace_arrays(ws):
-    """Every array a workspace holds, the transform buffers included."""
-    return [a for value in vars(ws).values() for a in (value if isinstance(value, list) else [value])]
+def kernel_arrays(kernel):
+    """Every array a kernel writes into, the transform buffers included."""
+    return [a for name, value in vars(kernel).items() if name not in ("g_box", "g_weighted")
+            for a in (value if isinstance(value, list) else [value]) if isinstance(a, np.ndarray)]
 
 
 class TestWorkspace:
-    """One workspace carries every right-hand side of a solve."""
+    """One kernel, and its buffers, carries every right-hand side of a solve."""
 
     @staticmethod
     def problem(d, N, dealias=2.0 / 3.0):
         dom = make_domain(d, math.pi, N, dealias)
         params = PhysicalParameters(d, 1.0, 1.0, 0.7, 3.5)
-        forcing = _box_forcing(dom, periodic_forcing(random_field(dom, seed=90, amplitude=0.3), 0.5))
+        profile = periodic_forcing(random_field(dom, seed=90, amplitude=0.3), 0.5)
         a, b = (_box_part(dom, random_field(dom, seed=seed, amplitude=0.6).coeffs) for seed in (91, 92))
-        return dom, params, forcing, a, b
+        return dom, params, profile, a, b
 
     @pytest.mark.parametrize("include_B,include_C", TOGGLES)
     @pytest.mark.parametrize("d,N,dealias", [(2, 16, 2.0 / 3.0), (3, 8, 2.0 / 3.0), (2, 12, 1.0), (3, 8, 1.0)])
     def test_reuse_matches_fresh(self, d, N, dealias, include_B, include_C):
-        dom, params, forcing, a, b = self.problem(d, N, dealias)
-        ws = _Workspace(dom, include_B)
+        dom, params, profile, a, b = self.problem(d, N, dealias)
+        kernel = _Kernel(dom, params, profile, include_B, include_C)
         for coeffs, t, z in ((a, 0.1, 1.3), (b, 0.2, 0.8), (a, 0.1, 1.3)):
-            got, row = _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C, ws)
-            want, want_row = _explicit_rhs(dom, coeffs, t, params, forcing, z, include_B, include_C)
+            got, row = kernel(coeffs, t, z)
+            want, want_row = _Kernel(dom, params, profile, include_B, include_C)(coeffs, t, z)
             assert np.array_equal(got, want)
             assert row == want_row
+            assert kernel.row(coeffs, t, z) == want_row
 
     @pytest.mark.parametrize("d,N,dealias", [(2, 16, 2.0 / 3.0), (3, 8, 1.0)])
     def test_stale_content_is_ignored(self, d, N, dealias):
-        dom, params, forcing, a, _ = self.problem(d, N, dealias)
-        ws = _Workspace(dom, True)
-        for arr in workspace_arrays(ws):
+        dom, params, profile, a, _ = self.problem(d, N, dealias)
+        kernel = _Kernel(dom, params, profile, True, True)
+        for arr in kernel_arrays(kernel):
             arr.fill(np.nan)
-        got, row = _explicit_rhs(dom, a, 0.1, params, forcing, 1.3, True, True, ws)
-        want, want_row = _explicit_rhs(dom, a, 0.1, params, forcing, 1.3, True, True)
+        got, row = kernel(a, 0.1, 1.3)
+        want, want_row = _Kernel(dom, params, profile, True, True)(a, 0.1, 1.3)
         assert np.array_equal(got, want)
         assert row == want_row
 
     @pytest.mark.parametrize("include_B,include_C", TOGGLES)
     def test_results_do_not_alias_the_workspace(self, include_B, include_C):
-        dom, params, forcing, a, b = self.problem(2, 16)
-        ws = _Workspace(dom, include_B)
-        first = _explicit_rhs(dom, a, 0.1, params, forcing, 1.3, include_B, include_C, ws)[0]
-        assert not any(np.shares_memory(first, arr) for arr in workspace_arrays(ws))
+        dom, params, profile, a, b = self.problem(2, 16)
+        kernel = _Kernel(dom, params, profile, include_B, include_C)
+        first = kernel(a, 0.1, 1.3)[0]
+        assert not any(np.shares_memory(first, arr) for arr in kernel_arrays(kernel) + [kernel.g_box])
         kept = first.copy()
-        _explicit_rhs(dom, b, 0.2, params, forcing, 0.8, include_B, include_C, ws)
+        kernel(b, 0.2, 0.8)
         assert np.array_equal(first, kept)
         # writing into a result changes nothing the next call reads
         first[...] = np.nan
-        assert np.array_equal(_explicit_rhs(dom, a, 0.1, params, forcing, 1.3, include_B, include_C, ws)[0], kept)
+        assert np.array_equal(kernel(a, 0.1, 1.3)[0], kept)
 
     @pytest.mark.parametrize("system,scheme,d,N", [
         ("conjugated", "imex_cn_ab2", 2, 16), ("conjugated", "imex_cn_ab2", 3, 8),
@@ -757,17 +814,22 @@ class TestWorkspace:
         path = sample_path(95, -1.0, 1.0, 2e-3)
         reused = solve(system, u, cfg, params, profile, path=path)
 
-        kernel, workspaces = integrators._explicit_rhs, []
+        built, calls = [], []
 
-        def fresh(*args):
-            workspaces.append(args[-1])
-            return kernel(*args[:-1])  # without the solve's workspace: a fresh one per call
+        class Fresh(_Kernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(args)
 
-        monkeypatch.setattr(integrators, "_explicit_rhs", fresh)
+            def __call__(self, coeffs, t, z):
+                calls.append(self)
+                return _Kernel(*built[0])(coeffs, t, z)  # not the solve's kernel: a fresh one per call
+
+        monkeypatch.setattr(integrators, "_Kernel", Fresh)
         again = solve(system, u, cfg, params, profile, path=path)
         # 10 steps: AB2 adds one startup evaluation, Heun evaluates twice per step
-        assert len(workspaces) == {"imex_cn_ab2": 11, "imex_euler": 10, "heun_stratonovich": 20}[scheme]
-        assert len({id(ws) for ws in workspaces}) == 1
+        assert len(calls) == {"imex_cn_ab2": 11, "imex_euler": 10, "heun_stratonovich": 20}[scheme]
+        assert len(built) == 1 and len({id(kernel) for kernel in calls}) == 1
         for name in _LEDGER:
             assert np.array_equal(reused.ledger[name], again.ledger[name]), name
         assert len(reused.states) == len(again.states) == 5
@@ -778,23 +840,46 @@ class TestWorkspace:
         d, N = 3, 32
         dom = make_domain(d, math.pi, N)
         params = PhysicalParameters(d, 1.0, 1.0, 1.0, 5.0, 0.5)
-        forcing = _box_forcing(dom, periodic_forcing(random_field(dom, seed=96, amplitude=0.3), 0.5))
+        profile = periodic_forcing(random_field(dom, seed=96, amplitude=0.3), 0.5)
         coeffs = _box_part(dom, random_field(dom, seed=97, amplitude=0.5).coeffs)
         field_bytes = d * N**d * 16  # one full-layout complex field, 1.5 MB
 
-        def peak(*ws):
+        def peak(call):
             tracemalloc.start()
             try:
-                _explicit_rhs(dom, coeffs, 0.2, params, forcing, 1.3, True, True, *ws)
+                call()
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        ws = _Workspace(dom, True)
-        _explicit_rhs(dom, coeffs, 0.2, params, forcing, 1.3, True, True, ws)
-        assert peak(ws) < field_bytes
-        # without a workspace the call allocates every grid and transform array
-        assert peak() > 3 * field_bytes
+        kernel = _Kernel(dom, params, profile, True, True)
+        kernel(coeffs, 0.2, 1.3)
+        assert peak(lambda: kernel(coeffs, 0.2, 1.3)) < field_bytes
+        # a fresh kernel allocates every grid and transform array
+        assert peak(lambda: _Kernel(dom, params, profile, True, True)(coeffs, 0.2, 1.3)) > 3 * field_bytes
+
+    @pytest.mark.parametrize("include_B", [True, False])
+    @pytest.mark.parametrize("d,N,dealias", [(2, 16, 2.0 / 3.0), (2, 12, 2.0 / 3.0), (3, 8, 1.0)])
+    def test_advection_form_fixed_once(self, d, N, dealias, include_B):
+        dom, params, profile, _, _ = self.problem(d, N, dealias)
+        kernel = _Kernel(dom, params, profile, include_B, True)
+        alias_free = 3 * dom.mode_cut < N
+        assert (kernel.rotational, kernel.skew) == (include_B and alias_free, include_B and not alias_free)
+        # the flux rows follow the d combined rows only in the skew-symmetric form
+        assert kernel.stack.shape[0] == d + (d * (d + 1) // 2 if kernel.skew else 0)
+
+    def test_template_outside_the_box_is_rejected(self):
+        dom = make_domain(2, math.pi, 32)
+        params = PhysicalParameters(2, 1.0, 1.0, 1.0, 3.0)
+        assert dom.mode_cut == 10
+        inside = constant_forcing(single_mode_field(dom, [0, 10], amplitude=0.2))
+        _Kernel(dom, params, inside, True, True)
+        outside = constant_forcing(single_mode_field(dom, [0, 12], amplitude=0.2))
+        with pytest.raises(OutOfBoxError, match="forcing template coefficients reach outside the dealiased box"):
+            _Kernel(dom, params, outside, True, True)
+        cfg = SolverConfig(dt=1e-3, t_end=2e-3)
+        with pytest.raises(OutOfBoxError):
+            solve("deterministic", random_field(dom, seed=98, amplitude=0.5), cfg, params, outside)
 
 
 class TestBoxState:

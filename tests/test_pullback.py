@@ -170,6 +170,19 @@ class TestAbsorbingRadii:
             est = absorbing_radius_stoch(0.0, self.omega, with_eps(eps), prof)
             assert est.radius_sq <= est.companion_radius_sq
 
+    def test_companion_binds_at_unit_intensity(self):
+        # where omega(-tau) < 0 the unforced radius at epsilon = 1 is
+        # exp(2 |omega(-tau)|), the companion's own weight, so there the bound is tight
+        taus = np.arange(0.5, 20.0, 0.5)
+        tau = float(taus[np.argmin(self.omega.value(-taus))])
+        assert self.omega.value(-tau) < -3.0
+        est = absorbing_radius_stoch(tau, self.omega, with_eps(1.0), zero_forcing())
+        assert est.companion_radius_sq == pytest.approx(est.radius_sq, rel=1e-12)
+        for prof in (zero_forcing(), constant_forcing(self.g, delta=0.5)):
+            for eps in (1.0, 0.5, 0.125):
+                est = absorbing_radius_stoch(tau, self.omega, with_eps(eps), prof)
+                assert est.radius_sq <= est.companion_radius_sq * (1 + 1e-12)
+
     def test_integral_rel_error_reported(self, monkeypatch):
         import dataclasses
 
@@ -201,6 +214,21 @@ class TestTemperedFamily:
         samples = fam.samples(dom, 10.0)
         assert len(samples) == 4
         assert all(norms(s).h_norm_sq <= 25.0 * (1 + 1e-12) for s in samples)
+
+    def test_radii_uniform_in_the_ball(self):
+        # uniform in an n-dimensional ball: P(|x| <= s) = (s / rho)^n, with n
+        # the dimension that the samples span
+        dom = make_domain(2, math.pi, 8)
+        rho = 2.0
+        samples = TemperedFamily(radius_fn=rho, sample_count=400, sampler_seed=11, max_mode=1).samples(dom, 1.0)
+        span = np.array([np.concatenate([s.coeffs.real.ravel(), s.coeffs.imag.ravel()]) for s in samples])
+        n = np.linalg.matrix_rank(span)
+        assert n == 10  # the mean (2) and one direction per mode pair +-m of the 8 others
+        radii = np.sort([math.sqrt(norms(s).h_norm_sq) for s in samples])
+        law = (radii / rho) ** n
+        empirical = np.arange(1, len(radii) + 1) / len(radii)
+        # Kolmogorov-Smirnov distance; its 1% critical value at 400 samples is 0.081
+        assert np.max(np.maximum(empirical - law, law - (empirical - 1 / len(radii)))) < 0.081
 
     def test_exponential_growth_rejected(self):
         with pytest.raises(ValueError, match="tempered"):
