@@ -82,12 +82,8 @@ class RunManifest:
 
 
 def _plain(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -167,8 +163,8 @@ def _run_pullback(cfg, out, artifacts, summary):
         ex["horizons"], cfg.solver, domain=cfg.domain,
     )
     rows = [
-        (float(t), float(m), float(est.radius_sq), int(m <= est.radius_sq * (1 + 1e-6)))
-        for t, m in zip(est.horizons, est.rung_max_norm_sq)
+        (float(t), float(m), float(est.radius_sq), int(absorbed))
+        for t, m, absorbed in zip(est.horizons, est.rung_max_norm_sq, est.rung_absorbed)
     ]
     _write_csv(out / "absorption.csv", ["horizon", "max_norm_sq", "radius_sq", "absorbed"], rows)
     artifacts.append("absorption.csv")

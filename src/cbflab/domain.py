@@ -141,14 +141,11 @@ class TorusDomain:
         # the phase and 1/N^d of a forward pass onto the box
         set_attr(self, "box_scale", self.box_phase / N**d)
         set_attr(self, "box_k_sq", k_sq[ix])
-        # first derivatives take a zero Nyquist wavenumber, as for any real
-        # field; the projection also removes the Nyquist components along k
-        k_box = kvec[(slice(None),) + ix]
-        nyquist = np.abs(k_box) == abs(k1[N // 2])
-        k_d = np.where(nyquist, 0.0, k_box)
-        set_attr(self, "box_kvec", k_d)
-        passes = [k_d, k_d] + ([np.where(nyquist, k_box, 0.0)] if nyquist.any() else [])
-        set_attr(self, "box_projection", tuple((k, _safe_sq(k)) for k in passes))
+        # first derivatives take the first pass's wavevectors: a zero Nyquist
+        # wavenumber, as for any real field
+        projection = _projection(self, kvec[(slice(None),) + ix])
+        set_attr(self, "box_projection", projection)
+        set_attr(self, "box_kvec", projection[0][0])
         # Parseval: the columns 1..N/2-1 stand for their conjugates too
         set_attr(self, "box_weight", np.where(np.arange(cut + 1) % (N // 2) == 0, 1.0, 2.0))
 
@@ -187,6 +184,18 @@ def _safe_sq(k):
     """``|k|^2`` with 1 in place of 0, the divisor of the solenoidal projection."""
     k_sq = np.sum(k**2, axis=0)
     return np.where(k_sq == 0.0, 1.0, k_sq)
+
+
+def _projection(domain, k):
+    """
+    The passes ``(k, |k|^2)`` of the solenoidal projection on the wavevectors ``k``: two along ``k`` with a zero
+    Nyquist wavenumber, then, where ``k`` has Nyquist components, one along them, so that ``k(m)`` and ``k(-m)``
+    both annihilate the result.
+    """
+    nyquist = np.abs(k) == abs((np.pi / domain.L) * domain.modes[domain.N // 2])
+    k_d = np.where(nyquist, 0.0, k)
+    passes = [k_d, k_d] + ([np.where(nyquist, k, 0.0)] if nyquist.any() else [])
+    return tuple((p, _safe_sq(p)) for p in passes)
 
 
 def _mode_box(domain, max_mode):
@@ -267,14 +276,19 @@ def transform_inverse(domain, coeffs):
 
 
 def project_coeffs(domain, raw):
-    """Mode-wise solenoidal projection ``uhat -> uhat - k (k.uhat)/|k|^2``."""
+    """
+    Mode-wise solenoidal projection ``uhat -> uhat - k (k.uhat)/|k|^2``.  When the box keeps the Nyquist planes
+    (``dealias: 1``) it takes the box's passes (:func:`_projection`), under which a Hermitian input stays Hermitian.
+    """
     raw = np.asarray(raw, dtype=np.complex128)
     if raw.shape != domain.shape:
         raise ShapeMismatchError(f"expected coeffs of shape {domain.shape}, got {raw.shape}")
     # second pass drops the roundoff divergence to eps * output scale, so the
     # constructed field passes its own relative divergence invariant even
     # when the projection annihilates the input
-    return _project(raw, [(domain.kvec, domain.k_sq_safe)] * 2)
+    if 2 * domain.mode_cut < domain.N:
+        return _project(raw, [(domain.kvec, domain.k_sq_safe)] * 2)
+    return _project(raw, _projection(domain, domain.kvec))
 
 
 def dealias_coeffs(domain, raw):
@@ -485,12 +499,8 @@ def constant_field(domain, vector) -> SpectralVelocityField:
 
 
 def _unit_orthogonal(m):
-    """A deterministic unit vector orthogonal to integer mode vector m."""
+    """A deterministic unit vector orthogonal to the non-zero integer mode vector m."""
     m = np.asarray(m, dtype=float)
-    if np.all(m == 0):
-        e = np.zeros_like(m)
-        e[0] = 1.0
-        return e
     if m.size == 2:
         e = np.array([-m[1], m[0]])
     else:
@@ -541,17 +551,17 @@ def _hermitian_gaussian(domain, rng, keep, weight=1.0):
     return project_coeffs(domain, dealias_coeffs(domain, raw))
 
 
-def random_field(domain, seed, amplitude=1.0, max_mode=None, spectral_slope=2.0) -> SpectralVelocityField:
+def random_field(domain, seed, amplitude=1.0, max_mode=None) -> SpectralVelocityField:
     """
     Smooth random divergence-free field, deterministic per seed.
 
-    Coefficients are complex Gaussians shaped by ``(1 + |k|^2)^(-slope/2)``,
+    Coefficients are complex Gaussians shaped by ``(1 + |k|^2)^(-1)``,
     conjugate-symmetrised, dealiased, projected, then rescaled so that the
     L^2 norm equals ``amplitude``.
     """
     keep = None if max_mode is None else _mode_box(domain, max_mode)
     raw = _hermitian_gaussian(domain, np.random.default_rng(seed), keep,
-                              (1.0 + domain.k_sq) ** (-spectral_slope / 2.0))
+                              (1.0 + domain.k_sq) ** -1.0)
     norm = math.sqrt(domain.measure) * _l2_norm(raw)
     if norm > 0:
         raw *= amplitude / norm
@@ -579,7 +589,8 @@ def bump_field(domain, center=None, width=1.0, amplitude=1.0, support_radius=Non
         s = r_sq / inner_r**2
         psi = psi * (1.0 - cutoff_xi(s))
     psi_hat = dom.phase * np.fft.fftn(psi) / dom.N**dom.d
-    k = dom.kvec
+    # the projection's first wavevectors: a zero Nyquist wavenumber, as for any real field's derivatives
+    k = _projection(dom, dom.kvec)[0][0]
     coeffs = np.zeros(dom.shape, dtype=np.complex128)
     if dom.d == 2:
         coeffs[0] = -1j * k[1] * psi_hat
@@ -602,14 +613,10 @@ def cutoff_xi(s):
     return out if out.ndim else float(out)
 
 
-def field_from_physical(domain, samples, project=True, dealias=True) -> SpectralVelocityField:
-    """Build a field from grid samples, optionally dealiasing and projecting."""
-    raw = transform_forward(domain, samples)
-    if dealias:
-        raw = dealias_coeffs(domain, raw)
-    if project:
-        raw = project_coeffs(domain, raw)
-    return SpectralVelocityField(domain, raw)
+def field_from_physical(domain, samples) -> SpectralVelocityField:
+    """Build a field from grid samples: transformed, dealiased and projected."""
+    raw = dealias_coeffs(domain, transform_forward(domain, samples))
+    return leray_project(domain, raw)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "GapReport",
-    "PerturbationReport",
     "solve",
     "energy_identity_residual",
     "continuity_gap",
@@ -582,37 +581,44 @@ def energy_identity_residual(traj: Trajectory, quadrature="trapezoid") -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# continuity in initial data
+# Gronwall audits: continuity in initial data, and the perturbation bound
 
 
 @dataclass(frozen=True)
 class GapReport:
+    """The measured ``|a - b|^2`` and its Gronwall envelope at the snapshot times; ``case``: the regime."""
+
     times: np.ndarray
     gap_sq: np.ndarray
     envelope: np.ndarray
     case: str
 
 
-def _gap_sq(a: Trajectory, b: Trajectory):
-    """``|a - b|^2`` at each shared snapshot."""
-    return np.array([_energy_sq(sa.domain, sa.coeffs - sb.coeffs)[0] for sa, sb in zip(a.states, b.states)])
-
-
-def _check_same_grids(a: Trajectory, b: Trajectory):
-    """Same domain, ledger grid and snapshot times, so that ledgers and snapshots pair up."""
+def _check_pair(a: Trajectory, b: Trajectory) -> str:
+    """The regime of two trajectories whose domain, grids and ``(d, mu, alpha, beta, r)`` agree, so that they pair up."""
     if a.domain != b.domain:
         raise MismatchedTrajectoriesError("trajectories live on different domains")
     if len(a.ledger["t"]) != len(b.ledger["t"]) or not np.allclose(a.ledger["t"], b.ledger["t"]):
         raise MismatchedTrajectoriesError("trajectories use different time grids")
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
         raise MismatchedTrajectoriesError("trajectories use different snapshot strides")
+    if replace(a.params, epsilon=0.0) != replace(b.params, epsilon=0.0):
+        raise MismatchedTrajectoriesError(f"trajectories solve with different parameters: {a.params} and {b.params}")
+    return validate_params(a.params).regime
 
 
-def continuity_gap(traj1: Trajectory, traj2: Trajectory, params: PhysicalParameters,
-                   c_l4=None) -> GapReport:
+def _gronwall(a: Trajectory, b: Trajectory, rate, source, case) -> GapReport:
+    """``(|a - b|^2 at the start + int source) * exp(int rate)`` on the ledger grid, read at the snapshot times."""
+    t = a.ledger["t"]
+    gap = np.array([_energy_sq(sa.domain, sa.coeffs - sb.coeffs)[0] for sa, sb in zip(a.states, b.states)])
+    env = (gap[0] + _cumtrap(source, t)) * np.exp(_cumtrap(rate, t))
+    return GapReport(times=a.times, gap_sq=gap, envelope=np.interp(a.times, t, env), case=case)
+
+
+def continuity_gap(traj1: Trajectory, traj2: Trajectory, c_l4=None) -> GapReport:
     """
     Squared gap between two solutions from different initial data, against
-    the analytic growth envelope of the applicable regime:
+    the analytic growth envelope of the parameters' regime:
 
     * 2D: Gronwall factor driven by the second trajectory's enstrophy,
       with the (empirical) interpolation constant ``c_l4``;
@@ -621,47 +627,24 @@ def continuity_gap(traj1: Trajectory, traj2: Trajectory, params: PhysicalParamet
     """
     if traj1.system != traj2.system or traj1.epsilon != traj2.epsilon:
         raise MismatchedTrajectoriesError("trajectories solve different systems")
-    _check_same_grids(traj1, traj2)
-    times = traj1.times
-    gap = _gap_sq(traj1, traj2)
-    led_t = traj1.ledger["t"]
-    gap0 = gap[0]
-
-    if params.d == 2:
+    regime = _check_pair(traj1, traj2)
+    p = traj1.params
+    t = traj1.ledger["t"]
+    if regime == "2d":
         if c_l4 is None:
             raise ValueError("the 2D envelope needs the measured interpolation constant c_l4")
-        z = traj2.ledger["z"]
-        rate = (c_l4**2 / (2.0 * params.mu)) * z**-2.0 * traj2.ledger["grad_sq"]
-        env_dense = gap0 * np.exp(_cumtrap(rate, led_t))
-        env = np.interp(times, led_t, env_dense)
-        case = "2d-gronwall"
-    elif params.r > 3:
-        eta = (params.r - 3.0) / (2.0 * params.mu * (params.r - 1.0)) * (
-            2.0 / (params.beta * params.mu * (params.r - 1.0))
-        ) ** (2.0 / (params.r - 3.0))
-        env = gap0 * np.exp(2.0 * eta * (times - times[0]))
-        case = "3d-supercritical"
+        rate = (c_l4**2 / (2.0 * p.mu)) * traj2.ledger["z"] ** -2.0 * traj2.ledger["grad_sq"]
+    elif regime == "3d-supercritical":
+        eta = (p.r - 3.0) / (2.0 * p.mu * (p.r - 1.0)) * (
+            2.0 / (p.beta * p.mu * (p.r - 1.0))
+        ) ** (2.0 / (p.r - 3.0))
+        rate = np.full_like(t, 2.0 * eta)
     else:
-        if 2.0 * params.beta * params.mu < 1.0:
-            raise ValueError("the critical 3D envelope needs 2*beta*mu >= 1")
-        env = np.full_like(times, gap0)
-        case = "3d-critical"
-    return GapReport(times=times, gap_sq=gap, envelope=env, case=case)
+        rate = np.zeros_like(t)
+    return _gronwall(traj1, traj2, rate, np.zeros_like(t), regime)
 
 
-# ---------------------------------------------------------------------------
-# trajectory-level perturbation bound
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    times: np.ndarray
-    gap_sq: np.ndarray
-    envelope: np.ndarray
-
-
-def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
-                          params: PhysicalParameters, c_l4=None, c_b=None) -> PerturbationReport:
+def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory, c_l4=None, c_b=None) -> GapReport:
     """
     Gronwall bound on ``|v_eps(t) - u(t)|^2`` assembled from the two energy
     ledgers, with every Young-inequality constant explicit.  The measured
@@ -670,11 +653,12 @@ def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
     """
     if det_traj.system != "deterministic" or conj_traj.system != "conjugated":
         raise MismatchedTrajectoriesError("expected one deterministic and one conjugated trajectory")
-    _check_same_grids(det_traj, conj_traj)
+    regime = _check_pair(det_traj, conj_traj)
+    p = conj_traj.params
     t = det_traj.ledger["t"]
 
-    r = params.r
-    mn = min(params.mu, params.alpha)
+    r = p.r
+    mn = min(p.mu, p.alpha)
     z = conj_traj.ledger["z"]
     h_u = det_traj.ledger["h_sq"]
     g_u = det_traj.ledger["grad_sq"]
@@ -689,40 +673,32 @@ def perturbation_envelope(det_traj: Trajectory, conj_traj: Trajectory,
 
     damp_cross = 2.0 * p_damp * ((1.0 + 2.0**r) * lr_u + 2.0**r * lr_v)
 
-    if params.d == 2:
+    if regime == "2d":
         if c_l4 is None or c_b is None:
             raise ValueError("the 2D envelope needs the measured constants c_l4 and c_b")
-        p1 = (2.0 * c_l4**2 / params.mu) * z**-2.0 * g_u + c_b * (g_u + g_v)
+        p1 = (2.0 * c_l4**2 / p.mu) * z**-2.0 * g_u + c_b * (g_u + g_v)
         p2 = (
             1.5 * c_b * q_inv ** (4.0 / 3.0) * h_u ** (1.0 / 3.0) * g_u
             + damp_cross
             + (2.0 * q_fwd**2 / mn) * f_sq
         )
-    elif r > 3:
+    elif regime == "3d-supercritical":
         p_exp = (r - 1.0) / 2.0
         young = (p_exp - 1.0) * p_exp ** (-p_exp / (p_exp - 1.0))
-        c_quad = young * (4.0 / params.beta) ** (1.0 / (p_exp - 1.0)) * params.mu ** (-p_exp / (p_exp - 1.0))
-        c_cross = young * (4.0 / params.beta) ** (1.0 / (p_exp - 1.0)) * (params.beta / 2.0) ** (p_exp / (p_exp - 1.0))
+        c_quad = young * (4.0 / p.beta) ** (1.0 / (p_exp - 1.0)) * p.mu ** (-p_exp / (p_exp - 1.0))
+        c_cross = young * (4.0 / p.beta) ** (1.0 / (p_exp - 1.0)) * (p.beta / 2.0) ** (p_exp / (p_exp - 1.0))
         p1 = np.full_like(t, 2.0 * (c_quad + c_cross))
-        p2 = damp_cross + (1.0 / params.beta) * q_fwd**2 * g_u + (2.0 * q_fwd**2 / mn) * f_sq
+        p2 = damp_cross + (1.0 / p.beta) * q_fwd**2 * g_u + (2.0 * q_fwd**2 / mn) * f_sq
     else:
-        slack = 2.0 * params.mu - 1.0 / params.beta
+        slack = 2.0 * p.mu - 1.0 / p.beta
         if np.any(f_sq > 0.0) and slack <= 1e-12:
             raise ValueError(
                 "the critical 3D perturbation envelope with forcing needs 2*beta*mu > 1"
             )
         theta = min(mn, max(slack, 1e-12))
         p1 = np.full_like(t, theta)
-        p2 = damp_cross + (1.0 / params.beta) * q_fwd**2 * g_u + (q_fwd**2 / theta) * f_sq
-
-    i_p1 = _cumtrap(p1, t)
-    i_p2 = _cumtrap(p2, t)
-    gap = _gap_sq(conj_traj, det_traj)
-    env_dense = (gap[0] + i_p2) * np.exp(i_p1)
-
-    times = det_traj.times
-    env = np.interp(times, t, env_dense)
-    return PerturbationReport(times=times, gap_sq=gap, envelope=env)
+        p2 = damp_cross + (1.0 / p.beta) * q_fwd**2 * g_u + (q_fwd**2 / theta) * f_sq
+    return _gronwall(det_traj, conj_traj, p1, p2, regime)
 
 
 # ---------------------------------------------------------------------------

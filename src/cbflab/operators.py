@@ -20,6 +20,7 @@ skew-symmetric form, as here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -76,22 +77,26 @@ class PhysicalParameters:
 
 @dataclass(frozen=True)
 class Admissibility:
+    """The verdict on a parameter set, and ``regime``, the case that holds: None when none does."""
+
     admissible: bool
     reason: str
+    regime: Optional[str] = None
 
 
 def validate_params(p: PhysicalParameters) -> Admissibility:
     """
-    Well-posedness regimes: 2D needs r >= 1; 3D needs r > 3, or r = 3
-    together with 2*beta*mu >= 1.
+    Well-posedness regimes, the one place that tells them apart: ``2d`` needs
+    r >= 1; ``3d-supercritical`` is 3D with r > 3; ``3d-critical`` is 3D with
+    r = 3 together with 2*beta*mu >= 1.
     """
     if p.d == 2:
-        return Admissibility(True, "d=2 with r>=1 holds for any mu, beta > 0")
+        return Admissibility(True, "d=2 with r>=1 holds for any mu, beta > 0", "2d")
     if p.r > 3:
-        return Admissibility(True, "d=3 with r>3 holds for any mu, beta > 0")
+        return Admissibility(True, "d=3 with r>3 holds for any mu, beta > 0", "3d-supercritical")
     if p.r == 3:
         if 2.0 * p.beta * p.mu >= 1.0:
-            return Admissibility(True, "d=3, r=3 with 2*beta*mu >= 1")
+            return Admissibility(True, "d=3, r=3 with 2*beta*mu >= 1", "3d-critical")
         return Admissibility(
             False,
             f"d=3 critical exponent r=3 requires 2*beta*mu >= 1, got {2.0 * p.beta * p.mu:.6g}",
@@ -232,10 +237,10 @@ def bilinear_estimate_ratio(domain, n_samples=64, seed=0):
     return worst
 
 
-def empirical_constants(domain, n_samples=48, seed=0, safety=4.0):
+def empirical_constants(domain, n_samples=48, seed=0):
     """
     Measured constants for the inequalities used by the perturbation and
-    continuity envelopes, inflated by ``safety``:
+    continuity envelopes, inflated by a safety factor of 4:
 
     * ``c_l4``: ``|u|_{L^4}^2 <= c |u|^((4-d)/2) |grad u|^(d/2)``
       (the dimension-dependent interpolation bound)
@@ -251,4 +256,4 @@ def empirical_constants(domain, n_samples=48, seed=0, safety=4.0):
         if denom > 0:
             c_l4 = max(c_l4, lebesgue_norm(u, 4.0) ** 2 / denom)
     c_b = bilinear_estimate_ratio(domain, n_samples=n_samples, seed=seed)
-    return {"c_l4": safety * c_l4, "c_b": safety * c_b}
+    return {"c_l4": 4.0 * c_l4, "c_b": 4.0 * c_b}

@@ -172,21 +172,23 @@ def cocycle_trajectory(t, tau, omega, initial, params, profile, config) -> Traje
 # absorbing radii
 
 
+_ABSORPTION_SLACK = 1e-6  # a rung is absorbed when its largest norm^2 is at most radius_sq * (1 + slack)
+
+
 @dataclass(frozen=True)
 class AbsorbingEstimate:
     """
-    Absorbing-ball radius (squared) with its two-summand breakdown.
+    Absorbing-ball radius (squared), with per-rung results when measured.
     ``forcing_integral_rel_error`` is the largest ``error_estimate / value``
     of its forcing integrals; above 1e-7 one missed its tolerance.
     """
 
     radius_sq: float
-    constant_term: float
-    integral_term: float
     tail_bound: float
     entry_time: Optional[float] = None
     companion_radius_sq: Optional[float] = None
     rung_max_norm_sq: Optional[tuple] = None
+    rung_absorbed: Optional[tuple] = None
     horizons: Optional[tuple] = None
     forcing_integral_rel_error: float = 0.0
 
@@ -195,29 +197,35 @@ def _rel_error(integ) -> float:
     return integ.error_estimate / integ.value if integ.value else 0.0
 
 
-def absorbing_radius_det(tau, params: PhysicalParameters, profile: ForcingProfile) -> AbsorbingEstimate:
-    """Deterministic radius ``1 + (1/min(mu, a)) int e^{a(s - tau)} |f|^2_{V'} ds``."""
+def _radius(tau, omega, params, profile) -> AbsorbingEstimate:
+    """
+    ``M(tau, omega) = z(tau)^(-2) [1 + (1/min(mu, a)) int e^{a(s-tau)} z(s)^2 |f|^2_{V'} ds]``,
+    z on the shifted path at ``params.epsilon``; without a path z = 1, the deterministic radius.
+    """
+    shifted = None if omega is None else shift_path(omega, -tau)
+    base = 1.0 if shifted is None else ConjugationProcess(shifted, params.epsilon).value(tau) ** -2.0
     if profile.is_zero:
-        return AbsorbingEstimate(1.0, 1.0, 0.0, 0.0)
-    mn = min(params.mu, params.alpha)
-    integ = weighted_forcing_integral(profile, tau, params.alpha)
-    term = math.exp(-params.alpha * tau) / mn * integ.value
-    return AbsorbingEstimate(1.0 + term, 1.0, term, integ.tail_bound,
-                             forcing_integral_rel_error=_rel_error(integ))
+        return AbsorbingEstimate(base, 0.0)
+    integ = weighted_forcing_integral(
+        profile, tau, params.alpha, path=shifted, epsilon=params.epsilon, weight="z2",
+    )
+    term = base * math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * integ.value
+    return AbsorbingEstimate(base + term, integ.tail_bound, forcing_integral_rel_error=_rel_error(integ))
+
+
+def absorbing_radius_det(tau, params: PhysicalParameters, profile: ForcingProfile) -> AbsorbingEstimate:
+    """Deterministic radius ``1 + (1/min(mu, a)) int e^{a(s - tau)} |f|^2_{V'} ds``: :func:`_radius` at z = 1."""
+    return _radius(tau, None, params, profile)
 
 
 def absorbing_radius_stoch(tau, omega: WienerPath, params: PhysicalParameters,
                            profile: ForcingProfile) -> AbsorbingEstimate:
     """
-    Pathwise radius
-
-        M(tau, omega) = z(tau)^(-2) [ 1 + (1/min(mu, a)) int e^{a(s-tau)} z(s)^2 |f|^2 ds ]
-
-    with z built on the shifted path at ``params.epsilon``, together with
-    the epsilon-free companion bound using ``exp(2 |omega|)`` weights.  The
+    Pathwise radius ``M(tau, omega)`` of :func:`_radius`, together with the
+    epsilon-free companion bound using ``exp(2 |omega|)`` weights.  The
     companion dominates the radius for every noise intensity in (0, 1].
     """
-    est = _z2_radius(tau, omega, params, profile)
+    est = _radius(tau, omega, params, profile)
     companion = math.exp(2.0 * abs(omega.value(-tau)))
     rel = est.forcing_integral_rel_error
     if not profile.is_zero:
@@ -227,20 +235,6 @@ def absorbing_radius_stoch(tau, omega: WienerPath, params: PhysicalParameters,
         companion = companion + math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * comp_int.value
         rel = max(rel, _rel_error(comp_int))
     return replace(est, companion_radius_sq=companion, forcing_integral_rel_error=rel)
-
-
-def _z2_radius(tau, omega, params, profile) -> AbsorbingEstimate:
-    """``M(tau, omega)`` with its ``z(tau)^-2`` and forcing terms, on the shifted path."""
-    shifted = shift_path(omega, -tau)
-    base = ConjugationProcess(shifted, params.epsilon).value(tau) ** -2.0
-    if profile.is_zero:
-        return AbsorbingEstimate(base, base, 0.0, 0.0)
-    integ = weighted_forcing_integral(
-        profile, tau, params.alpha, path=shifted, epsilon=params.epsilon, weight="z2",
-    )
-    term = base * math.exp(-params.alpha * tau) / min(params.mu, params.alpha) * integ.value
-    return AbsorbingEstimate(base + term, base, term, integ.tail_bound,
-                             forcing_integral_rel_error=_rel_error(integ))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +263,13 @@ def _check_horizons(horizons):
 
 def measure_absorption(tau, omega, family: TemperedFamily, params: PhysicalParameters,
                        profile: ForcingProfile, horizons: Sequence[float], config: SolverConfig,
-                       *, domain, slack=1e-6) -> AbsorbingEstimate:
+                       *, domain) -> AbsorbingEstimate:
     """
-    Pull the family back from ``tau - t`` for each horizon ``t`` and record
-    the first ladder rung after which every endpoint stays inside the
-    absorbing ball.  ``entry_time`` is None when absorption is not observed
-    within the ladder (reported, not fatal).
+    Pull the family back from ``tau - t`` for each horizon ``t``, flag each
+    rung whose endpoints all lie inside the absorbing ball (``rung_absorbed``),
+    and record the first rung after which every rung is absorbed.
+    ``entry_time`` is None when absorption is not observed within the ladder
+    (reported, not fatal).
     """
     horizons = tuple(horizons)
     if omega is None:
@@ -283,10 +278,10 @@ def measure_absorption(tau, omega, family: TemperedFamily, params: PhysicalParam
         est = absorbing_radius_stoch(tau, omega, params, profile)
     clouds = _horizon_clouds(horizons, tau, omega, family, params, profile, config, domain)
     max_norms = tuple(max(_energy_sq(domain, e.coeffs)[0] for e in ends) for ends in clouds)
-    threshold = est.radius_sq * (1.0 + slack)
-    absorbed = [m <= threshold for m in max_norms]
+    threshold = est.radius_sq * (1.0 + _ABSORPTION_SLACK)
+    absorbed = tuple(m <= threshold for m in max_norms)
     entry = next((t for i, t in enumerate(horizons) if all(absorbed[i:])), None)
-    return replace(est, entry_time=entry, rung_max_norm_sq=max_norms, horizons=horizons)
+    return replace(est, entry_time=entry, rung_max_norm_sq=max_norms, rung_absorbed=absorbed, horizons=horizons)
 
 
 @dataclass(frozen=True)
@@ -412,7 +407,7 @@ def semicontinuity_sweep(tau, omega: WienerPath, eps_ladder, params: PhysicalPar
     for eps in eps_ladder:
         rung = replace(params, epsilon=eps)
         samp = sample_attractor(tau, omega, rung, profile, horizons, family, config, domain=domain)
-        est = _z2_radius(tau, omega, rung, profile)
+        est = _radius(tau, omega, rung, profile)
         rel = max(rel, est.forcing_integral_rel_error)
         rows.append(SemicontinuityRow(epsilon=eps, dist=hausdorff_semidistance(samp.points, base.points),
                                       radius_sq=est.radius_sq))

@@ -134,9 +134,9 @@ def _check_hausdorff():
     return "hausdorff_semidistance", ok, f"3-4-5={d1} asym=({d2},{d3})"
 
 
-def run_all(n_modes=24):
-    """Run the battery on a small 2D grid; returns a list of result triples."""
-    dom = dom_mod.make_domain(2, math.pi, n_modes)
+def run_all():
+    """Run the battery on a 24^2 grid; returns a list of result triples."""
+    dom = dom_mod.make_domain(2, math.pi, 24)
     checks = [
         _check_transforms(dom),
         _check_leray(dom),

@@ -230,7 +230,7 @@ def test_08_perturbation_envelope():
     gaps_2d = []
     for eps in (0.5, 0.25, 0.125):
         conj = solve("conjugated", u0, cfg, params2(eps), prof, path=omega)
-        rep = perturbation_envelope(det, conj, params2(eps),
+        rep = perturbation_envelope(det, conj,
                                     c_l4=consts["c_l4"], c_b=consts["c_b"])
         assert np.all(rep.gap_sq <= rep.envelope)
         gaps_2d.append(rep.gap_sq[-1])
@@ -249,7 +249,7 @@ def test_08_perturbation_envelope():
     for eps in (0.5, 0.25, 0.125):
         pe = PhysicalParameters(3, 1.0, 1.0, 1.0, 5.0, eps)
         conj3 = solve("conjugated", u03, cfg3, pe, prof3, path=omega3)
-        rep = perturbation_envelope(det3, conj3, pe)
+        rep = perturbation_envelope(det3, conj3)
         assert np.all(rep.gap_sq <= rep.envelope)
         gaps_3d.append(rep.gap_sq[-1])
     assert gaps_3d[0] > gaps_3d[1] > gaps_3d[2]

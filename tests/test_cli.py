@@ -228,6 +228,13 @@ class TestParseConfig:
         ({}, {"domain": {"N": 32}, "forcing": {"kind": "constant_field",
                                                "template": {"shape": "single_mode", "mode": [0, 12]}}},
          "forcing.template: its coefficients reach outside the dealiased box |m_i| <= 10"),
+        ({}, {"forcing": {"kind": "constant_field", "delta": 1.0, "template": {"shape": "single_mode"}}},
+         "forcing.delta: need 0 <= delta < alpha, got 1.0 with alpha=1.0"),
+        ({}, {"forcing": {"kind": "constant_field"}}, "forcing.template: expected an object with a 'shape' key"),
+        ({}, {"forcing": {"kind": "periodic", "period": 0.5, "template": {}}},
+         "forcing.template: expected an object with a 'shape' key"),
+        ({"system": "conjugated", "seed": 1}, {"params": {"epsilon": 0.5}},
+         "experiment.path_window: required for a run that draws a path"),
     ], ids=["unknown-system", "pullback-no-horizons", "attractor-no-horizons", "empty-horizons",
             "negative-horizon", "text-horizon", "semicontinuity-no-horizons", "tails-no-horizons",
             "no-epsilon-ladder", "no-tail-radii", "negative-tail-epsilon", "unknown-family-key",
@@ -243,7 +250,9 @@ class TestParseConfig:
             "text-family-radius", "text-max-mode", "text-N", "fractional-N", "text-L", "text-dealias",
             "text-include-B", "boolean-r", "text-include-boundary", "negative-max-mode",
             "unknown-template-key", "text-mu", "text-dt", "step-count-overflows",
-            "period-underflows", "periodic-without-period", "heun-dt-unstable", "template-outside-box"])
+            "period-underflows", "periodic-without-period", "heun-dt-unstable", "template-outside-box",
+            "delta-not-below-alpha", "forcing-without-template", "template-without-shape",
+            "path-run-without-path-window"])
     def test_rejected_before_the_run(self, experiment, sections, message, tmp_path, capsys):
         kind = experiment.get("kind", "simulate")
         raw = {"domain": {"N": 16}, "solver": {"dt": 0.01}, "experiment": dict(experiment, kind=kind)}

@@ -20,6 +20,7 @@ from cbflab.domain import (
     _box_part,
     _forward_shapes,
     _inverse_shapes,
+    bump_field,
     check_interpolation,
     constant_field,
     field_from_physical,
@@ -403,6 +404,45 @@ class TestFieldHelpers:
         u = field_from_physical(dom, samples)
         ref = sin_y_field(dom)
         assert np.max(np.abs(u.coeffs - ref.coeffs)) <= 1e-13
+
+    def test_single_mode_zero_is_constant(self):
+        dom = make_domain(3, math.pi, 8)
+        u = single_mode_field(dom, [0, 0, 0], amplitude=1.5)
+        assert np.array_equal(u.coeffs, constant_field(dom, [1.5, 0.0, 0.0]).coeffs)
+        assert norms(u).h_norm_sq == pytest.approx(1.5**2 * dom.measure, rel=1e-14)
+
+    def test_3d_bump_is_curl_of_stream_function(self):
+        # u = curl(psi e_z) = (d_y psi, -d_x psi, 0) for psi = A exp(-|x - c|^2 / (2 w^2)); the box
+        # [-2 pi, 2 pi]^3 holds the Gaussian, and the dealiased band resolves it to ~1e-6
+        dom = make_domain(3, 2.0 * math.pi, 32)
+        amp, width, center = 0.7, 1.0, np.array([0.5, -0.25, 0.0])
+        u = bump_field(dom, center=center, width=width, amplitude=amp)
+        rel = dom.coords - center.reshape(3, 1, 1, 1)
+        psi = amp * np.exp(-np.sum(rel**2, axis=0) / (2.0 * width**2))
+        expect = np.stack([-rel[1] * psi, rel[0] * psi, np.zeros_like(psi)]) / width**2
+        got = np.fft.ifftn(dom.phase * u.coeffs, axes=dom.spatial_axes) * dom.N**3
+        scale = np.abs(expect).max()
+        assert np.abs(got.imag).max() <= 1e-14 * scale
+        assert np.abs(got.real - expect).max() <= 1e-5 * scale
+        assert np.abs(u.coeffs[2]).max() <= 1e-15 * np.abs(u.coeffs).max()
+        assert np.abs(np.sum(dom.kvec * u.coeffs, axis=0)).max() <= 1e-14 * np.abs(u.coeffs).max()
+
+    @pytest.mark.parametrize("d,N", [(2, 24), (3, 12)])
+    def test_fields_real_at_full_band(self, d, N):
+        # with dealias 1 the box keeps the Nyquist planes, where a real field's
+        # coefficients are Hermitian too
+        dom = make_domain(d, math.pi, N, 1.0)
+        u = random_field(dom, 3)
+        fields = [u, bump_field(dom, width=1.0, support_radius=1.5),
+                  field_from_physical(dom, transform_inverse(dom, u.coeffs))]
+        axes = dom.spatial_axes
+        for f in fields:
+            reflected = np.roll(np.flip(f.coeffs, axis=axes), shift=[1] * d, axis=axes)
+            assert np.abs(np.conj(reflected) - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
+            imag = np.fft.ifftn(dom.phase * f.coeffs, axes=axes).imag * N**d
+            assert np.abs(imag).max() <= 1e-14 * np.abs(transform_inverse(dom, f.coeffs)).max()
+        # symmetrised before the projection: Hermitian to the bit
+        assert np.array_equal(np.roll(np.flip(u.coeffs, axis=axes), shift=[1] * d, axis=axes), np.conj(u.coeffs))
 
 
 class TestSnapshots:

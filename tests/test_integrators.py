@@ -1,5 +1,6 @@
 """Time integration: schemes, energy ledger audits, analytic envelopes."""
 
+import dataclasses
 import math
 import os
 import sys
@@ -17,6 +18,7 @@ from cbflab.domain import (
     _box_full,
     _box_part,
     _energy_sq,
+    _project,
     constant_field,
     dealias_coeffs,
     make_domain,
@@ -65,6 +67,18 @@ PARAMS_2D = PhysicalParameters(2, 1.0, 1.0, 1.0, 3.0)
 
 def params_with_eps(eps, base=PARAMS_2D):
     return PhysicalParameters(base.d, base.mu, base.alpha, base.beta, base.r, eps)
+
+
+def with_ledger(traj, **columns):
+    """``traj`` with constant ledger columns in place of the solved ones: its envelopes have a closed form."""
+    t = traj.ledger["t"]
+    return dataclasses.replace(traj, ledger=dict(traj.ledger, **{k: np.full_like(t, v) for k, v in columns.items()}))
+
+
+def closed_form_envelope(rep, rate, source):
+    """``(gap0 + source (t - t0)) exp(rate (t - t0))``: the Gronwall envelope of constant rate and source."""
+    age = rep.times - rep.times[0]
+    return (rep.gap_sq[0] + source * age) * np.exp(rate * age)
 
 
 class TestStepping:
@@ -399,22 +413,22 @@ class TestContinuityGap:
         u = random_field(dom, seed=21, amplitude=0.4)
         t1 = solve("deterministic", u, cfg, PARAMS_2D, zero_forcing())
         t2 = solve("deterministic", u.copy(), cfg, PARAMS_2D, zero_forcing())
-        rep = continuity_gap(t1, t2, PARAMS_2D, c_l4=1.0)
+        rep = continuity_gap(t1, t2, c_l4=1.0)
         assert np.all(rep.gap_sq == 0.0)
 
     def test_2d_envelope(self):
         dom = make_domain(2, math.pi, 16)
         c_l4 = empirical_constants(dom, n_samples=16, seed=1)["c_l4"]
         t1, t2 = self._pair(dom, PARAMS_2D)
-        rep = continuity_gap(t1, t2, PARAMS_2D, c_l4=c_l4)
-        assert rep.case == "2d-gronwall"
+        rep = continuity_gap(t1, t2, c_l4=c_l4)
+        assert rep.case == "2d"
         assert np.all(rep.gap_sq <= rep.envelope * (1 + 1e-6) + 1e-12)
 
     def test_3d_critical_monotone(self):
         dom = make_domain(3, math.pi, 8)
         params = PhysicalParameters(3, 1.0, 1.0, 0.6, 3.0)
         t1, t2 = self._pair(dom, params, seed=22)
-        rep = continuity_gap(t1, t2, params)
+        rep = continuity_gap(t1, t2)
         assert rep.case == "3d-critical"
         assert np.all(rep.gap_sq <= rep.gap_sq[0] * (1 + 1e-6))
 
@@ -422,7 +436,7 @@ class TestContinuityGap:
         dom = make_domain(3, math.pi, 8)
         params = PhysicalParameters(3, 1.0, 1.0, 1.0, 5.0)
         t1, t2 = self._pair(dom, params, seed=23)
-        rep = continuity_gap(t1, t2, params)
+        rep = continuity_gap(t1, t2)
         eta = 1.0 / (8.0 * params.beta * params.mu**2)
         expect = rep.gap_sq[0] * np.exp(2.0 * eta * (rep.times - rep.times[0]))
         assert np.allclose(rep.envelope, expect, rtol=1e-12)
@@ -436,10 +450,37 @@ class TestContinuityGap:
         t1 = solve("deterministic", u, cfg1, PARAMS_2D, zero_forcing())
         t2 = solve("deterministic", u, cfg2, PARAMS_2D, zero_forcing())
         with pytest.raises(MismatchedTrajectoriesError):
-            continuity_gap(t1, t2, PARAMS_2D, c_l4=1.0)
+            continuity_gap(t1, t2, c_l4=1.0)
         t3 = solve("deterministic", u, SolverConfig(dt=2e-3, t_end=0.2, record_stride=5), PARAMS_2D, zero_forcing())
         with pytest.raises(MismatchedTrajectoriesError, match="snapshot"):
-            continuity_gap(t1, t3, PARAMS_2D, c_l4=1.0)
+            continuity_gap(t1, t3, c_l4=1.0)
+
+    def test_parameter_mismatch_detected(self):
+        dom = make_domain(2, math.pi, 16)
+        t1, _ = self._pair(dom, PARAMS_2D, T=0.1)
+        _, t2 = self._pair(dom, PhysicalParameters(2, 0.05, 1.0, 1.0, 3.0), T=0.1)
+        with pytest.raises(MismatchedTrajectoriesError, match="parameters"):
+            continuity_gap(t1, t2, c_l4=1.0)
+
+    def test_2d_envelope_closed_form(self):
+        # rate (c_l4^2 / (2 mu)) z^-2 |grad v|^2 of the second trajectory: 1.5^2 / 0.5 / 9 * 3 = 1.5
+        dom = make_domain(2, math.pi, 8)
+        t1, t2 = self._pair(dom, PhysicalParameters(2, 0.25, 1.0, 1.0, 3.0), T=0.1)
+        t1 = with_ledger(t1, z=5.0, grad_sq=7.0)
+        t2 = with_ledger(t2, z=3.0, grad_sq=3.0)
+        rep = continuity_gap(t1, t2, c_l4=1.5)
+        assert np.allclose(rep.envelope, closed_form_envelope(rep, 1.5, 0.0), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("r,case", [(5.0, "3d-supercritical"), (3.0, "3d-critical")])
+    def test_3d_envelopes_ignore_the_ledger(self, r, case):
+        dom = make_domain(3, math.pi, 8)
+        params = PhysicalParameters(3, 2.0, 1.0, 0.5, r)
+        t1, t2 = self._pair(dom, params, seed=25, T=0.1)
+        rep = continuity_gap(with_ledger(t1, z=5.0, grad_sq=7.0), with_ledger(t2, z=3.0, grad_sq=3.0))
+        assert rep.case == case
+        # r = 5: eta = 1 / (8 beta mu^2) = 1/16; r = 3: a non-increasing gap
+        rate = 2.0 / 16.0 if r == 5.0 else 0.0
+        assert np.allclose(rep.envelope, closed_form_envelope(rep, rate, 0.0), rtol=1e-12, atol=0.0)
 
 
 class TestPerturbationEnvelope:
@@ -453,7 +494,7 @@ class TestPerturbationEnvelope:
         cfg = SolverConfig(dt=1e-3, t_start=0.0, t_end=0.5, record_stride=25)
         det = solve("deterministic", u0, cfg, PARAMS_2D, prof)
         conj = solve("conjugated", u0, cfg, params_with_eps(0.5), prof, path=path)
-        rep = perturbation_envelope(det, conj, params_with_eps(0.5),
+        rep = perturbation_envelope(det, conj,
                                     c_l4=consts["c_l4"], c_b=consts["c_b"])
         assert np.all(rep.gap_sq <= rep.envelope)
 
@@ -467,7 +508,7 @@ class TestPerturbationEnvelope:
                      params_with_eps(0.5), zero_forcing(), path=path)
         assert len(det.times) == 3 and len(conj.times) == 5
         with pytest.raises(MismatchedTrajectoriesError, match="snapshot"):
-            perturbation_envelope(det, conj, params_with_eps(0.5), c_l4=1.0, c_b=1.0)
+            perturbation_envelope(det, conj, c_l4=1.0, c_b=1.0)
 
     def test_gap_shrinks_with_intensity(self):
         dom = make_domain(2, math.pi, 16)
@@ -482,6 +523,85 @@ class TestPerturbationEnvelope:
                 dom, conj.states[-1].coeffs - det.states[-1].coeffs)).h_norm_sq
             ends.append(gap)
         assert ends[0] > ends[1] > ends[2]
+
+
+    def test_parameter_mismatch_detected(self):
+        dom = make_domain(2, math.pi, 16)
+        path = sample_path(36, -1.0, 1.0, 1e-2)
+        u0 = random_field(dom, seed=37, amplitude=0.5)
+        cfg = SolverConfig(dt=1e-2, t_end=0.1)
+        det = solve("deterministic", u0, cfg, PARAMS_2D, zero_forcing())
+        slow = PhysicalParameters(2, 0.05, 1.0, 1.0, 3.0, 0.5)
+        conj = solve("conjugated", u0, cfg, slow, zero_forcing(), path=path)
+        with pytest.raises(MismatchedTrajectoriesError, match="parameters"):
+            perturbation_envelope(det, conj, c_l4=1.0, c_b=1.0)
+
+    @staticmethod
+    def pair_3d(params, eps, profile=None, T=0.1):
+        dom = make_domain(3, math.pi, 8)
+        path = sample_path(38, -1.0, 1.0, 5e-3)
+        u0 = random_field(dom, seed=39, amplitude=0.5)
+        cfg = SolverConfig(dt=5e-3, t_end=T, record_stride=5)
+        profile = profile or zero_forcing()
+        det = solve("deterministic", u0, cfg, params, profile)
+        conj = solve("conjugated", u0, cfg, dataclasses.replace(params, epsilon=eps), profile, path=path)
+        return det, conj
+
+    def test_3d_critical_gap_below_envelope(self):
+        det, conj = self.pair_3d(PhysicalParameters(3, 1.0, 1.0, 0.6, 3.0), 0.5)
+        rep = perturbation_envelope(det, conj)
+        assert rep.case == "3d-critical"
+        assert rep.gap_sq[-1] > 0.0
+        assert np.all(rep.gap_sq <= rep.envelope)
+
+    def test_3d_critical_forced_needs_strict_margin(self):
+        # 2 beta mu = 1 is admissible, but the forced envelope divides by 2 mu - 1 / beta
+        params = PhysicalParameters(3, 1.0, 1.0, 0.5, 3.0)
+        dom = make_domain(3, math.pi, 8)
+        prof = constant_forcing(single_mode_field(dom, [0, 1, 1], amplitude=0.2))
+        det, conj = self.pair_3d(params, 0.5, prof, T=0.02)
+        with pytest.raises(ValueError, match=r"2\*beta\*mu > 1"):
+            perturbation_envelope(det, conj)
+
+    def test_2d_envelope_closed_form(self):
+        # mu 0.5, alpha 2, r 3, z = 3: q_inv = 2/3, q_fwd = 2, |z^(1-r) - 1| = 8/9
+        dom = make_domain(2, math.pi, 8)
+        prof = constant_forcing(single_mode_field(dom, [0, 1], amplitude=0.3))
+        params = PhysicalParameters(2, 0.5, 2.0, 1.0, 3.0)
+        path = sample_path(40, -1.0, 1.0, 1e-2)
+        u0 = random_field(dom, seed=41, amplitude=0.5)
+        cfg = SolverConfig(dt=1e-2, t_end=0.1)
+        det = solve("deterministic", u0, cfg, params, prof)
+        conj = solve("conjugated", u0, cfg, params_with_eps(0.5, params), prof, path=path)
+        det = with_ledger(det, h_sq=8.0, grad_sq=3.0, lr_pow=1.0)
+        conj = with_ledger(conj, z=3.0, grad_sq=5.0, lr_pow=2.0)
+        rep = perturbation_envelope(det, conj, c_l4=1.5, c_b=2.0)
+        f_sq = prof.vprime_sq_template
+        # (2 c_l4^2 / mu) z^-2 g_u + c_b (g_u + g_v)
+        rate = 9.0 / 9.0 * 3.0 + 2.0 * 8.0
+        # 1.5 c_b q_inv^(4/3) h_u^(1/3) g_u + 2 (8/9) ((1 + 2^r) lr_u + 2^r lr_v) + (2 q_fwd^2 / min(mu, alpha)) f_sq
+        source = 1.5 * 2.0 * (2.0 / 3.0) ** (4.0 / 3.0) * 2.0 * 3.0 + 16.0 / 9.0 * (9.0 + 16.0) + 16.0 * f_sq
+        assert np.allclose(rep.envelope, closed_form_envelope(rep, rate, source), rtol=1e-12, atol=0.0)
+
+    # r = 5: Young with p = 2 gives c_quad = (1/4)(4/beta)/mu^2 = 2 and c_cross = (1/4)(4/beta)(beta/2)^2 = 1/2;
+    # r = 3: theta = min(mu, alpha, 2 mu - 1/beta), here 2 - 1/1.6 and then min(mu, alpha)
+    @pytest.mark.parametrize("r,mu,alpha,beta,rate,f_weight", [
+        (5.0, 0.5, 0.25, 2.0, 2.0 * (2.0 + 0.5), 2.0 * 4.0 / 0.25),
+        (3.0, 0.5, 1.0, 1.6, 0.375, 4.0 / 0.375),
+        (3.0, 2.0, 1.0, 1.0, 1.0, 4.0 / 1.0),
+    ], ids=["supercritical", "critical-margin", "critical-min"])
+    def test_3d_envelopes_closed_form(self, r, mu, alpha, beta, rate, f_weight):
+        # z = 3: q_fwd = 2
+        params = PhysicalParameters(3, mu, alpha, beta, r)
+        dom = make_domain(3, math.pi, 8)
+        prof = constant_forcing(single_mode_field(dom, [0, 1, 1], amplitude=0.2))
+        det, conj = self.pair_3d(params, 0.5, prof, T=0.05)
+        det = with_ledger(det, grad_sq=3.0, lr_pow=1.0)
+        conj = with_ledger(conj, z=3.0, lr_pow=2.0)
+        rep = perturbation_envelope(det, conj)
+        damp = 2.0 * abs(3.0 ** (1.0 - r) - 1.0) * ((1.0 + 2.0**r) * 1.0 + 2.0**r * 2.0)
+        source = damp + 4.0 * 3.0 / beta + f_weight * prof.vprime_sq_template
+        assert np.allclose(rep.envelope, closed_form_envelope(rep, rate, source), rtol=1e-12, atol=0.0)
 
 
 class TestUniformEstimates:
@@ -662,12 +782,13 @@ class TestFusedRhs:
     @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
     @pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
     def test_non_hermitian_nyquist_input(self, d, N, dealias):
-        # projected raw complex coefficients: not Hermitian, with content on
-        # every Nyquist plane, which the box keeps only when dealias = 1
+        # raw complex coefficients projected with the full-layout k, which
+        # takes k(-m) = k(m) on the Nyquist planes: not Hermitian, with content
+        # on every Nyquist plane, which the box keeps only when dealias = 1
         dom = make_domain(d, math.pi, N, dealias)
         rng = np.random.default_rng(62)
         raw = 0.1 * (rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape))
-        u = SpectralVelocityField(dom, project_coeffs(dom, raw))
+        u = SpectralVelocityField(dom, _project(raw, [(dom.kvec, dom.k_sq_safe)] * 2))
         assert np.all(np.abs(u.coeffs).sum(axis=0)[nyquist_planes(dom)] > 0)
         params = PhysicalParameters(d, 1.0, 1.0, 0.7, 3.5)
         profile = constant_forcing(random_field(dom, seed=63, amplitude=0.3))

@@ -144,6 +144,14 @@ class TestAbsorbingRadii:
         est = absorbing_radius_det(0.0, params, prof)
         assert est.radius_sq == pytest.approx(1.0 + self.c, rel=1e-6)
 
+    @pytest.mark.parametrize("tau", [0.0, 2.0, -1.5])
+    def test_constant_forcing_closed_form_at_any_time(self, tau):
+        # 1 + e^{-a tau} int^tau e^{a s} c ds / min(mu, a) = 1 + c / (a min(mu, a)), for every tau
+        prof = constant_forcing(self.g, delta=0.5)
+        params = PhysicalParameters(2, 0.5, 2.0, 1.0, 3.0)
+        est = absorbing_radius_det(tau, params, prof)
+        assert est.radius_sq == pytest.approx(1.0 + self.c / (2.0 * 0.5), rel=1e-6)
+
     def test_zero_intensity_collapse_bitwise(self):
         prof = constant_forcing(self.g, delta=0.5)
         det = absorbing_radius_det(0.0, PARAMS, prof)
@@ -284,6 +292,18 @@ class TestAbsorption:
         assert est.entry_time is not None and est.entry_time <= deadline
         for t, m in zip(est.horizons, est.rung_max_norm_sq):
             assert m <= math.exp(-t) * rho**2 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("excess,absorbed", [(5e-7, True), (2e-6, False)])
+    def test_absorption_slack(self, excess, absorbed):
+        # at horizon 0 the endpoint is the sample itself, the constant mode of
+        # norm^2 (1 + excess), against the unforced radius 1 and a slack of 1e-6
+        dom = make_domain(2, math.pi, 8)
+        fam = TemperedFamily(radius_fn=math.sqrt(1.0 + excess), sample_count=1, include_boundary=True)
+        cfg = SolverConfig(dt=5e-3, t_start=0.0, t_end=1.0)
+        est = measure_absorption(0.0, None, fam, PARAMS, zero_forcing(), [0.0], cfg, domain=dom)
+        assert est.rung_max_norm_sq[0] == pytest.approx(1.0 + excess, rel=1e-12)
+        assert est.rung_absorbed == (absorbed,)
+        assert est.entry_time == (0.0 if absorbed else None)
 
     def test_zero_intensity_entry_bitwise(self):
         dom = make_domain(2, math.pi, 16)
@@ -442,7 +462,7 @@ class TestSemicontinuity:
         prof = periodic_forcing(single_mode_field(dom, [0, 1], amplitude=0.05), 1.0)
         sweep = semicontinuity_sweep(0.0, omega, [0.5, 0.25], PARAMS, prof,
                                      [0.02], fam, cfg, domain=dom)
-        assert weights == ["unit", "z2", "z2"]
+        assert weights == ["z2", "z2", "z2"]
         worst = absorbing_radius_det(0.0, PARAMS, prof).forcing_integral_rel_error
         for row in sweep.rows:
             est = absorbing_radius_stoch(0.0, omega, with_eps(row.epsilon), prof)

@@ -314,6 +314,16 @@ class TestPathWeightedIntegral:
         assert 0.0 < out.error_estimate <= 1e-7 * out.value
         assert abs(out.value - ref) <= 4.0 * out.error_estimate
 
+    def test_exp_abs_weight_off_zero_anchor(self):
+        # the weight's kinks sit at the path nodes shifted by tau, here off the
+        # 5e-3 node grid; the value carries the factor e^(rate tau) that the
+        # reference leaves out
+        tau = 0.251
+        out = weighted_forcing_integral(self.prof, tau, 1.0, path=self.omega, epsilon=0.5, weight="exp_abs")
+        ref = math.exp(tau) * _gauss_legendre_reference(self.prof, self.omega, tau, 1.0, 0.5, "exp_abs")
+        assert 0.0 < out.error_estimate <= 1e-7 * out.value
+        assert abs(out.value - ref) <= 4.0 * out.error_estimate
+
 
 class TestPathExport:
     def test_csv_roundtrip_values(self, tmp_path):

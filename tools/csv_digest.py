@@ -7,12 +7,16 @@ Imports cbflab from ``src/`` of this checkout and runs each config in-process
 through ``cbflab.cli.parse_config`` and ``cbflab.cli.run``, writing into
 ``OUT_DIR/<config>/``.  Standard output has one ``config file sha256`` line per
 CSV, and one ``config - <outcome>`` line for a config that is rejected
-(``config error: ...``) or exits non-zero.  Run it on two checkouts and
-``diff`` the outputs: equal lines mean byte-identical CSVs.
+(``config error: ...``) or exits non-zero.  A ``config manifest.summary
+sha256`` line digests the manifest's ``summary`` (canonical JSON), which holds
+values that no CSV carries, such as ``base_radius_sq`` and ``entry_time``,
+and no timing field.  Run it on two checkouts and ``diff`` the outputs: equal
+lines mean byte-identical CSVs and equal summaries.
 
 The configs are the three benchmark workloads of ``perfbench/run.py`` at
 seeds 0 and 1, plus one each of: a ``tails`` run, a decaying-forcing
-``pullback``, a constant-forcing conjugated ``simulate``, ``stratonovich``
+``pullback``, a forced deterministic ``pullback`` (its CSV carries the
+deterministic absorbing radius), a constant-forcing conjugated ``simulate``, ``stratonovich``
 simulates at two steps around Heun's stability bound, a 2D ``r = 1`` run, a
 ``dealias: 1`` run and a forcing template outside the dealiased box.
 """
@@ -66,6 +70,12 @@ def configs():
         "experiment": {"kind": "pullback", "horizons": [0.1, 0.2], "seed": 2, "path_window": [-40.0, 1.0],
                        "family": {"samples": 3}},
     }
+    out["pullback-deterministic"] = {
+        "domain": {"N": 16},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": SINGLE_MODE},
+        "solver": {"dt": 0.01},
+        "experiment": {"kind": "pullback", "horizons": [0.1, 0.2, 0.4], "family": {"samples": 3, "radius": 3.0}},
+    }
     out["simulate-conjugated-constant"] = {
         "domain": {"N": 24}, "params": {"epsilon": 0.3},
         "forcing": {"kind": "constant_field", "template": BUMP},
@@ -104,6 +114,9 @@ def run_one(name, raw, out_dir):
     lines = [] if status == 0 else [f"{name} - exit {status}"]
     for path in sorted((out_dir / name).glob("*.csv")):
         lines.append(f"{name} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    summary = json.loads((out_dir / name / "manifest.json").read_text())["summary"]
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    lines.append(f"{name} manifest.summary {digest}")
     return lines
 
 
