@@ -28,9 +28,9 @@ from .operators import (
     validate_params,
 )
 from .stochastic import (
-    ConjugationProcess,
     ForcingProfile,
     WienerPath,
+    conjugation,
     sample_path,
     shift_path,
     verify_sublinear,

@@ -79,7 +79,6 @@ class TorusDomain:
     modes: np.ndarray = dc_field(init=False, repr=False)
     kvec: np.ndarray = dc_field(init=False, repr=False)
     k_sq: np.ndarray = dc_field(init=False, repr=False)
-    k_sq_safe: np.ndarray = dc_field(init=False, repr=False)
     dealias_mask: np.ndarray = dc_field(init=False, repr=False)
     coords: np.ndarray = dc_field(init=False, repr=False)
     phase: np.ndarray = dc_field(init=False, repr=False)
@@ -117,7 +116,6 @@ class TorusDomain:
         set_attr(self, "kvec", kvec)
         k_sq = np.sum(kvec**2, axis=0)
         set_attr(self, "k_sq", k_sq)
-        set_attr(self, "k_sq_safe", np.where(k_sq == 0.0, 1.0, k_sq))
         cut = math.floor(self.dealias_fraction * (N // 2))
         set_attr(self, "mode_cut", cut)
         set_attr(self, "dealias_mask", _mode_box(self, cut))
@@ -167,10 +165,6 @@ class TorusDomain:
     def shape(self):
         return (self.d,) + (self.N,) * self.d
 
-    def radius_sq_grid(self):
-        """Pointwise ``|x|^2`` on the collocation grid."""
-        return np.sum(self.coords**2, axis=0)
-
 
 def _l2_norm(x):
     """
@@ -190,12 +184,13 @@ def _projection(domain, k):
     """
     The passes ``(k, |k|^2)`` of the solenoidal projection on the wavevectors ``k``: two along ``k`` with a zero
     Nyquist wavenumber, then, where ``k`` has Nyquist components, one along them, so that ``k(m)`` and ``k(-m)``
-    both annihilate the result.
+    both annihilate the result.  The second pass along ``k`` drops the roundoff divergence to eps * output scale, so
+    a constructed field passes its own relative divergence invariant even when the projection annihilates the input.
     """
     nyquist = np.abs(k) == abs((np.pi / domain.L) * domain.modes[domain.N // 2])
     k_d = np.where(nyquist, 0.0, k)
-    passes = [k_d, k_d] + ([np.where(nyquist, k, 0.0)] if nyquist.any() else [])
-    return tuple((p, _safe_sq(p)) for p in passes)
+    passes = [(p, _safe_sq(p)) for p in [k_d] + ([np.where(nyquist, k, 0.0)] if nyquist.any() else [])]
+    return (passes[0],) + tuple(passes)
 
 
 def _mode_box(domain, max_mode):
@@ -232,6 +227,9 @@ class SpectralVelocityField:
             raise ShapeMismatchError(f"expected coeffs of shape {dom.shape}, got {arr.shape}")
         self.coeffs = arr
         scale = _l2_norm(arr)
+        if not math.isfinite(scale) and not np.isfinite(arr).all():  # a finite field's norm may overflow
+            bad = np.argwhere(~np.isfinite(arr))
+            raise ValueError(f"{len(bad)} non-finite coefficients, the first at (component, mode) {bad[:3].tolist()}")
         if scale > 0:
             div = np.abs(np.sum(dom.kvec * arr, axis=0)).max()
             if div > DIV_TOL * scale:
@@ -277,17 +275,12 @@ def transform_inverse(domain, coeffs):
 
 def project_coeffs(domain, raw):
     """
-    Mode-wise solenoidal projection ``uhat -> uhat - k (k.uhat)/|k|^2``.  When the box keeps the Nyquist planes
-    (``dealias: 1``) it takes the box's passes (:func:`_projection`), under which a Hermitian input stays Hermitian.
+    Mode-wise solenoidal projection ``uhat -> uhat - k (k.uhat)/|k|^2`` in the passes of :func:`_projection`,
+    under which a Hermitian input stays Hermitian on every domain.
     """
     raw = np.asarray(raw, dtype=np.complex128)
     if raw.shape != domain.shape:
         raise ShapeMismatchError(f"expected coeffs of shape {domain.shape}, got {raw.shape}")
-    # second pass drops the roundoff divergence to eps * output scale, so the
-    # constructed field passes its own relative divergence invariant even
-    # when the projection annihilates the input
-    if 2 * domain.mode_cut < domain.N:
-        return _project(raw, [(domain.kvec, domain.k_sq_safe)] * 2)
     return _project(raw, _projection(domain, domain.kvec))
 
 
@@ -551,6 +544,14 @@ def _hermitian_gaussian(domain, rng, keep, weight=1.0):
     return project_coeffs(domain, dealias_coeffs(domain, raw))
 
 
+def _rescaled(domain, raw, norm) -> SpectralVelocityField:
+    """The field of a :func:`_hermitian_gaussian` ``raw``, rescaled in place to the L^2 norm ``norm``."""
+    scale = math.sqrt(domain.measure) * _l2_norm(raw)
+    if scale > 0:
+        raw *= norm / scale
+    return SpectralVelocityField(domain, raw)
+
+
 def random_field(domain, seed, amplitude=1.0, max_mode=None) -> SpectralVelocityField:
     """
     Smooth random divergence-free field, deterministic per seed.
@@ -562,10 +563,7 @@ def random_field(domain, seed, amplitude=1.0, max_mode=None) -> SpectralVelocity
     keep = None if max_mode is None else _mode_box(domain, max_mode)
     raw = _hermitian_gaussian(domain, np.random.default_rng(seed), keep,
                               (1.0 + domain.k_sq) ** -1.0)
-    norm = math.sqrt(domain.measure) * _l2_norm(raw)
-    if norm > 0:
-        raw *= amplitude / norm
-    return SpectralVelocityField(domain, raw)
+    return _rescaled(domain, raw, amplitude)
 
 
 def bump_field(domain, center=None, width=1.0, amplitude=1.0, support_radius=None) -> SpectralVelocityField:

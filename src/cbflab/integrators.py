@@ -42,7 +42,7 @@ from .domain import (
     _project,
 )
 from .operators import PhysicalParameters, validate_params
-from .stochastic import _NO_FORCING, ConjugationProcess, ForcingProfile, WienerPath
+from .stochastic import _NO_FORCING, ForcingProfile, WienerPath, conjugation
 
 __all__ = [
     "BlowupError",
@@ -59,8 +59,7 @@ __all__ = [
     "uniform_estimates_check",
 ]
 
-_IMEX_SCHEMES = ("imex_cn_ab2", "imex_euler")
-_SCHEMES = _IMEX_SCHEMES + ("heun_stratonovich",)
+_SCHEMES = ("imex_cn_ab2", "imex_euler", "heun_stratonovich")
 _SYSTEMS = ("deterministic", "conjugated", "stratonovich")
 
 
@@ -176,17 +175,12 @@ class Trajectory:
     def epsilon(self) -> float:
         return self.params.epsilon
 
-    def z_at(self, t) -> float:
-        if self.system != "conjugated" or self.path is None:
-            return 1.0
-        return ConjugationProcess(self.path, self.epsilon).value(t)
-
     def reconstruct_u(self, index) -> SpectralVelocityField:
         """Undo the conjugation at snapshot ``index``: u = v / z."""
         state = self.states[index]
         if self.system != "conjugated":
             return state.copy()
-        z = self.z_at(self.times[index])
+        z = conjugation(self.path, self.epsilon, self.times[index])
         return SpectralVelocityField(state.domain, state.coeffs / z)
 
 
@@ -458,10 +452,9 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
 
     grid = config.t_start + dt * np.arange(n_steps + 1)
     # the conjugation factor at every node, and the Heun step's noise
-    # increments, from whole-grid path evaluations; math.exp per node keeps
-    # the factor exactly 1.0 at zero intensity
+    # increments, from whole-grid path evaluations
     if system == "conjugated":
-        zs = [math.exp(-params.epsilon * w) for w in path.value(grid).tolist()]
+        zs = conjugation(path, params.epsilon, grid)
     else:
         zs = [1.0] * (n_steps + 1)
     if system == "stratonovich":

@@ -157,10 +157,8 @@ def trilinear_b(u, v, w) -> float:
 def damping_raw(domain, u_phys, r):
     """Un-projected coefficients of ``|u|^(r-1) u`` evaluated on the grid."""
     speed = np.sqrt(np.sum(u_phys**2, axis=0))
-    if r == 1.0:
-        w = u_phys
-    else:
-        w = speed ** (r - 1.0) * u_phys
+    # r = 1 needs no fork: x**0.0 is exactly 1.0 and 1.0 * x is x
+    w = speed ** (r - 1.0) * u_phys
     return domain.phase * np.fft.fftn(w, axes=domain.spatial_axes) / domain.N**domain.d
 
 

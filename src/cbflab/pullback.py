@@ -27,17 +27,18 @@ from .domain import (
     SpectralVelocityField,
     _energy_sq,
     _hermitian_gaussian,
-    _l2_norm,
     _mode_box,
+    _rescaled,
+    constant_field,
     cutoff_xi,
     transform_inverse,
 )
 from .integrators import SolverConfig, Trajectory, solve
 from .operators import PhysicalParameters
 from .stochastic import (
-    ConjugationProcess,
     ForcingProfile,
     WienerPath,
+    conjugation,
     shift_path,
     weighted_forcing_integral,
 )
@@ -113,16 +114,9 @@ class TemperedFamily:
         n_random = self.sample_count - (1 if self.include_boundary else 0)
         for _ in range(max(n_random, 0)):
             raw = _hermitian_gaussian(domain, rng, keep)
-            norm = math.sqrt(domain.measure) * _l2_norm(raw)
-            radius = rho * rng.uniform() ** (1.0 / n_dof)
-            if norm > 0:
-                raw *= radius / norm
-            out.append(SpectralVelocityField(domain, raw))
+            out.append(_rescaled(domain, raw, rho * rng.uniform() ** (1.0 / n_dof)))
         if self.include_boundary:
-            coeffs = np.zeros(domain.shape, dtype=np.complex128)
-            idx = (0,) + (0,) * domain.d
-            coeffs[idx] = rho / math.sqrt(domain.measure)
-            out.append(SpectralVelocityField(domain, coeffs))
+            out.append(constant_field(domain, [rho / math.sqrt(domain.measure)] + [0.0] * (domain.d - 1)))
         return out
 
 
@@ -153,8 +147,9 @@ def cocycle_eval(t, tau, omega: Optional[WienerPath], initial: SpectralVelocityF
     if t == 0:
         return initial.copy()
     traj = cocycle_trajectory(t, tau, omega, initial, params, profile, config)
-    # z_at is 1 for the deterministic system, so the unwrap leaves it unchanged
-    return SpectralVelocityField(initial.domain, traj.states[-1].coeffs / traj.z_at(tau + t))
+    # z = 1 without a path; z at tau + t, which the step grid may miss by roundoff
+    z = 1.0 if traj.path is None else conjugation(traj.path, params.epsilon, tau + t)
+    return SpectralVelocityField(initial.domain, traj.states[-1].coeffs / z)
 
 
 def cocycle_trajectory(t, tau, omega, initial, params, profile, config) -> Trajectory:
@@ -163,7 +158,7 @@ def cocycle_trajectory(t, tau, omega, initial, params, profile, config) -> Traje
     if omega is None:
         return solve("deterministic", initial, cfg, params, profile)
     shifted = shift_path(omega, -tau)
-    z_start = ConjugationProcess(shifted, params.epsilon).value(tau)
+    z_start = conjugation(shifted, params.epsilon, tau)
     wrapped = SpectralVelocityField(initial.domain, z_start * initial.coeffs)
     return solve("conjugated", wrapped, cfg, params, profile, path=shifted)
 
@@ -203,7 +198,7 @@ def _radius(tau, omega, params, profile) -> AbsorbingEstimate:
     z on the shifted path at ``params.epsilon``; without a path z = 1, the deterministic radius.
     """
     shifted = None if omega is None else shift_path(omega, -tau)
-    base = 1.0 if shifted is None else ConjugationProcess(shifted, params.epsilon).value(tau) ** -2.0
+    base = 1.0 if shifted is None else conjugation(shifted, params.epsilon, tau) ** -2.0
     if profile.is_zero:
         return AbsorbingEstimate(base, 0.0)
     integ = weighted_forcing_integral(
@@ -431,7 +426,7 @@ def tail_mass(field: SpectralVelocityField, k) -> float:
     dom = field.domain
     _check_cutoff(k, dom.L)
     u = transform_inverse(dom, field.coeffs)
-    weight = cutoff_xi(dom.radius_sq_grid() / k**2)
+    weight = cutoff_xi(np.sum(dom.coords**2, axis=0) / k**2)
     return float(np.sum(weight * np.sum(u**2, axis=0)) * dom.dx**dom.d)
 
 

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cbflab.cli as cli
@@ -360,6 +361,12 @@ def test_readme_configuration_matches_the_table():
     walk("", full)
     walk("forcing.template", bump)
     assert {full["forcing"]["template"]["shape"], bump["shape"]} == {"single_mode", "bump"}
+
+
+def test_manifest_json_takes_numpy_scalars_only():
+    assert json.dumps({"a": np.float64(0.5), "b": np.int64(3)}, default=cli._plain) == '{"a": 0.5, "b": 3}'
+    with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
+        json.dumps({"a": np.zeros(2)}, default=cli._plain)
 
 
 class TestRun:

@@ -25,6 +25,7 @@ from cbflab.domain import (
     constant_field,
     field_from_physical,
     inner_h,
+    lebesgue_norm,
     leray_project,
     load_snapshot,
     make_domain,
@@ -68,6 +69,19 @@ class TestMakeDomain:
         with pytest.raises(ValueError, match="invalid-dimension"):
             make_domain(4, math.pi, 8)
 
+    @pytest.mark.parametrize("L,dealias,match", [(0.0, 2.0 / 3.0, "L must be positive"),
+                                                 (math.pi, 0.0, "dealias_fraction must lie in"),
+                                                 (math.pi, 1.5, "dealias_fraction must lie in")])
+    def test_bad_box_rejected(self, L, dealias, match):
+        with pytest.raises(ValueError, match=match):
+            make_domain(2, L, 8, dealias)
+
+    def test_equality_and_hash(self):
+        a, b = make_domain(2, math.pi, 8), make_domain(2, math.pi, 8)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, make_domain(2, math.pi, 8, 1.0)}) == 2
+        assert a != "not a domain" and a.__eq__("not a domain") is NotImplemented
+
     def test_deterministic_tables(self):
         a = make_domain(2, 2.0, 16)
         b = make_domain(2, 2.0, 16)
@@ -80,13 +94,12 @@ class TestMakeDomain:
     @pytest.mark.parametrize("d,N", [(2, 8), (3, 6)])
     def test_half_spectrum_tables(self, d, N):
         declared = {f.name: f for f in dataclasses.fields(TorusDomain)}
-        for name in ("k_sq_safe", "box_index", "box_phase", "box_kvec", "box_k_sq",
+        for name in ("box_index", "box_phase", "box_kvec", "box_k_sq",
                      "box_weight", "box_projection"):
             assert not declared[name].init and not declared[name].repr
         for dealias in (2.0 / 3.0, 1.0):
             dom = make_domain(d, math.pi, N, dealias)
             c = dom.mode_cut
-            assert np.array_equal(dom.k_sq_safe, np.where(dom.k_sq == 0.0, 1.0, dom.k_sq))
             # the box: the dealias mask on the stored half of the real transform
             stored = np.zeros(dom.shape[1:], dtype=bool)
             stored[dom.box_index] = True
@@ -179,6 +192,27 @@ class TestTransforms:
         dom = make_domain(2, math.pi, 8)
         with pytest.raises(ShapeMismatchError):
             transform_forward(dom, np.zeros((2, 8, 9)))
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda dom: SpectralVelocityField(dom, np.zeros((2, 8, 9))), "expected coeffs of shape"),
+        (lambda dom: transform_inverse(dom, np.zeros((3, 8, 8))), "expected coeffs of shape"),
+        (lambda dom: project_coeffs(dom, np.zeros((2, 8))), "expected coeffs of shape"),
+        (lambda dom: constant_field(dom, [1.0, 0.0, 0.0]), "expected a 2-vector"),
+        (lambda dom: single_mode_field(dom, [1, 0, 0]), "expected a 2-component mode index"),
+        (lambda dom: inner_h(zero_field(dom), zero_field(make_domain(2, math.pi, 16))), "different domains"),
+    ])
+    def test_layout_mismatch_rejected(self, call, match):
+        with pytest.raises(ShapeMismatchError, match=match):
+            call(make_domain(2, math.pi, 8))
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda dom: single_mode_field(dom, [5, 0]), "exceeds the resolved band"),
+        (lambda dom: lebesgue_norm(zero_field(dom), 0.5), "invalid-exponent"),
+        (lambda dom: lebesgue_norm(zero_field(dom), math.inf), "invalid-exponent"),
+    ])
+    def test_out_of_range_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(make_domain(2, math.pi, 8))
 
 
 class TestHalfSpectrumBox:
@@ -314,6 +348,33 @@ class TestLerayProjection:
         coeffs[0, 1, 1] = 1.0  # k=(1,1) with u along x only
         with pytest.raises(ValueError, match="divergence"):
             SpectralVelocityField(dom, coeffs)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, -math.inf), complex(math.inf, math.nan)])
+    def test_constructor_rejects_non_finite(self, bad):
+        dom = make_domain(2, math.pi, 16)
+        coeffs = random_field(dom, seed=19).coeffs.copy()
+        coeffs[1, 2, 3] = bad
+        with pytest.raises(ValueError, match=r"1 non-finite coefficients, the first at \(component, mode\) \[\[1, 2, 3\]\]"):
+            SpectralVelocityField(dom, coeffs)
+
+    def test_overflowing_norm_constructs(self):
+        # every coefficient finite, the sum of squares not: the field stands
+        dom = make_domain(2, math.pi, 16)
+        coeffs = 1e200 * random_field(dom, seed=20).coeffs
+        with np.errstate(over="ignore"):
+            assert np.isfinite(coeffs).all() and not math.isfinite(np.sum(np.abs(coeffs) ** 2))
+            assert np.array_equal(SpectralVelocityField(dom, coeffs).coeffs, coeffs)
+
+    @pytest.mark.parametrize("d,N", [(2, 16), (3, 12)])
+    def test_real_noise_projects_to_a_real_field(self, d, N):
+        # real samples have Nyquist content, which the projection keeps Hermitian at 2/3 dealiasing too
+        dom = make_domain(d, math.pi, N)
+        u = leray_project(dom, transform_forward(dom, np.random.default_rng(1).standard_normal(dom.shape)))
+        axes = dom.spatial_axes
+        reflected = np.roll(np.flip(u.coeffs, axis=axes), shift=[1] * d, axis=axes)
+        assert np.abs(np.conj(reflected) - u.coeffs).max() <= 1e-15 * np.abs(u.coeffs).max()
+        imag = np.fft.ifftn(dom.phase * u.coeffs, axes=axes).imag * N**d
+        assert np.abs(imag).max() <= 1e-14 * np.abs(transform_inverse(dom, u.coeffs)).max()
 
 
 class TestNorms:
@@ -525,6 +586,16 @@ class TestSnapshots:
         lines[7], lines[8] = lines[8], lines[7]
         fname.write_text("".join(lines))
         with pytest.raises(ValueError, match=r"row order mismatch at \(0, 5\)"):
+            load_snapshot(fname)
+
+    def test_non_finite_row_rejected(self, tmp_path):
+        dom = make_domain(2, math.pi, 8)
+        fname = tmp_path / "snap.csv"
+        save_snapshot(random_field(dom, seed=21), fname)
+        lines = fname.read_text().splitlines(keepends=True)
+        lines[3] = ",".join(lines[3].split(",")[:2] + ["nan"] + lines[3].split(",")[3:])
+        fname.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"1 non-finite coefficients, the first at \(component, mode\) \[\[0, 0, 1\]\]"):
             load_snapshot(fname)
 
     def test_missing_row_rejected(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 import cbflab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cbflab.__path__, "cbflab."))
-REMOVED = ("step_deterministic", "step_conjugated", "step_stratonovich", "z_eval")
+REMOVED = ("step_deterministic", "step_conjugated", "step_stratonovich", "z_eval", "ConjugationProcess")
 
 
 def test_modules_found():
@@ -29,7 +29,7 @@ def test_all_names_resolve(name):
 def test_package_star_import():
     namespace = {}
     exec("from cbflab import *", namespace)
-    assert {"solve", "cocycle_eval", "cutoff_xi", "ConjugationProcess"} <= set(namespace)
+    assert {"solve", "cocycle_eval", "cutoff_xi", "conjugation"} <= set(namespace)
     for name in REMOVED:
         assert name not in namespace
         assert not hasattr(cbflab, name)

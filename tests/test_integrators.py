@@ -50,8 +50,8 @@ from cbflab.operators import (
     empirical_constants,
 )
 from cbflab.stochastic import (
-    ConjugationProcess,
     OutOfWindowError,
+    conjugation,
     constant_forcing,
     periodic_forcing,
     sample_path,
@@ -140,8 +140,7 @@ class TestStepping:
         cfg = SolverConfig(dt=2e-3, t_start=0.1, t_end=0.3)
         traj = solve("conjugated", random_field(dom, seed=4, amplitude=0.5), cfg, params_with_eps(0.6),
                      zero_forcing(), path=path)
-        proc = ConjugationProcess(path, 0.6)
-        assert traj.ledger["z"].tolist() == [proc.value(t) for t in traj.ledger["t"].tolist()]
+        assert traj.ledger["z"].tolist() == [conjugation(path, 0.6, t) for t in traj.ledger["t"].tolist()]
 
     @pytest.mark.parametrize("system,scheme", [("conjugated", "imex_cn_ab2"),
                                                ("stratonovich", "heun_stratonovich")])
@@ -161,9 +160,8 @@ class TestStepping:
         u0 = random_field(dom, seed=5, amplitude=0.5)
         eps, r = 0.7, 3.0
         path = sample_path(10, -1.0, 1.0, 0.01)
-        proc = ConjugationProcess(path, eps)
         t0, dt = 0.25, 0.01
-        z = proc.value(t0)
+        z = conjugation(path, eps, t0)
         from cbflab.operators import bilinear_B, nonlinear_C
         from cbflab.domain import dealias_coeffs, project_coeffs
 
@@ -193,6 +191,29 @@ class TestStepping:
         assert info.value.t == 0.0 and info.value.max_speed == pytest.approx(20.0, rel=1e-12)
         # at speed 9 (CFL number 0.46) the same solve runs
         solve("deterministic", constant_field(dom, [9.0, 0.0]), cfg, PARAMS_2D, zero_forcing())
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": 0.01, "t_start": 1.0, "t_end": 0.5}, "t_end must not precede t_start"),
+        ({"dt": 0.01, "scheme": "rk4"}, "unknown scheme 'rk4'"),
+    ])
+    def test_solver_config_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("system,match", [("foo", "unknown system 'foo'"),
+                                              ("conjugated", "system 'conjugated' needs a sampled path")])
+    def test_solve_rejected(self, system, match):
+        dom = make_domain(2, math.pi, 8)
+        with pytest.raises(ValueError, match=match):
+            solve(system, zero_field(dom), SolverConfig(dt=0.01, t_end=0.02), PARAMS_2D, zero_forcing())
+
+    def test_energy_overflow_is_a_blowup(self):
+        # every coefficient finite, the energy not: the guard fires at the first row, before the CFL test
+        dom = make_domain(2, math.pi, 8)
+        cfg = SolverConfig(dt=1e-300, t_start=0.0, t_end=1e-299)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError, match="non-finite energy at t=0"):
+            solve("deterministic", constant_field(dom, [1e155, 0.0]), cfg, PARAMS_2D, zero_forcing())
 
     def test_inadmissible_rejected(self):
         dom = make_domain(3, math.pi, 8)
@@ -387,6 +408,29 @@ class TestEnergyIdentity:
         # second-order decay once the path grid is resolved by the step
         assert res[0] / res[1] >= 3.0
 
+    def test_undamped_solve_integrates_no_damping(self):
+        # include_C = False: the ledger's |v|_{r+1}^{r+1} is still recorded, but the identity must not
+        # subtract it (counting it leaves a residual of 2e-3 here)
+        dom = make_domain(2, math.pi, 16)
+        cfg = SolverConfig(dt=1e-3, t_start=0.0, t_end=0.2, include_C=False)
+        traj = solve("deterministic", random_field(dom, seed=25, amplitude=0.8), cfg, PARAMS_2D, zero_forcing())
+        assert traj.ledger["lr_pow"].min() > 2e-3
+        assert energy_identity_residual(traj).max() <= 2e-5
+
+    @pytest.mark.parametrize("include_B,include_C,forced,quadrature,match", [
+        (True, False, False, "exact-linear", "requires both nonlinear terms disabled"),
+        (False, True, False, "exact-linear", "requires both nonlinear terms disabled"),
+        (False, False, True, "exact-linear", "requires zero forcing"),
+        (False, False, False, "simpson", "unknown quadrature 'simpson'"),
+    ])
+    def test_quadrature_preconditions(self, include_B, include_C, forced, quadrature, match):
+        dom = make_domain(2, math.pi, 8)
+        cfg = SolverConfig(dt=0.01, t_start=0.0, t_end=0.02, include_B=include_B, include_C=include_C)
+        prof = constant_forcing(single_mode_field(dom, [0, 1], 0.1)) if forced else zero_forcing()
+        traj = solve("deterministic", random_field(dom, seed=26, amplitude=0.3), cfg, PARAMS_2D, prof)
+        with pytest.raises(ValueError, match=match):
+            energy_identity_residual(traj, quadrature=quadrature)
+
     def test_stratonovich_unsupported(self):
         dom = make_domain(2, math.pi, 8)
         path = sample_path(17, -1.0, 1.0, 0.01)
@@ -462,6 +506,18 @@ class TestContinuityGap:
         with pytest.raises(MismatchedTrajectoriesError, match="parameters"):
             continuity_gap(t1, t2, c_l4=1.0)
 
+    def test_unpaired_input_rejected(self):
+        dom = make_domain(2, math.pi, 8)
+        t1, t2 = self._pair(dom, PARAMS_2D, T=0.02)
+        _, other = self._pair(make_domain(2, math.pi, 16), PARAMS_2D, T=0.02)
+        with pytest.raises(MismatchedTrajectoriesError, match="trajectories live on different domains"):
+            continuity_gap(t1, other, c_l4=1.0)
+        conj, _ = self._pair(dom, PARAMS_2D, path=sample_path(27, -1.0, 1.0, 0.01), T=0.02)
+        with pytest.raises(MismatchedTrajectoriesError, match="trajectories solve different systems"):
+            continuity_gap(t1, conj, c_l4=1.0)
+        with pytest.raises(ValueError, match="the 2D envelope needs the measured interpolation constant c_l4"):
+            continuity_gap(t1, t2)
+
     def test_2d_envelope_closed_form(self):
         # rate (c_l4^2 / (2 mu)) z^-2 |grad v|^2 of the second trajectory: 1.5^2 / 0.5 / 9 * 3 = 1.5
         dom = make_domain(2, math.pi, 8)
@@ -497,6 +553,18 @@ class TestPerturbationEnvelope:
         rep = perturbation_envelope(det, conj,
                                     c_l4=consts["c_l4"], c_b=consts["c_b"])
         assert np.all(rep.gap_sq <= rep.envelope)
+
+    def test_unpaired_input_rejected(self):
+        dom = make_domain(2, math.pi, 8)
+        cfg = SolverConfig(dt=0.01, t_end=0.02)
+        u = random_field(dom, seed=28, amplitude=0.3)
+        det = solve("deterministic", u, cfg, PARAMS_2D, zero_forcing())
+        conj = solve("conjugated", u, cfg, params_with_eps(0.3), zero_forcing(), path=sample_path(29, -1.0, 1.0, 0.01))
+        with pytest.raises(MismatchedTrajectoriesError, match="expected one deterministic and one conjugated"):
+            perturbation_envelope(conj, det, c_l4=1.0, c_b=1.0)
+        for c_l4, c_b in ((None, 1.0), (1.0, None)):
+            with pytest.raises(ValueError, match="the 2D envelope needs the measured constants c_l4 and c_b"):
+                perturbation_envelope(det, conj, c_l4=c_l4, c_b=c_b)
 
     def test_snapshot_strides_must_match(self):
         dom = make_domain(2, math.pi, 16)
@@ -788,7 +856,7 @@ class TestFusedRhs:
         dom = make_domain(d, math.pi, N, dealias)
         rng = np.random.default_rng(62)
         raw = 0.1 * (rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape))
-        u = SpectralVelocityField(dom, _project(raw, [(dom.kvec, dom.k_sq_safe)] * 2))
+        u = SpectralVelocityField(dom, _project(raw, [(dom.kvec, np.where(dom.k_sq == 0.0, 1.0, dom.k_sq))] * 2))
         assert np.all(np.abs(u.coeffs).sum(axis=0)[nyquist_planes(dom)] > 0)
         params = PhysicalParameters(d, 1.0, 1.0, 0.7, 3.5)
         profile = constant_forcing(random_field(dom, seed=63, amplitude=0.3))

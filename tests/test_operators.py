@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cbflab.domain import (
+    ShapeMismatchError,
     SpectralVelocityField,
     inner_h,
     make_domain,
@@ -50,6 +51,23 @@ class TestAdmissibility:
             PhysicalParameters(2, -1.0, 1.0, 1.0, 3.0)
         with pytest.raises(ValueError):
             PhysicalParameters(2, 1.0, 1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("args,match", [
+        ((2, math.nan, 1.0, 1.0, 3.0), "mu must be finite"),
+        ((2, 1.0, 1.0, 1.0, math.inf), "r must be finite"),
+        ((4, 1.0, 1.0, 1.0, 3.0), "d must be 2 or 3"),
+        ((2, 1.0, 1.0, 1.0, 3.0, -0.1), "noise intensity must be >= 0"),
+    ])
+    def test_parameter_ranges(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            PhysicalParameters(*args)
+
+
+@pytest.mark.parametrize("call", [lambda u, v: bilinear_B(u, v), lambda u, v: monotonicity_gap(u, v, 3.0)])
+def test_fields_on_different_domains_rejected(call):
+    u = random_field(make_domain(2, math.pi, 8), seed=1)
+    with pytest.raises(ShapeMismatchError, match="fields live on different domains"):
+        call(u, random_field(make_domain(2, math.pi, 16), seed=1))
 
 
 class TestStokes:

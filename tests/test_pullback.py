@@ -70,6 +70,10 @@ class TestCocycle:
                            zero_forcing(), self.cfg)
         assert np.array_equal(out.coeffs, self.u0.coeffs)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="cocycle time must be >= 0"):
+            cocycle_eval(-0.1, 0.3, None, self.u0, PARAMS, zero_forcing(), self.cfg)
+
     def test_deterministic_composition(self):
         t, s, tau = 0.5, 0.25, 0.0
         lhs = cocycle_eval(t + s, tau, None, self.u0, PARAMS, zero_forcing(), self.cfg)

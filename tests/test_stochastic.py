@@ -8,10 +8,10 @@ import pytest
 
 from cbflab.domain import make_domain, norms, single_mode_field
 from cbflab.stochastic import (
-    ConjugationProcess,
     DivergentIntegralError,
     ForcingProfile,
     OutOfWindowError,
+    conjugation,
     constant_forcing,
     decaying_forcing,
     path_from_values,
@@ -51,6 +51,15 @@ class TestWienerPath:
     def test_invalid_range(self):
         with pytest.raises(ValueError, match="invalid-range"):
             sample_path(0, 1.0, 2.0, 0.1)
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: sample_path(0, -1.0, 1.0, 0.0), "dt_grid must be positive"),
+        (lambda: sample_path(0, -1.0, 1.0, -0.1), "dt_grid must be positive"),
+        (lambda: path_from_values([0.5, 0.0, 0.2], 0.1, 0), "must vanish at the zero node"),
+    ])
+    def test_rejected_construction(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_out_of_window(self):
         p = sample_path(0, -1.0, 1.0, 0.1)
@@ -101,18 +110,16 @@ class TestShift:
 class TestConjugationProcess:
     def test_unit_at_origin(self):
         p = sample_path(11, -1.0, 1.0, 0.05)
-        assert ConjugationProcess(p, 0.7).value(0.0) == 1.0
+        assert conjugation(p, 0.7, 0.0) == 1.0
 
     def test_zero_intensity(self):
         p = sample_path(12, -1.0, 1.0, 0.05)
-        proc = ConjugationProcess(p, 0.0)
         for t in (-0.5, 0.25, 1.0):
-            assert proc.value(t) == 1.0
+            assert conjugation(p, 0.0, t) == 1.0
 
     def test_direct_exponentiation(self):
         p = path_from_values([0.0, -0.5, -0.3], dt_grid=0.5, n_neg=0)
-        proc = ConjugationProcess(p, 1.0)
-        assert proc.value(0.5) == pytest.approx(math.exp(0.5), rel=1e-12)
+        assert conjugation(p, 1.0, 0.5) == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_heun_step_order(self):
         # one Heun step of the conjugation equation vs the exact exponential
@@ -138,6 +145,13 @@ class TestSublinearity:
         rep = verify_sublinear(p, t0_ladder=(2.0, 20.0))
         assert not rep.is_sublinear
 
+    def test_past_ramp_flagged(self):
+        # linear growth toward the past alone is not sublinear: both signs of t count
+        t = (np.arange(4001) - 2000) * 0.1
+        p = path_from_values(np.where(t < 0.0, 0.25 * t, 0.0), dt_grid=0.1, n_neg=2000)
+        rep = verify_sublinear(p, t0_ladder=(2.0, 20.0))
+        assert rep.max_ratios == (0.25, 0.25) and not rep.is_sublinear
+
     def test_zero_path(self):
         p = path_from_values(np.zeros(4001), dt_grid=0.1, n_neg=2000)
         rep = verify_sublinear(p, t0_ladder=(2.0, 20.0))
@@ -147,6 +161,13 @@ class TestSublinearity:
         p = sample_path(0, -1.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="window-too-short"):
             verify_sublinear(p)
+
+    def test_default_ladder(self):
+        # span / 100 and span / 10 of the shorter side: 150 here; a ramp keeps its ratio on both rungs
+        p = path_from_values(0.25 * (np.arange(451) - 150.0), dt_grid=1.0, n_neg=150)
+        rep = verify_sublinear(p)
+        assert rep.t0_ladder == (1.5, 15.0)
+        assert rep.max_ratios == (0.25, 0.25) and not rep.is_sublinear
 
     def test_ensemble_median_decreasing(self):
         outer, inner = [], []
@@ -170,6 +191,15 @@ class TestForcingProfiles:
     def test_periodic_needs_positive_delta(self):
         with pytest.raises(ValueError):
             periodic_forcing(self.g, period=1.0, delta=0.0)
+
+    @pytest.mark.parametrize("kind,template,delta,match", [
+        ("constant_field", None, 0.5, "'constant_field' needs a spatial template"),
+        ("periodic", None, 0.5, "'periodic' needs a spatial template"),
+        ("decaying", "g", -0.1, "delta must be >= 0"),
+    ])
+    def test_rejected_profile(self, kind, template, delta, match):
+        with pytest.raises(ValueError, match=match):
+            ForcingProfile(kind, self.g if template == "g" else template, delta=delta, period=1.0, gamma=1.0)
 
     def test_periodic_envelope(self):
         prof = periodic_forcing(self.g, period=2.0, delta=0.5)
@@ -260,6 +290,17 @@ class TestWeightedIntegral:
         prof = constant_forcing(self.g, delta=0.5)
         with pytest.raises(DivergentIntegralError):
             weighted_forcing_integral(prof, 0.0, -0.5)
+
+    def test_unknown_weight_rejected(self):
+        p = sample_path(3, -10.0, 2.0, 0.01)
+        with pytest.raises(ValueError, match="unknown weight kind 'z3'"):
+            weighted_forcing_integral(constant_forcing(self.g), 0.0, 1.0, path=p, epsilon=0.5, weight="z3")
+
+    def test_closed_tail_margin_detected(self):
+        # omega(t) = t gives the z^2 weight exp(-2 t), whose slope 2 outgrows the rate 1
+        p = path_from_values(np.arange(-1000, 101) * 0.01, dt_grid=0.01, n_neg=1000)
+        with pytest.raises(DivergentIntegralError, match="decay margin -1 <= 0"):
+            weighted_forcing_integral(constant_forcing(self.g), 0.0, 1.0, path=p, epsilon=1.0)
 
     def test_path_weight_reduces_at_zero_intensity(self):
         prof = constant_forcing(self.g, delta=0.5)

@@ -18,7 +18,12 @@ seeds 0 and 1, plus one each of: a ``tails`` run, a decaying-forcing
 ``pullback``, a forced deterministic ``pullback`` (its CSV carries the
 deterministic absorbing radius), a constant-forcing conjugated ``simulate``, ``stratonovich``
 simulates at two steps around Heun's stability bound, a 2D ``r = 1`` run, a
-``dealias: 1`` run and a forcing template outside the dealiased box.
+``dealias: 1`` run and a forcing template outside the dealiased box.  Four
+more reach the pullback layer's rules: a 3D ``attractor`` at ``tau = 0.37``
+with the family's boundary state, a 2D ``pullback`` at ``tau = -0.41``, a
+``dealias: 1`` ``attractor``, and a ``pullback`` with ``dt: 0.1`` whose
+horizon 0.7 is not ``dt`` times its step count (``0.1 * 7 != 0.7``), so an
+unwrap that read the last ledger time in place of ``tau + t`` would show.
 """
 
 from __future__ import annotations
@@ -99,6 +104,34 @@ def configs():
         "domain": {"N": 32},
         "forcing": {"kind": "constant_field", "template": dict(SINGLE_MODE, mode=[0, 12])},
         "solver": {"dt": 5e-3}, "experiment": {"kind": "simulate", "t_end": 0.05, "seed": 7},
+    }
+    out["attractor-3d-tau"] = {
+        "domain": {"d": 3, "N": 8}, "params": {"epsilon": 0.3},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": dict(SINGLE_MODE, mode=[0, 1, 1])},
+        "solver": {"dt": 0.01},
+        "experiment": {"kind": "attractor", "tau": 0.37, "horizons": [0.05, 0.1], "seed": 8,
+                       "path_window": [-1.0, 1.0], "family": {"samples": 3, "include_boundary": True}},
+    }
+    out["pullback-negative-tau"] = {
+        "domain": {"N": 16}, "params": {"epsilon": 0.4},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": SINGLE_MODE},
+        "solver": {"dt": 0.01},
+        "experiment": {"kind": "pullback", "tau": -0.41, "horizons": [0.1, 0.2], "seed": 9,
+                       "path_window": [-40.0, 1.0], "family": {"samples": 3}},
+    }
+    out["attractor-dealias1"] = {
+        "domain": {"N": 16, "dealias": 1.0}, "params": {"epsilon": 0.25},
+        "forcing": {"kind": "constant_field", "template": BUMP},
+        "solver": {"dt": 0.01},
+        "experiment": {"kind": "attractor", "horizons": [0.1, 0.2], "seed": 10,
+                       "path_window": [-1.0, 1.0], "family": {"samples": 3}},
+    }
+    out["pullback-dt0.1"] = {
+        "domain": {"N": 16}, "params": {"epsilon": 0.5},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": SINGLE_MODE},
+        "solver": {"dt": 0.1},
+        "experiment": {"kind": "pullback", "horizons": [0.3, 0.7], "seed": 11,
+                       "path_window": [-40.0, 1.0], "family": {"samples": 3}},
     }
     return out
 
