@@ -37,7 +37,6 @@ __all__ = [
     "norms",
     "lebesgue_norm",
     "check_interpolation",
-    "mean_mode",
     "zero_field",
     "constant_field",
     "single_mode_field",
@@ -226,16 +225,25 @@ class SpectralVelocityField:
         if arr.shape != dom.shape:
             raise ShapeMismatchError(f"expected coeffs of shape {dom.shape}, got {arr.shape}")
         self.coeffs = arr
-        scale = _l2_norm(arr)
-        if not math.isfinite(scale) and not np.isfinite(arr).all():  # a finite field's norm may overflow
-            bad = np.argwhere(~np.isfinite(arr))
-            raise ValueError(f"{len(bad)} non-finite coefficients, the first at (component, mode) {bad[:3].tolist()}")
+        unit, peak = arr, 1.0
+        with np.errstate(over="ignore"):
+            scale = _l2_norm(arr)
+        if not 0.0 < scale < math.inf:
+            # non-finite or zero coefficients, or a norm that overflows or underflows: the relative check
+            # then takes the coefficients scaled by their largest modulus
+            peak = float(np.abs(arr).max())
+            if not math.isfinite(peak):
+                bad = np.argwhere(~np.isfinite(arr))
+                raise ValueError(f"{len(bad)} non-finite coefficients, the first at (component, mode) {bad[:3].tolist()}")
+            if peak > 0:
+                unit = arr / peak
+                scale = _l2_norm(unit)
         if scale > 0:
-            div = np.abs(np.sum(dom.kvec * arr, axis=0)).max()
+            div = np.abs(np.sum(dom.kvec * unit, axis=0)).max()
             if div > DIV_TOL * scale:
                 raise ValueError(
-                    f"field is not divergence-free: max |k.uhat| = {div:.3e} "
-                    f"exceeds {DIV_TOL:.0e} * |uhat| = {DIV_TOL * scale:.3e}"
+                    f"field is not divergence-free: max |k.uhat| = {peak * div:.3e} "
+                    f"exceeds {DIV_TOL:.0e} * |uhat| = {peak * DIV_TOL * scale:.3e}"
                 )
 
     def copy(self) -> "SpectralVelocityField":
@@ -416,6 +424,15 @@ def _project(x, passes):
     return x
 
 
+def _box_solenoidal(domain, box):
+    """
+    The field of Hermitian box coefficients, projected with the box tables and expanded: every constructor's
+    rule, exactly Hermitian and +0.0 outside the box.  For dealiased Hermitian full coefficients ``raw``,
+    ``_box_solenoidal(domain, _box_part(domain, raw))`` equals ``project_coeffs(domain, raw)`` in value.
+    """
+    return SpectralVelocityField(domain, _box_full(domain, _project(box, domain.box_projection)))
+
+
 # ---------------------------------------------------------------------------
 # norms and inner products
 
@@ -464,12 +481,6 @@ def check_interpolation(field, s1, s, s2):
     lhs = lebesgue_norm(field, s)
     rhs = lebesgue_norm(field, s1) ** ell * lebesgue_norm(field, s2) ** (1.0 - ell)
     return lhs, rhs
-
-
-def mean_mode(field: SpectralVelocityField) -> np.ndarray:
-    """The (unconstrained but reported) k = 0 coefficient, one entry per component."""
-    idx = (slice(None),) + (0,) * field.domain.d
-    return field.coeffs[idx].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -531,39 +542,39 @@ def single_mode_field(domain, mode, amplitude=1.0) -> SpectralVelocityField:
 
 def _hermitian_gaussian(domain, rng, keep, weight=1.0):
     """
-    Complex Gaussian coefficients times ``weight`` on the modes in ``keep``
-    (all modes when None), made Hermitian ``uhat(-k) = conj(uhat(k))`` by
-    averaging with the reflected array, then dealiased and projected.
+    Solenoidal field of complex Gaussian coefficients times ``weight`` on the
+    modes in ``keep`` (all modes when None): their Hermitian part on the box,
+    ``(uhat(k) + conj uhat(-k)) / 2``, projected and expanded by
+    :func:`_box_solenoidal`, so exactly Hermitian.
     """
     raw = rng.standard_normal(domain.shape) + 1j * rng.standard_normal(domain.shape)
     raw *= weight
     if keep is not None:
         raw *= keep
-    axes = domain.spatial_axes
-    raw = 0.5 * (raw + np.conj(np.roll(np.flip(raw, axis=axes), 1, axis=axes)))
-    return project_coeffs(domain, dealias_coeffs(domain, raw))
+    return _box_solenoidal(domain, _box_part(domain, raw))
 
 
-def _rescaled(domain, raw, norm) -> SpectralVelocityField:
-    """The field of a :func:`_hermitian_gaussian` ``raw``, rescaled in place to the L^2 norm ``norm``."""
-    scale = math.sqrt(domain.measure) * _l2_norm(raw)
+def _rescaled(domain, field, norm) -> SpectralVelocityField:
+    """A :func:`_hermitian_gaussian` ``field``, rescaled in place to the L^2 norm ``norm``."""
+    scale = math.sqrt(domain.measure) * _l2_norm(field.coeffs)
     if scale > 0:
-        raw *= norm / scale
-    return SpectralVelocityField(domain, raw)
+        field.coeffs *= norm / scale
+    return field
 
 
 def random_field(domain, seed, amplitude=1.0, max_mode=None) -> SpectralVelocityField:
     """
     Smooth random divergence-free field, deterministic per seed.
 
-    Coefficients are complex Gaussians shaped by ``(1 + |k|^2)^(-1)``,
-    conjugate-symmetrised, dealiased, projected, then rescaled so that the
-    L^2 norm equals ``amplitude``.
+    Coefficients are complex Gaussians shaped by ``(1 + |k|^2)^(-1)``, whose
+    Hermitian part on the dealiased box is projected there and expanded to an
+    exactly Hermitian field (:func:`_hermitian_gaussian`), then rescaled so
+    that the L^2 norm equals ``amplitude``.
     """
     keep = None if max_mode is None else _mode_box(domain, max_mode)
-    raw = _hermitian_gaussian(domain, np.random.default_rng(seed), keep,
-                              (1.0 + domain.k_sq) ** -1.0)
-    return _rescaled(domain, raw, amplitude)
+    field = _hermitian_gaussian(domain, np.random.default_rng(seed), keep,
+                                (1.0 + domain.k_sq) ** -1.0)
+    return _rescaled(domain, field, amplitude)
 
 
 def bump_field(domain, center=None, width=1.0, amplitude=1.0, support_radius=None) -> SpectralVelocityField:
@@ -586,18 +597,17 @@ def bump_field(domain, center=None, width=1.0, amplitude=1.0, support_radius=Non
         inner_r = support_radius / math.sqrt(2.0)
         s = r_sq / inner_r**2
         psi = psi * (1.0 - cutoff_xi(s))
-    psi_hat = dom.phase * np.fft.fftn(psi) / dom.N**dom.d
-    # the projection's first wavevectors: a zero Nyquist wavenumber, as for any real field's derivatives
-    k = _projection(dom, dom.kvec)[0][0]
-    coeffs = np.zeros(dom.shape, dtype=np.complex128)
+    psi_hat = _box_part(dom, (dom.phase * np.fft.fftn(psi) / dom.N**dom.d)[None])[0]
+    # box wavevectors: a zero Nyquist wavenumber, as for any real field's derivatives
+    k = dom.box_kvec
+    box = np.zeros((dom.d,) + psi_hat.shape, dtype=np.complex128)
     if dom.d == 2:
-        coeffs[0] = -1j * k[1] * psi_hat
-        coeffs[1] = 1j * k[0] * psi_hat
+        box[0] = -1j * k[1] * psi_hat
+        box[1] = 1j * k[0] * psi_hat
     else:
-        coeffs[0] = 1j * k[1] * psi_hat
-        coeffs[1] = -1j * k[0] * psi_hat
-    raw = dealias_coeffs(dom, coeffs)
-    return leray_project(dom, raw)
+        box[0] = 1j * k[1] * psi_hat
+        box[1] = -1j * k[0] * psi_hat
+    return _box_solenoidal(dom, box)
 
 
 def cutoff_xi(s):
@@ -612,9 +622,12 @@ def cutoff_xi(s):
 
 
 def field_from_physical(domain, samples) -> SpectralVelocityField:
-    """Build a field from grid samples: transformed, dealiased and projected."""
-    raw = dealias_coeffs(domain, transform_forward(domain, samples))
-    return leray_project(domain, raw)
+    """
+    Build a field from grid samples: the Hermitian part of their coefficients
+    on the dealiased box, projected and expanded (:func:`_box_solenoidal`),
+    so exactly Hermitian however the samples' transform rounds.
+    """
+    return _box_solenoidal(domain, _box_part(domain, transform_forward(domain, samples)))
 
 
 # ---------------------------------------------------------------------------

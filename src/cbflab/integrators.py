@@ -175,14 +175,6 @@ class Trajectory:
     def epsilon(self) -> float:
         return self.params.epsilon
 
-    def reconstruct_u(self, index) -> SpectralVelocityField:
-        """Undo the conjugation at snapshot ``index``: u = v / z."""
-        state = self.states[index]
-        if self.system != "conjugated":
-            return state.copy()
-        z = conjugation(self.path, self.epsilon, self.times[index])
-        return SpectralVelocityField(state.domain, state.coeffs / z)
-
 
 # ---------------------------------------------------------------------------
 # right-hand side evaluation on the dealiased half-spectrum box

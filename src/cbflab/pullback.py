@@ -113,8 +113,8 @@ class TemperedFamily:
         out = []
         n_random = self.sample_count - (1 if self.include_boundary else 0)
         for _ in range(max(n_random, 0)):
-            raw = _hermitian_gaussian(domain, rng, keep)
-            out.append(_rescaled(domain, raw, rho * rng.uniform() ** (1.0 / n_dof)))
+            field = _hermitian_gaussian(domain, rng, keep)
+            out.append(_rescaled(domain, field, rho * rng.uniform() ** (1.0 / n_dof)))
         if self.include_boundary:
             out.append(constant_field(domain, [rho / math.sqrt(domain.measure)] + [0.0] * (domain.d - 1)))
         return out

@@ -33,7 +33,6 @@ __all__ = [
     "sample_path",
     "path_from_values",
     "shift_path",
-    "export_path_csv",
     "verify_sublinear",
     "weighted_forcing_integral",
     "zero_forcing",
@@ -134,15 +133,6 @@ def shift_path(path: WienerPath, s) -> WienerPath:
     shifted = replace(path, shift=path.shift + s)
     shifted.anchor = shifted._interp_base(shifted.shift)
     return shifted
-
-
-def export_path_csv(path: WienerPath, filename):
-    """Write the (shifted) path as CSV rows ``t, omega(t)`` over its window."""
-    nodes = path._node_times - path.shift
-    with open(filename, "w") as fh:
-        fh.write("t,omega\n")
-        for t, w in zip(nodes.tolist(), path.value(nodes).tolist()):
-            fh.write(f"{t!r},{w!r}\n")
 
 
 def conjugation(path: WienerPath, epsilon, t):
@@ -263,10 +253,6 @@ class ForcingProfile:
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
-
-    def value_hat(self, t):
-        """Fourier coefficients of ``f(t)``; ``None`` for the zero profile."""
-        return None if self.is_zero else self(t) * self.template.coeffs
 
 
 # the one "no forcing": the default profile of a solve and of its trajectory

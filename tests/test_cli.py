@@ -449,8 +449,9 @@ class TestRun:
             "output": {"dir": str(tmp_path)},
         }))
         assert run(cfg) == 0
-        # six snapshots recorded, one written: the others stay box states
-        assert len(calls) == 1
+        # two expansions: the initial field, which random_field builds on the box, and the final
+        # state; the other five of the six snapshots recorded stay box states
+        assert len(calls) == 2
         assert (tmp_path / "final_state.csv").exists()
 
     def test_verify_cli_exit_code(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cbflab.domain as domain_module
 from cbflab.domain import (
     DIV_TOL,
     ShapeMismatchError,
@@ -18,6 +19,7 @@ from cbflab.domain import (
     _box_hermitian,
     _box_inverse,
     _box_part,
+    _box_solenoidal,
     _forward_shapes,
     _inverse_shapes,
     bump_field,
@@ -29,7 +31,6 @@ from cbflab.domain import (
     leray_project,
     load_snapshot,
     make_domain,
-    mean_mode,
     norms,
     project_coeffs,
     random_field,
@@ -357,6 +358,15 @@ class TestLerayProjection:
         with pytest.raises(ValueError, match=r"1 non-finite coefficients, the first at \(component, mode\) \[\[1, 2, 3\]\]"):
             SpectralVelocityField(dom, coeffs)
 
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_out_of_range_divergent_field_rejected(self, size):
+        # one finite coefficient whose square overflows or underflows, at k = (1, 1) along x only
+        dom = make_domain(2, math.pi, 8)
+        coeffs = np.zeros(dom.shape, dtype=complex)
+        coeffs[0, 1, 1] = size
+        with pytest.raises(ValueError, match="not divergence-free"):
+            SpectralVelocityField(dom, coeffs)
+
     def test_overflowing_norm_constructs(self):
         # every coefficient finite, the sum of squares not: the field stands
         dom = make_domain(2, math.pi, 16)
@@ -447,11 +457,6 @@ class TestInterpolation:
 
 
 class TestFieldHelpers:
-    def test_mean_mode_reported(self):
-        dom = make_domain(2, math.pi, 8)
-        u = constant_field(dom, [1.5, -0.5])
-        assert np.allclose(mean_mode(u), [1.5, -0.5])
-
     def test_single_mode_divergence_free(self):
         dom = make_domain(3, math.pi, 8)
         u = single_mode_field(dom, [1, 2, 0], amplitude=2.0)
@@ -488,22 +493,48 @@ class TestFieldHelpers:
         assert np.abs(u.coeffs[2]).max() <= 1e-15 * np.abs(u.coeffs).max()
         assert np.abs(np.sum(dom.kvec * u.coeffs, axis=0)).max() <= 1e-14 * np.abs(u.coeffs).max()
 
-    @pytest.mark.parametrize("d,N", [(2, 24), (3, 12)])
-    def test_fields_real_at_full_band(self, d, N):
-        # with dealias 1 the box keeps the Nyquist planes, where a real field's
-        # coefficients are Hermitian too
-        dom = make_domain(d, math.pi, N, 1.0)
+    @staticmethod
+    def constructed(dom):
+        """One field of every constructor that projects: random, bump, from grid samples, family samples."""
         u = random_field(dom, 3)
-        fields = [u, bump_field(dom, width=1.0, support_radius=1.5),
-                  field_from_physical(dom, transform_inverse(dom, u.coeffs))]
+        return [u, bump_field(dom, width=1.0, support_radius=1.5),
+                field_from_physical(dom, transform_inverse(dom, u.coeffs)),
+                *TemperedFamily(2.0, sample_count=2, sampler_seed=4).samples(dom, 1.5)]
+
+    @pytest.mark.parametrize("d,N,dealias", [(2, 24, 1.0), (3, 12, 1.0), (2, 24, 2.0 / 3.0), (3, 12, 2.0 / 3.0)],
+                             ids=["2-24", "3-12", "2-24-two-thirds", "3-12-two-thirds"])
+    def test_fields_real_at_full_band(self, d, N, dealias):
+        # every constructor builds on the box, Nyquist planes included at dealias 1: Hermitian to
+        # the bit, and +0.0 outside the box
+        dom = make_domain(d, math.pi, N, dealias)
         axes = dom.spatial_axes
-        for f in fields:
+        for f in self.constructed(dom):
             reflected = np.roll(np.flip(f.coeffs, axis=axes), shift=[1] * d, axis=axes)
-            assert np.abs(np.conj(reflected) - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
+            assert np.array_equal(np.conj(reflected), f.coeffs)
+            assert np.all(np.ascontiguousarray(f.coeffs[:, ~dom.dealias_mask]).view(np.uint64) == 0)
             imag = np.fft.ifftn(dom.phase * f.coeffs, axes=axes).imag * N**d
             assert np.abs(imag).max() <= 1e-14 * np.abs(transform_inverse(dom, f.coeffs)).max()
-        # symmetrised before the projection: Hermitian to the bit
-        assert np.array_equal(np.roll(np.flip(u.coeffs, axis=axes), shift=[1] * d, axis=axes), np.conj(u.coeffs))
+
+    @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+    def test_constructors_build_no_full_projection(self, d, N, monkeypatch):
+        # once the domain holds its box tables, no constructor builds the full-layout ones
+        dom = make_domain(d, math.pi, N)
+
+        def refuse(*args):
+            raise AssertionError("full-layout projection tables built")
+
+        monkeypatch.setattr(domain_module, "_projection", refuse)
+        assert len(self.constructed(dom)) == 5
+
+    @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("d,N", [(2, 24), (3, 12)])
+    def test_box_rule_equals_full_rule(self, d, N, dealias):
+        # on dealiased Hermitian input the box rule and project_coeffs agree in value everywhere
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(81)
+        shape = (d,) + dom.box_phase.shape
+        raw = _box_full(dom, _box_hermitian(dom, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        assert np.array_equal(_box_solenoidal(dom, _box_part(dom, raw)).coeffs, project_coeffs(dom, raw))
 
 
 class TestSnapshots:

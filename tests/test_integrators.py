@@ -692,25 +692,6 @@ class TestUniformEstimates:
 
 
 class TestTrajectoryReconstruction:
-    def test_reconstruct_undoes_conjugation(self):
-        dom = make_domain(2, math.pi, 16)
-        u0 = random_field(dom, seed=40, amplitude=0.5)
-        path = sample_path(41, -1.0, 1.0, 2e-3)
-        eps = 0.6
-        cfg = SolverConfig(dt=2e-3, t_start=0.0, t_end=0.3, record_stride=50)
-        traj = solve("conjugated", u0, cfg, params_with_eps(eps), zero_forcing(), path=path)
-        for i, t in enumerate(traj.times):
-            z = math.exp(-eps * path.value(t))
-            expect = traj.states[i].coeffs / z
-            assert np.array_equal(traj.reconstruct_u(i).coeffs, expect)
-
-    def test_deterministic_reconstruction_is_identity(self):
-        dom = make_domain(2, math.pi, 16)
-        u0 = random_field(dom, seed=42, amplitude=0.5)
-        cfg = SolverConfig(dt=2e-3, t_start=0.0, t_end=0.1, record_stride=50)
-        traj = solve("deterministic", u0, cfg, PARAMS_2D, zero_forcing())
-        assert np.array_equal(traj.reconstruct_u(-1).coeffs, traj.states[-1].coeffs)
-
     def test_public_conjugated_step(self):
         dom = make_domain(2, math.pi, 16)
         u0 = random_field(dom, seed=43, amplitude=0.4)
@@ -781,9 +762,8 @@ def reference_rhs(dom, coeffs, t, params, profile, z, include_B, include_C):
         n_hat -= advection_raw(dom, u_phys, coeffs) / z
     if include_C:
         n_hat -= (params.beta * z ** (1.0 - params.r)) * damping_raw(dom, u_phys, params.r)
-    f_hat = profile.value_hat(t)
-    if f_hat is not None:
-        n_hat += z * f_hat
+    if not profile.is_zero:
+        n_hat += z * (profile(t) * profile.template.coeffs)
     return project_coeffs(dom, dealias_coeffs(dom, n_hat))
 
 
@@ -791,7 +771,7 @@ def reference_row(dom, coeffs, t, params, profile, z):
     """Ledger row of full coefficients from their complex inverse transform."""
     speed_sq = np.sum(transform_inverse(dom, coeffs) ** 2, axis=0)
     h_sq, grad_sq = _energy_sq(dom, coeffs)
-    f_hat = profile.value_hat(t)
+    f_hat = None if profile.is_zero else profile(t) * profile.template.coeffs
     return {
         "h_sq": h_sq,
         "grad_sq": grad_sq,

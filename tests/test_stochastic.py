@@ -186,7 +186,7 @@ class TestForcingProfiles:
 
     def test_zero_profile(self):
         prof = zero_forcing()
-        assert prof.is_zero and prof.value_hat(3.0) is None
+        assert prof.is_zero
 
     def test_periodic_needs_positive_delta(self):
         with pytest.raises(ValueError):
@@ -364,17 +364,3 @@ class TestPathWeightedIntegral:
         ref = math.exp(tau) * _gauss_legendre_reference(self.prof, self.omega, tau, 1.0, 0.5, "exp_abs")
         assert 0.0 < out.error_estimate <= 1e-7 * out.value
         assert abs(out.value - ref) <= 4.0 * out.error_estimate
-
-
-class TestPathExport:
-    def test_csv_roundtrip_values(self, tmp_path):
-        from cbflab.stochastic import export_path_csv
-
-        p = sample_path(19, -1.0, 1.0, 0.25)
-        fname = tmp_path / "path.csv"
-        export_path_csv(p, fname)
-        lines = fname.read_text().strip().split("\n")
-        assert lines[0] == "t,omega"
-        for line in lines[1:]:
-            t, w = (float(x) for x in line.split(","))
-            assert w == p.value(t)

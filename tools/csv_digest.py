@@ -24,6 +24,8 @@ with the family's boundary state, a 2D ``pullback`` at ``tau = -0.41``, a
 ``dealias: 1`` ``attractor``, and a ``pullback`` with ``dt: 0.1`` whose
 horizon 0.7 is not ``dt`` times its step count (``0.1 * 7 != 0.7``), so an
 unwrap that read the last ledger time in place of ``tau + t`` would show.
+A last ``simulate`` forces a 3D box with a bump template, the only config that
+reaches the ``curl(psi e_z)`` branch of ``bump_field``.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ def configs():
         "solver": {"dt": 0.1},
         "experiment": {"kind": "pullback", "horizons": [0.3, 0.7], "seed": 11,
                        "path_window": [-40.0, 1.0], "family": {"samples": 3}},
+    }
+    out["simulate-3d-bump"] = {
+        "domain": {"d": 3, "N": 8},
+        "forcing": {"kind": "constant_field", "template": BUMP},
+        "solver": {"dt": 0.01}, "experiment": {"kind": "simulate", "t_end": 0.05, "seed": 12},
     }
     return out
 
