@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .domain import bump_field, make_domain, random_field, save_snapshot, single_mode_field
-from .integrators import (_SCHEMES, _SYSTEMS, BlowupError, SolverConfig, _check_heun_dt, _check_stride, _in_box,
-                          _step_count, solve)
+from .integrators import _SCHEMES, _SYSTEMS, BlowupError, SolverConfig, _check_stride, _in_box, _step_count, solve
 from .operators import PhysicalParameters, validate_params
 from .pullback import (
     TemperedFamily,
@@ -402,8 +401,6 @@ def _resolve(data, overrides) -> RunConfig:
         scheme = "heun_stratonovich"  # the one scheme of the noisy system
     elif scheme == "heun_stratonovich":
         raise ConfigError("solver.scheme: heun_stratonovich runs only a simulate of the stratonovich system")
-    if scheme == "heun_stratonovich":
-        _owned("solver.dt", _check_heun_dt, domain, params, dt)
     if kind == "simulate":
         _owned("experiment.t_end", _step_count, tau, ex["t_end"], dt)
     # the pullback kinds give each solve its own span, from the horizons

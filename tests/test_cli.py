@@ -222,10 +222,6 @@ class TestParseConfig:
          "forcing: the envelope is not finite and periodic with period 1e-310"),
         ({}, {"forcing": {"kind": "periodic", "template": {"shape": "single_mode"}}},
          "forcing: periodic forcing needs a positive period, got None"),
-        # 16^2: Heun's linear step is stable for dt <= 2 / (mu 50 + alpha) = 0.0392
-        ({"system": "stratonovich", "t_end": 0.04, "seed": 1, "path_window": [-1.0, 1.0]},
-         {"params": {"epsilon": 0.5}, "solver": {"dt": 0.04}},
-         "solver.dt: dt = 0.04 exceeds Heun's stability bound 2 / (mu max|k|^2 + alpha) = 0.0392157"),
         ({}, {"domain": {"N": 32}, "forcing": {"kind": "constant_field",
                                                "template": {"shape": "single_mode", "mode": [0, 12]}}},
          "forcing.template: its coefficients reach outside the dealiased box |m_i| <= 10"),
@@ -251,7 +247,7 @@ class TestParseConfig:
             "text-family-radius", "text-max-mode", "text-N", "fractional-N", "text-L", "text-dealias",
             "text-include-B", "boolean-r", "text-include-boundary", "negative-max-mode",
             "unknown-template-key", "text-mu", "text-dt", "step-count-overflows",
-            "period-underflows", "periodic-without-period", "heun-dt-unstable", "template-outside-box",
+            "period-underflows", "periodic-without-period", "template-outside-box",
             "delta-not-below-alpha", "forcing-without-template", "template-without-shape",
             "path-run-without-path-window"])
     def test_rejected_before_the_run(self, experiment, sections, message, tmp_path, capsys):
@@ -549,6 +545,15 @@ class TestMoreExperiments:
                      cfg.params, cfg.profile, path=sample_path(5, -1.0, 1.0, 0.005))
         rows = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
         assert [float(r.split(",")[1]) for r in rows] == heun.ledger["h_sq"].tolist()
+
+    def test_stratonovich_simulate_past_the_explicit_bound(self, tmp_path):
+        # 16^2 at dt = 0.04: an explicit linear step would need dt <= 2 / (mu 50 + alpha) = 0.0392
+        raw = {"domain": {"N": 16}, "params": {"epsilon": 0.5}, "solver": {"dt": 0.04},
+               "experiment": {"kind": "simulate", "system": "stratonovich", "t_end": 0.04, "seed": 1,
+                              "path_window": [-1.0, 1.0]}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_stratonovich_simulate(self, tmp_path):
         out = tmp_path / "strat"

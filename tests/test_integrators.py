@@ -81,6 +81,30 @@ def closed_form_envelope(rep, rate, source):
     return (rep.gap_sq[0] + source * age) * np.exp(rate * age)
 
 
+def shear(dom, *modes):
+    """The shear ``(f(x_1), 0)`` of unit cosine modes ``[0, m]``: it has no self-advection."""
+    return SpectralVelocityField(dom, sum(single_mode_field(dom, [0, m]).coeffs for m in modes))
+
+
+def shear_error(system, u0, dt, params, path=None, t_end=1.0):
+    """
+    Largest relative error over the modes of the shear ``u0`` of a solve
+    against its closed form.  At ``r = 1`` the damping is ``beta u``, so each
+    mode decays at its own rate, ``u(t) = u0 exp(-(mu |k|^2 + alpha + beta) t)``,
+    times ``exp(eps W(t))`` in the noisy system; in the conjugated one
+    ``z^(1-r) = 1``.
+    """
+    scheme = "heun_stratonovich" if system == "stratonovich" else "imex_cn_ab2"
+    cfg = SolverConfig(dt=dt, scheme=scheme, t_end=t_end, record_stride=10**9)
+    end = solve(system, u0, cfg, params, zero_forcing(), path=path).states[-1].coeffs
+    growth = -(params.mu * u0.domain.k_sq + params.alpha + params.beta) * t_end
+    if system == "stratonovich":
+        growth += params.epsilon * (path.value(t_end) - path.value(0.0))
+    exact = np.exp(growth) * u0.coeffs
+    modes = u0.coeffs != 0
+    return float(np.max(np.abs(end - exact)[modes] / np.abs(exact)[modes]))
+
+
 class TestStepping:
     def test_exact_linear_factor_single_mode(self):
         dom = make_domain(2, math.pi, 16)
@@ -196,6 +220,8 @@ class TestStepping:
         ({"dt": 0.0}, "dt must be positive"),
         ({"dt": 0.01, "t_start": 1.0, "t_end": 0.5}, "t_end must not precede t_start"),
         ({"dt": 0.01, "scheme": "rk4"}, "unknown scheme 'rk4'"),
+        ({"dt": math.inf, "t_end": 1.0}, "dt must be positive and finite, got inf"),
+        ({"dt": math.nan}, "dt must be positive and finite, got nan"),
     ])
     def test_solver_config_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -214,6 +240,13 @@ class TestStepping:
         cfg = SolverConfig(dt=1e-300, t_start=0.0, t_end=1e-299)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError, match="non-finite energy at t=0"):
             solve("deterministic", constant_field(dom, [1e155, 0.0]), cfg, PARAMS_2D, zero_forcing())
+
+    def test_parameters_of_another_dimension_rejected(self):
+        # d = 2 admits r = 1, which is inadmissible on this 3D field
+        dom = make_domain(3, math.pi, 8)
+        cfg = SolverConfig(dt=0.01, t_start=0.0, t_end=0.1)
+        with pytest.raises(ValueError, match="params.d = 2 does not match the field's dimension 3"):
+            solve("deterministic", zero_field(dom), cfg, PhysicalParameters(2, 1.0, 1.0, 1.0, 1.0), zero_forcing())
 
     def test_inadmissible_rejected(self):
         dom = make_domain(3, math.pi, 8)
@@ -270,21 +303,14 @@ class TestStratonovich:
             errs.append(np.max(np.abs(out.states[-1].coeffs - exact)))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_linear_step_stability_bound(self):
-        # 16^2: the top box mode has |k|^2 = 50, so Heun's explicit linear
-        # step is stable for dt (mu 50 + alpha) <= 2, dt <= 2/51 = 0.0392
-        dom = make_domain(2, math.pi, 16)
-        u0 = random_field(dom, seed=16, amplitude=0.3)
-        path = sample_path(17, -1.0, 1.0, 0.039)
-
-        def heun(dt, **linear):
-            cfg = SolverConfig(dt=dt, scheme="heun_stratonovich", t_start=0.0, t_end=dt, **linear)
-            return solve("stratonovich", u0, cfg, params_with_eps(0.5), zero_forcing(), path=path)
-
-        heun(0.039)
-        with pytest.raises(ValueError, match="exceeds Heun's stability bound"):
-            heun(0.040)
-        heun(0.040, include_linear=False)  # without the linear part there is no bound
+    def test_heun_past_the_explicit_bound(self):
+        # 64^2: an explicit linear step would be stable only for
+        # dt (mu max|k|^2 + alpha) <= 2, dt <= 2.26e-3; the integrating factor has no bound
+        params = PhysicalParameters(2, 1.0, 1.0, 1.0, 1.0, 0.5)
+        u0 = shear(make_domain(2, math.pi, 64), 1, 8)
+        path = sample_path(1, -0.01, 0.21, 2.5e-4)
+        # in the factored variables each mode solves one scalar SDE, so both modes err alike
+        assert shear_error("stratonovich", u0, 1e-2, params, path, t_end=0.2) <= 2e-3
 
     def test_scheme_system_pairing(self):
         dom = make_domain(2, math.pi, 8)
@@ -295,6 +321,33 @@ class TestStratonovich:
         cfg2 = SolverConfig(dt=0.01, t_start=0.0, t_end=0.1)
         with pytest.raises(ValueError):
             solve("stratonovich", zero_field(dom), cfg2, PARAMS_2D, zero_forcing(), path=path)
+
+
+class TestExactSolutions:
+    """The shear ``single_mode_field(dom, [0, 1])`` at ``r = 1``, solved with every term on (:func:`shear_error`)."""
+
+    PARAMS = PhysicalParameters(2, 0.1, 0.5, 1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("system", ["deterministic", "conjugated"])
+    @pytest.mark.parametrize("N, dealias", [(16, 2.0 / 3.0), (24, 2.0 / 3.0), (16, 1.0)],
+                             ids=["rotational", "skew", "full-band"])
+    def test_ab2_second_order(self, system, N, dealias):
+        u0 = shear(make_domain(2, math.pi, N, dealias), 1)
+        path = sample_path(1, -1.0, 2.0, 1e-2) if system == "conjugated" else None
+        errs = np.array([shear_error(system, u0, dt, self.PARAMS, path) for dt in (4e-2, 2e-2, 1e-2)])
+        assert errs[-1] <= 5e-5
+        assert np.all(np.log2(errs[:-1] / errs[1:]) >= 1.95)
+
+    def test_heun_mean_strong_order(self):
+        # strong order ~1 for this commutative noise; one path's error is too
+        # rough to pin an order on (-2.7 to 3.9 between steps here), so the mean over 8 is pinned
+        u0 = shear(make_domain(2, math.pi, 16), 1)
+        paths = [sample_path(seed, -0.01, 0.51, 2.5e-4) for seed in range(1, 9)]
+        dts = np.array([4e-3, 2e-3, 1e-3])
+        means = np.array([np.mean([shear_error("stratonovich", u0, dt, self.PARAMS, p, t_end=0.5) for p in paths])
+                          for dt in dts])
+        assert means[-1] <= 2e-4
+        assert np.polyfit(np.log(dts), np.log(means), 1)[0] >= 0.8
 
 
 class TestTimeOrder:

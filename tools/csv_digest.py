@@ -17,7 +17,8 @@ The configs are the three benchmark workloads of ``perfbench/run.py`` at
 seeds 0 and 1, plus one each of: a ``tails`` run, a decaying-forcing
 ``pullback``, a forced deterministic ``pullback`` (its CSV carries the
 deterministic absorbing radius), a constant-forcing conjugated ``simulate``, ``stratonovich``
-simulates at two steps around Heun's stability bound, a 2D ``r = 1`` run, a
+simulates at two steps, one below and one above the ``dt`` that would bound
+an explicit linear step at 64^2 (~2.26e-3), a 2D ``r = 1`` run, a
 ``dealias: 1`` run and a forcing template outside the dealiased box.  Four
 more reach the pullback layer's rules: a 3D ``attractor`` at ``tau = 0.37``
 with the family's boundary state, a 2D ``pullback`` at ``tau = -0.41``, a
@@ -48,7 +49,7 @@ BUMP = {"shape": "bump", "width": 1.0, "support_radius": 1.5}
 
 
 def _heun(dt):
-    """The noisy system at 64^2; Heun's linear step is stable for dt below ~2.26e-3."""
+    """The noisy system at 64^2; an explicit linear step would be stable only for dt below ~2.26e-3."""
     return {
         "domain": {"d": 2, "N": 64},
         "params": {"epsilon": 0.5},
