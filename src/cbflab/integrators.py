@@ -93,11 +93,12 @@ class SolverConfig:
     record_stride: int = 1
     include_B: bool = True
     include_C: bool = True
-    include_linear: bool = True
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t_start) or not math.isfinite(self.t_end):
+            raise ValueError(f"t_start and t_end must be finite, got {self.t_start} and {self.t_end}")
         if self.t_end < self.t_start:
             raise ValueError("t_end must not precede t_start")
         if self.scheme not in _SCHEMES:
@@ -221,18 +222,18 @@ class _Kernel:
         -(1/z) B(u) - beta z^(1-r) C(u) + z f,
 
     as projected box coefficients, and the ledger row of the state, by the
-    transform method on the box: pruned real inverse passes, advection and
-    damping combined on the grid, and one pruned forward pass.  The box is
-    the dealias mask, and the self-conjugate columns of the result are made
-    exactly Hermitian.
+    transform method on the box: one pruned real inverse pass of ``u`` and
+    the derivative rows of the advection, advection and damping combined on
+    the grid, and one pruned forward pass.  The box is the dealias mask, and
+    the self-conjugate columns of the result are made exactly Hermitian.
 
     The advection takes one of two forms, fixed here as ``rotational`` and
     ``skew``.  When ``3 c < N`` an aliased product mode falls outside the box
     on its axis, so the box is alias-free for quadratic products, and the
-    advection is the rotational form ``P[omega x u]`` from one inverse pass
-    of the vorticity rows: 9 single-row transforms per 3D call (5 in 2D).  On
-    every other box it is the skew-symmetric form, 21 transforms (11 in 2D):
-    the ``(u . grad) u`` half from one inverse pass per gradient row, and the
+    advection is the rotational form ``P[omega x u]`` from the ``2d - 3``
+    vorticity rows: 9 single-row transforms per 3D call (5 in 2D).  On every
+    other box it is the skew-symmetric form, 21 transforms (11 in 2D): the
+    ``(u . grad) u`` half from the ``d^2`` gradient rows ``d_i u_j``, and the
     forward pass also transforms the symmetric flux ``u_i u_j``, whose
     divergence is the other half.  The two forms differ by the gradient
     ``grad |u|^2 / 2``, which the projection removes; where the box aliases
@@ -245,10 +246,9 @@ class _Kernel:
     box-sized arrays.  ``stack`` holds the grid rows of the forward pass and
     has a buffer of its own: the ``d`` combined rows, followed in the
     skew-symmetric form by the ``d(d+1)/2`` flux rows.  The grid stage's
-    arrays (the phased state ``x``, the coefficients ``g`` of a gradient row
-    or of the vorticity, the grid rows ``u``, the vorticity rows ``w``, the
-    scratch rows ``tmp``, ``speed_sq = |u|^2``, ``pw = |u|^(r-1)`` and the
-    ``inverse`` pass buffers) and the ``forward`` pass outputs are views of
+    arrays (the inverse pass's input ``box_rows``, its ``inverse`` buffers
+    and output ``grid_rows``, the scratch rows ``tmp``, ``speed_sq = |u|^2``
+    and ``pw = |u|^(r-1)``) and the ``forward`` pass outputs are views of
     one shared byte buffer: the forward pass starts when the grid stage is
     done with its arrays.  The forward outputs alternate between the
     buffer's two parts, before and after ``split``, so that no pass writes
@@ -266,26 +266,35 @@ class _Kernel:
 
         d, c16, f8 = dom.d, np.complex128, np.float64
         grid = (dom.N,) * d
-        box = (d,) + dom.box_phase.shape
+        rows = d + (len(_CURL[d]) if self.rotational else d * d if self.skew else 0)
         self.stack = np.empty((d + (d * (d + 1) // 2 if self.skew else 0),) + grid)
-        inverse = _inverse_shapes(dom, (d,))
-        stage = [(box, c16), (box, c16), ((d,) + grid, f8), ((len(_CURL[d]),) + grid, f8), ((d,) + grid, f8),
-                 (grid, f8), (grid, f8)]
-        stage += [(s, c16) for s in inverse]
+        stage = [((rows,) + dom.box_phase.shape, c16), ((rows,) + grid, f8), ((d,) + grid, f8), (grid, f8), (grid, f8)]
+        stage += [(s, c16) for s in _inverse_shapes(dom, (rows,))]
         forward = _forward_shapes(dom, self.stack.shape[:1])
         split = max(_nbytes(s, c16) for s in forward[0::2])
         size = max(sum(_nbytes(*spec) for spec in stage), split + max(_nbytes(s, c16) for s in forward[1::2]))
         buf = np.empty(size, dtype=np.uint8)
 
-        self.x, self.g, self.u, self.w, self.tmp, self.speed_sq, self.pw, *self.inverse = _carve(buf, 0, stage)
+        self.box_rows, self.grid_rows, self.tmp, self.speed_sq, self.pw, *self.inverse = _carve(buf, 0, stage)
         self.forward = [_carve(buf, split * (k % 2), [(s, c16)])[0] for k, s in enumerate(forward)]
 
     def _grid(self, coeffs, z, envelope):
-        """The phased state, its grid rows, ``|u|^(r-1)`` and the ledger row, given the envelope at ``t``."""
-        dom = self.dom
-        x = np.multiply(dom.box_phase, coeffs, out=self.x)
-        u = _box_inverse(dom, x, self.inverse, self.u)
-        u *= dom.N**dom.d
+        """Grid rows of ``u`` and its derivative rows (unscaled), ``|u|^(r-1)`` and the ledger row at ``envelope``."""
+        dom, d = self.dom, self.dom.d
+        x = self.box_rows
+        np.multiply(dom.box_phase, coeffs, out=x[:d])
+        k = dom.box_kvec
+        if self.rotational:  # omega = i k x uhat
+            for w_hat, (a, b) in zip(x[d:], _CURL[d]):
+                np.multiply(k[a], x[b], out=w_hat)
+                w_hat -= k[b] * x[a]
+        elif self.skew:  # the gradient rows i k_i uhat_j, one block of d rows per i
+            for i in range(d):
+                np.multiply(k[i], x[:d], out=x[d * (i + 1) : d * (i + 2)])
+        x[d:] *= 1j
+        rows = _box_inverse(dom, x, self.inverse, self.grid_rows)
+        u = rows[:d]
+        u *= dom.N**d
         speed_sq = np.sum(np.square(u, out=self.tmp), axis=0, out=self.speed_sq)
         # r = 1 needs no fork: x**0.0 is exactly 1.0 and 1.0 * x is x
         pw = np.power(speed_sq, 0.5 * (self.params.r - 1.0), out=self.pw)
@@ -295,8 +304,8 @@ class _Kernel:
         f_pair = 0.0 if envelope is None else envelope * dom.measure * float(
             np.sum(coeffs.real * self.g_weighted.real + coeffs.imag * self.g_weighted.imag))
         row = (dom.measure * float(np.sum(c2)), dom.measure * float(np.sum(dom.box_k_sq * c2)),
-               dom.dx**dom.d * float(np.sum(lr_density)), f_pair, z, float(np.sqrt(speed_sq.max())))
-        return x, u, pw, row
+               dom.dx**d * float(np.sum(lr_density)), f_pair, z, float(np.sqrt(speed_sq.max())))
+        return rows, pw, row
 
     def row(self, coeffs, t, z):
         """The ledger row of the state ``coeffs`` at ``(t, z)``, in ``_LEDGER`` order."""
@@ -305,9 +314,9 @@ class _Kernel:
     def __call__(self, coeffs, t, z):
         """``(n_hat, row)``: the projected explicit terms of ``coeffs`` at ``(t, z)``, and its ledger row."""
         envelope = None if self.g_box is None else self.profile(t)
-        x, u, pw, row = self._grid(coeffs, z, envelope)
+        rows, pw, row = self._grid(coeffs, z, envelope)
         if self.rotational or self.skew or self.include_C:
-            n_hat = self._nonlinear(x, u, pw, z)
+            n_hat = self._nonlinear(rows, pw, z)
         else:
             n_hat = np.zeros_like(coeffs)
         if envelope is not None:
@@ -315,20 +324,13 @@ class _Kernel:
         # the projection returns a new array, so the result never aliases a buffer
         return _project(n_hat, self.dom.box_projection), row
 
-    def _nonlinear(self, x, u, pw, z):
-        """Box coefficients of ``-(1/z) B(u) - beta z^(1-r) C(u)``, before the projection."""
+    def _nonlinear(self, rows, pw, z):
+        """Box coefficients of ``-(1/z) B(u) - beta z^(1-r) C(u)`` from the grid rows, before the projection."""
         dom, d, nd = self.dom, self.dom.d, self.dom.N**self.dom.d
-        stack = self.stack
-        comb = stack[:d]
+        comb = self.stack[:d]
+        u, w = rows[:d], rows[d:]
         if self.rotational:
-            # omega = i k x uhat on the box, then -omega x u = u x omega on the grid
-            k, curl = dom.box_kvec, _CURL[d]
-            g = self.g[: len(curl)]
-            for row_g, (a, b) in zip(g, curl):
-                np.multiply(k[a], x[b], out=row_g)
-                row_g -= k[b] * x[a]
-            g *= 1j
-            w = _box_inverse(dom, g, [buf[: len(curl)] for buf in self.inverse], self.w)
+            # -omega x u = u x omega
             scale = nd / z
             if d == 2:
                 # u x (w e_z) = (u_1 w, -u_0 w)
@@ -345,23 +347,19 @@ class _Kernel:
         else:
             comb[...] = 0.0
         if self.skew:
-            # (u . grad) u one gradient row d_i u at a time, then the flux rows u_i u_j for i <= j
+            # (u . grad) u one block of gradient rows d_i u at a time, then the flux rows u_i u_j for i <= j
             for i in range(d):
-                g = np.multiply(dom.box_kvec[i], x, out=self.g)
-                g *= 1j
-                grad = _box_inverse(dom, g, self.inverse, self.tmp)
-                grad *= u[i]
-                comb += grad
+                comb += np.multiply(w[d * i : d * (i + 1)], u[i], out=self.tmp)
             comb *= -0.5 * nd / z
             p = d
             for i in range(d):
                 for j in range(i, d):
-                    np.multiply(u[i], u[j], out=stack[p])
+                    np.multiply(u[i], u[j], out=self.stack[p])
                     p += 1
         if self.include_C:
             damp = np.multiply(pw, u, out=self.tmp)
             comb -= np.multiply(self.params.beta * z ** (1.0 - self.params.r), damp, out=self.tmp)
-        out = _box_forward(dom, stack, self.forward)
+        out = _box_forward(dom, self.stack, self.forward)
         out *= dom.box_scale
         n_hat = out[:d]
         if self.skew:
@@ -446,7 +444,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
         noise = [0.0] * n_steps
     kernel = _Kernel(dom, params, profile, config.include_B, config.include_C)
     # the linear part, per mode, through its exact integrating factor in every scheme
-    lam = params.mu * dom.box_k_sq + params.alpha if config.include_linear else np.zeros_like(dom.box_k_sq)
+    lam = params.mu * dom.box_k_sq + params.alpha
     e1 = np.exp(-lam * dt)
     e2 = e1 * e1
     cfl_scale = dt * dom.N / dom.L

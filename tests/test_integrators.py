@@ -21,6 +21,7 @@ from cbflab.domain import (
     _project,
     constant_field,
     dealias_coeffs,
+    field_from_physical,
     make_domain,
     norms,
     project_coeffs,
@@ -222,6 +223,10 @@ class TestStepping:
         ({"dt": 0.01, "scheme": "rk4"}, "unknown scheme 'rk4'"),
         ({"dt": math.inf, "t_end": 1.0}, "dt must be positive and finite, got inf"),
         ({"dt": math.nan}, "dt must be positive and finite, got nan"),
+        ({"dt": 0.01, "t_end": math.nan}, "t_start and t_end must be finite, got 0.0 and nan"),
+        ({"dt": 0.01, "t_end": math.inf}, "t_start and t_end must be finite, got 0.0 and inf"),
+        ({"dt": 0.01, "t_start": -math.inf}, "t_start and t_end must be finite, got -inf and 1.0"),
+        ({"dt": 0.01, "t_start": math.nan}, "t_start and t_end must be finite, got nan and 1.0"),
     ])
     def test_solver_config_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -276,17 +281,18 @@ class TestStratonovich:
         assert np.array_equal(a.states[-1].coeffs, b.states[-1].coeffs)
 
     def test_pure_noise_heun_factor(self):
-        # drift disabled: one step multiplies by 1 + e dW + (e dW)^2 / 2
+        # nonlinear terms disabled, a constant field (k = 0): one step
+        # multiplies by exp(-alpha dt) (1 + e dW + (e dW)^2 / 2)
         dom = make_domain(2, math.pi, 8)
         u0 = constant_field(dom, [0.5, 0.0])
         eps = 0.8
         path = sample_path(13, -1.0, 1.0, 0.01)
         dt = 0.01
         cfg = SolverConfig(dt=dt, scheme="heun_stratonovich", t_start=0.0, t_end=dt,
-                           include_B=False, include_C=False, include_linear=False)
+                           include_B=False, include_C=False)
         out = solve("stratonovich", u0, cfg, params_with_eps(eps), zero_forcing(), path=path)
         dw = path.value(dt) - path.value(0.0)
-        factor = 1.0 + eps * dw + 0.5 * (eps * dw) ** 2
+        factor = math.exp(-PARAMS_2D.alpha * dt) * (1.0 + eps * dw + 0.5 * (eps * dw) ** 2)
         assert np.allclose(out.states[-1].coeffs, factor * u0.coeffs, rtol=1e-13)
 
     def test_pure_noise_converges_to_exponential(self):
@@ -297,9 +303,9 @@ class TestStratonovich:
         errs = []
         for dt in (0.025, 0.0125, 0.00625):
             cfg = SolverConfig(dt=dt, scheme="heun_stratonovich", t_start=0.0, t_end=T,
-                               include_B=False, include_C=False, include_linear=False)
+                               include_B=False, include_C=False)
             out = solve("stratonovich", u0, cfg, params_with_eps(eps), zero_forcing(), path=path)
-            exact = math.exp(eps * path.value(T)) * u0.coeffs
+            exact = math.exp(-PARAMS_2D.alpha * T + eps * path.value(T)) * u0.coeffs
             errs.append(np.max(np.abs(out.states[-1].coeffs - exact)))
         assert errs[0] > errs[1] > errs[2]
 
@@ -348,6 +354,73 @@ class TestExactSolutions:
                           for dt in dts])
         assert means[-1] <= 2e-4
         assert np.polyfit(np.log(dts), np.log(means), 1)[0] >= 0.8
+
+
+def abc_flow(dom):
+    """The ABC flow ``(sin x_2 + cos x_1, sin x_0 + cos x_2, sin x_1 + cos x_0)``: ``curl u = u``, so ``omega x u = 0``."""
+    x0, x1, x2 = dom.coords
+    return field_from_physical(dom, np.stack([np.sin(x2) + np.cos(x1), np.sin(x0) + np.cos(x2), np.sin(x1) + np.cos(x0)]))
+
+
+class TestBeltrami:
+    """The ABC flow without damping: ``B(u) = grad |u|^2 / 2``, which the projection removes."""
+
+    PARAMS = PhysicalParameters(3, 0.1, 0.5, 1.0, 5.0, 0.5)
+
+    @pytest.mark.parametrize("system", ["deterministic", "conjugated"])
+    @pytest.mark.parametrize("N, dealias", [(16, 2.0 / 3.0), (12, 2.0 / 3.0), (8, 1.0)],
+                             ids=["rotational", "skew", "full-band"])
+    def test_abc_flow_decays_exactly(self, system, N, dealias):
+        # every mode has |k| = 1, so u(t) = exp(-(mu + alpha) t) u0, in the conjugated system too
+        u0 = abc_flow(make_domain(3, math.pi, N, dealias))
+        cfg = SolverConfig(dt=1e-2, t_end=0.5, record_stride=10**9, include_C=False)
+        path = sample_path(2, -1.0, 1.0, 1e-2) if system == "conjugated" else None
+        end = solve(system, u0, cfg, self.PARAMS, zero_forcing(), path=path).states[-1].coeffs
+        exact = math.exp(-(self.PARAMS.mu + self.PARAMS.alpha) * 0.5) * u0.coeffs
+        assert np.abs(end - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+def permuted(perm):
+    """
+    The move ``u -> Q^T u(Q x)`` of the axis permutation ``Q e_j = e_perm[j]``
+    on full coefficients: ``Q`` is orthogonal, so it moves the wavevectors and
+    the components alike.
+    """
+    return lambda c: c[list(perm)].transpose((0,) + tuple(1 + p for p in perm))
+
+
+def reflected(axis):
+    """The move ``u -> R u(R x)`` of the reflection ``R`` of ``x_axis`` on full coefficients: ``m_axis -> -m_axis``."""
+    def move(c):
+        c = np.roll(np.flip(c, axis=1 + axis), 1, axis=1 + axis)
+        c[axis] *= -1.0
+        return c
+    return move
+
+
+class TestSymmetry:
+    """A forced solve commutes with the axis permutations and reflections, which map the box onto itself."""
+
+    @pytest.mark.parametrize("d,N,move", [
+        (3, 12, permuted((1, 2, 0))), (3, 12, reflected(0)), (3, 12, reflected(2)),
+        (3, 16, permuted((1, 2, 0))), (3, 16, reflected(0)), (3, 16, reflected(2)),
+        (2, 16, permuted((1, 0))), (2, 16, reflected(0)), (2, 16, reflected(1))],
+        ids=["3-12-perm", "3-12-x0", "3-12-x2", "3-16-perm", "3-16-x0", "3-16-x2", "2-16-perm", "2-16-x0", "2-16-x1"])
+    def test_solve_commutes(self, d, N, move):
+        # the permutations take the last (real-transform) axis into a leading one, and the
+        # reflections take the box's rows -m into m: both exercise the half-spectrum box
+        dom = make_domain(d, math.pi, N)
+        params = PhysicalParameters(d, 1.0, 1.0, 1.0, 5.0 if d == 3 else 3.0)
+        cfg = SolverConfig(dt=1e-2, t_end=0.2, record_stride=10**9)
+
+        def end(u0, g):
+            profile = periodic_forcing(SpectralVelocityField(dom, g), 0.5)
+            return solve("deterministic", SpectralVelocityField(dom, u0), cfg, params, profile).states[-1].coeffs
+
+        u0, g = (random_field(dom, seed=seed, amplitude=a).coeffs for seed, a in ((70, 0.8), (71, 0.3)))
+        want = move(end(u0, g))
+        got = end(move(u0), move(g))
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestTimeOrder:
@@ -956,13 +1029,13 @@ class TestFusedRhs:
 
         # every leading-axis pass transforms only the kept rows and columns
         if 3 * c < N:
-            # inverse passes of u and of the 1 (2D) or 3 (3D) vorticity rows,
+            # one inverse pass of u and the 1 (2D) or 3 (3D) vorticity rows,
             # and one forward pass of the d combined rows
-            assert calls == inverse(d) + inverse(2 * d - 3) + forward(d)
+            assert calls == inverse(d + 2 * d - 3) + forward(d)
         else:
-            # d + 1 inverse passes of d rows and one forward pass of the
-            # d + d(d+1)/2 combined and flux rows
-            assert calls == inverse(d) * (d + 1) + forward(d + d * (d + 1) // 2)
+            # one inverse pass of u and the d^2 gradient rows, and one forward
+            # pass of the d + d(d+1)/2 combined and flux rows
+            assert calls == inverse(d + d * d) + forward(d + d * (d + 1) // 2)
         points = {(2, 16, 2.0 / 3.0): (192 + 192) + (96 + 96) + 512 + 192,
                   (3, 8, 2.0 / 3.0): (360 + 576 + 576) + (360 + 576 + 576) + 1536 + 576 + 360,
                   (2, 12, 2.0 / 3.0): 3 * (120 + 120) + 720 + 300,

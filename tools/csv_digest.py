@@ -25,8 +25,10 @@ with the family's boundary state, a 2D ``pullback`` at ``tau = -0.41``, a
 ``dealias: 1`` ``attractor``, and a ``pullback`` with ``dt: 0.1`` whose
 horizon 0.7 is not ``dt`` times its step count (``0.1 * 7 != 0.7``), so an
 unwrap that read the last ledger time in place of ``tau + t`` would show.
-A last ``simulate`` forces a 3D box with a bump template, the only config that
-reaches the ``curl(psi e_z)`` branch of ``bump_field``.
+A ``simulate`` forces a 3D box with a bump template, the only config that
+reaches the ``curl(psi e_z)`` branch of ``bump_field``.  A last, conjugated
+``simulate`` on a 12^3 box at 2/3 (``3c = N``) is the only 3D config whose
+right-hand side takes the skew-symmetric form.
 """
 
 from __future__ import annotations
@@ -140,6 +142,13 @@ def configs():
         "domain": {"d": 3, "N": 8},
         "forcing": {"kind": "constant_field", "template": BUMP},
         "solver": {"dt": 0.01}, "experiment": {"kind": "simulate", "t_end": 0.05, "seed": 12},
+    }
+    out["simulate-3d12-skew"] = {
+        "domain": {"d": 3, "N": 12}, "params": {"r": 5.0, "epsilon": 0.5},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": dict(SINGLE_MODE, mode=[0, 1, 1])},
+        "solver": {"dt": 5e-3, "record_stride": 4},
+        "experiment": {"kind": "simulate", "system": "conjugated", "t_end": 0.1, "seed": 13,
+                       "path_window": [-1.0, 1.0]},
     }
     return out
 
