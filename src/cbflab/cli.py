@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .domain import bump_field, make_domain, random_field, save_snapshot, single_mode_field
-from .integrators import _SCHEMES, _SYSTEMS, BlowupError, SolverConfig, _check_stride, _in_box, _step_count, solve
+from .integrators import _SYSTEMS, BlowupError, SolverConfig, _check_stride, _in_box, _step_count, solve
 from .operators import PhysicalParameters, validate_params
 from .pullback import (
     TemperedFamily,
@@ -283,7 +283,6 @@ _TABLE = (
     ("forcing.template.bump", "width", 1.0, "number", _POSITIVE),
     ("forcing.template.bump", "amplitude", 1.0, "number", None),
     ("forcing.template.bump", "support_radius", None, "number", _POSITIVE),
-    ("solver", "scheme", "imex_cn_ab2", "string", _one_of(_SCHEMES)),
     ("solver", "dt", 1e-3, "number", _POSITIVE),
     ("solver", "record_stride", 10, "integer", _check_stride),
     ("solver", "include_B", True, "bool", None),
@@ -395,16 +394,11 @@ def _resolve(data, overrides) -> RunConfig:
     if not profile.is_zero:
         _owned("forcing.template", _in_box, domain, profile.template.coeffs, "its coefficients")
 
-    kind, system, tau, horizons = ex["kind"], ex["system"], ex["tau"], ex["horizons"]
-    scheme, dt = sv["scheme"], sv["dt"]
-    if kind == "simulate" and system == "stratonovich":
-        scheme = "heun_stratonovich"  # the one scheme of the noisy system
-    elif scheme == "heun_stratonovich":
-        raise ConfigError("solver.scheme: heun_stratonovich runs only a simulate of the stratonovich system")
+    kind, system, tau, horizons, dt = ex["kind"], ex["system"], ex["tau"], ex["horizons"], sv["dt"]
     if kind == "simulate":
         _owned("experiment.t_end", _step_count, tau, ex["t_end"], dt)
     # the pullback kinds give each solve its own span, from the horizons
-    solver = SolverConfig(dt=dt, scheme=scheme, t_start=tau, t_end=ex["t_end"] if kind == "simulate" else tau,
+    solver = SolverConfig(dt=dt, t_start=tau, t_end=ex["t_end"] if kind == "simulate" else tau,
                           record_stride=sv["record_stride"], include_B=sv["include_B"], include_C=sv["include_C"])
 
     window, path_dt = ex["path_window"], ex["path_dt"]
@@ -439,8 +433,11 @@ def _resolve(data, overrides) -> RunConfig:
         raise ConfigError("experiment.seed: required for a run that draws a path")
     if draws_path and window is None:
         raise ConfigError("experiment.path_window: required for a run that draws a path")
-    # the shifted-path anchor sits at -tau in base time
-    if draws_path and (-window[0] < max(horizons[-1] if horizons else 0.0, tau) or window[1] < -tau):
+    if draws_path and kind == "simulate" and not (window[0] <= tau and ex["t_end"] <= window[1]):
+        # a simulate reads the path itself, at every step time
+        raise ConfigError(f"experiment.path_window: window must cover the simulated span [{tau}, {ex['t_end']}]")
+    # a pullback solve reads the path shifted to its anchor at -tau in base time
+    if draws_path and pulls_back and (-window[0] < max(horizons[-1], tau) or window[1] < -tau):
         raise ConfigError("experiment.path_window: window must cover the largest pullback horizon and the anchor at -tau")
 
     return RunConfig(raw=c, domain=domain, params=params, profile=profile, solver=solver, experiment=ex,

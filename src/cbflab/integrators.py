@@ -7,14 +7,15 @@ Time integration of the damped flow in three forms.
                   v = z u with z(t) = exp(-eps omega(t))
 * stratonovich:   the noisy system itself, du = [...] dt + eps u o dW
 
-Every scheme treats mu A + alpha with the exact per-mode integrating factor
-exp(-(mu |k|^2 + alpha) dt), so no step size is bounded by the linear part,
-and the advection/damping terms explicitly: IMEX Euler, and two-step
-Adams-Bashforth after a second-order startup step.  The Stratonovich stepper
-is the Heun predictor-corrector on the factored system, which converges to
-the Stratonovich solution for this commutative scalar noise: the linear
-operator commutes with the noise ``eps u dW``.  With no noise the same Heun
-step is the Adams-Bashforth startup.
+The step rule follows the system.  Both rules treat mu A + alpha with the
+exact per-mode integrating factor exp(-(mu |k|^2 + alpha) dt), so no step
+size is bounded by the linear part, and the advection/damping terms
+explicitly.  The deterministic and conjugated forms take two-step
+Adams-Bashforth after a second-order startup step.  The noisy form takes the
+Heun predictor-corrector on the factored system, which converges to the
+Stratonovich solution for this commutative scalar noise: the linear operator
+commutes with the noise ``eps u dW``.  With no noise the same Heun step is
+the Adams-Bashforth startup.
 
 Every solve keeps a dense energy ledger (one row per step) that downstream
 audits integrate: the energy identity residual, decay envelopes, uniform
@@ -61,7 +62,6 @@ __all__ = [
     "uniform_estimates_check",
 ]
 
-_SCHEMES = ("imex_cn_ab2", "imex_euler", "heun_stratonovich")
 _SYSTEMS = ("deterministic", "conjugated", "stratonovich")
 
 
@@ -84,10 +84,9 @@ class MismatchedTrajectoriesError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping controls; term toggles support linear-only audits."""
+    """Time-stepping controls; term toggles support linear-only audits.  The system picks the step rule."""
 
     dt: float
-    scheme: str = "imex_cn_ab2"
     t_start: float = 0.0
     t_end: float = 1.0
     record_stride: int = 1
@@ -101,8 +100,6 @@ class SolverConfig:
             raise ValueError(f"t_start and t_end must be finite, got {self.t_start} and {self.t_end}")
         if self.t_end < self.t_start:
             raise ValueError("t_end must not precede t_start")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
         _check_stride(self.record_stride)
 
 
@@ -420,10 +417,6 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     verdict = validate_params(params)
     if not verdict.admissible:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
-    if system == "stratonovich" and config.scheme != "heun_stratonovich":
-        raise ValueError("the noisy system requires the heun_stratonovich scheme")
-    if system != "stratonovich" and config.scheme == "heun_stratonovich":
-        raise ValueError("heun_stratonovich applies only to the noisy system")
     if system in ("conjugated", "stratonovich") and path is None:
         raise ValueError(f"system {system!r} needs a sampled path")
 
@@ -443,7 +436,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     else:
         noise = [0.0] * n_steps
     kernel = _Kernel(dom, params, profile, config.include_B, config.include_C)
-    # the linear part, per mode, through its exact integrating factor in every scheme
+    # the linear part, per mode, through its exact integrating factor in both step rules
     lam = params.mu * dom.box_k_sq + params.alpha
     e1 = np.exp(-lam * dt)
     e2 = e1 * e1
@@ -461,9 +454,7 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
         n0, row = kernel(coeffs, t, zs[i])
         rows[i] = row
         _check_row(row, t, cfl_scale)
-        if config.scheme == "imex_euler":
-            coeffs = e1 * (coeffs + dt * n0)
-        elif i == 0 or config.scheme == "heun_stratonovich":
+        if i == 0 or system == "stratonovich":
             # Heun with integrating factors, on the noise eps c dW (Stratonovich);
             # at dW = 0 it is the AB2 startup step, local error O(dt^3)
             pred = e1 * (coeffs + dt * n0 + noise[i] * coeffs)
@@ -506,7 +497,7 @@ def energy_identity_residual(traj: Trajectory, quadrature="trapezoid") -> np.nda
                    + 2     int e^{2a(s-t)} z <f, v> ds
 
     evaluated per ledger row.  ``'trapezoid'`` integrates the dense ledger
-    (residual O(dt^2) for the second-order scheme).  ``'exact-linear'`` is
+    (residual O(dt^2) for the second-order AB2 step).  ``'exact-linear'`` is
     available when both nonlinear terms are disabled and the forcing is zero:
     the weighted integrals are then evaluated mode-wise in closed form and
     the residual drops to roundoff.

@@ -341,6 +341,8 @@ def weighted_forcing_integral(
     truncated with an exponential tail term; a :class:`DivergentIntegralError`
     is raised when the decay margin closes.
     """
+    if weight not in ("z2", "exp_abs"):
+        raise ValueError(f"unknown weight kind {weight!r}")
     if profile.is_zero:
         return WeightedIntegral(0.0, 0.0, 0.0, tau)
     g_sq = profile.vprime_sq_template
@@ -350,8 +352,6 @@ def weighted_forcing_integral(
             f"weight rate {rate} plus envelope decay {profile.decay_rate()} is not positive"
         )
     unit_weight = path is None or (weight == "z2" and epsilon == 0.0)
-    if not unit_weight and weight not in ("z2", "exp_abs"):
-        raise ValueError(f"unknown weight kind {weight!r}")
 
     def log_weight(xi):
         if unit_weight:

@@ -150,8 +150,7 @@ def test_05_conjugation_equivalence():
     prof = zero_forcing()
 
     def rel_gap(dt):
-        cfg_s = SolverConfig(dt=dt, scheme="heun_stratonovich", t_start=0.0,
-                             t_end=1.0, record_stride=10**9)
+        cfg_s = SolverConfig(dt=dt, t_start=0.0, t_end=1.0, record_stride=10**9)
         strat = solve("stratonovich", u0, cfg_s, params, prof, path=path)
         cfg_c = SolverConfig(dt=dt, t_start=0.0, t_end=1.0, record_stride=10**9)
         v0 = SpectralVelocityField(dom, math.exp(-eps * path.value(0.0)) * u0.coeffs)

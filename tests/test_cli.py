@@ -50,6 +50,9 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(json.dumps({"domain": {"M": 3}}))
+        # the step rule follows the system: no key chooses it
+        with pytest.raises(ConfigError, match=r"solver: unknown key\(s\) \['scheme'\]"):
+            parse_config(json.dumps({"solver": {"scheme": "imex_cn_ab2"}}))
 
     def test_horizons_must_increase(self):
         with pytest.raises(ConfigError, match="horizons"):
@@ -288,7 +291,7 @@ OUT_OF_RANGE = {
     "params.mu": [0], "params.alpha": [-1.0], "params.beta": [0.0], "params.r": [0.5], "params.epsilon": [-0.1],
     "forcing.kind": ["steady"], "forcing.period": [0], "forcing.delta": [-0.5], "forcing.template.shape": ["ring"],
     "forcing.template.bump.width": [0], "forcing.template.bump.support_radius": [-1.0],
-    "solver.scheme": ["rk4"], "solver.dt": [0, -0.01], "solver.record_stride": [0],
+    "solver.dt": [0, -0.01], "solver.record_stride": [0],
     "experiment.kind": ["run"], "experiment.system": ["ito"], "experiment.horizons": [[0.1, -0.1]],
     "experiment.seed": [-1], "experiment.path_dt": [0], "experiment.tail_epsilons": [[0.5, -0.5]],
     "experiment.family.radius": [-1.0], "experiment.family.samples": [0], "experiment.family.max_mode": [-1],
@@ -509,21 +512,32 @@ class TestMoreExperiments:
         z = [float(r.split(",")[5]) for r in rows]
         assert any(abs(v - 1.0) > 1e-6 for v in z)
 
-    @pytest.mark.parametrize("experiment", [
-        {"kind": "simulate", "system": "deterministic", "t_end": 0.05, "seed": 5},
-        {"kind": "pullback", "horizons": [0.05], "seed": 5},
-    ], ids=["deterministic-simulate", "pullback"])
-    def test_heun_scheme_outside_stratonovich_is_config_error(self, experiment, tmp_path, capsys):
-        raw = {"domain": {"N": 16}, "solver": {"dt": 0.005, "scheme": "heun_stratonovich"},
-               "experiment": experiment}
-        with pytest.raises(ConfigError, match="heun_stratonovich"):
-            parse_config(json.dumps(raw))
+    @staticmethod
+    def _simulate(system, tau, t_end, window):
+        return {"domain": {"N": 16}, "params": {"epsilon": 0.5}, "solver": {"dt": 0.01},
+                "experiment": {"kind": "simulate", "system": system, "tau": tau, "t_end": t_end, "seed": 1,
+                               "path_window": window}}
+
+    @pytest.mark.parametrize("system", ["conjugated", "stratonovich"])
+    def test_simulate_window_must_cover_its_span(self, system, tmp_path, capsys):
+        # a simulate reads the path on [tau, t_end] = [0, 1], past the window's end 0.5
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(raw))
+        cfg.write_text(json.dumps(self._simulate(system, 0.0, 1.0, [-1.0, 0.5])))
         out = tmp_path / "out"
-        assert main([experiment["kind"], "--config", str(cfg), "--out", str(out)]) == 2
-        assert "config error: solver.scheme" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: experiment.path_window: window must cover the simulated span [0.0, 1.0]"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("system", ["conjugated", "stratonovich"])
+    def test_simulate_window_off_the_origin(self, system, tmp_path):
+        # [2, 2.1] lies inside [-1, 3]; no pullback anchor at -tau = -2 is read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._simulate(system, 2.0, 2.1, [-1.0, 3.0])))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
+        assert [float(r.split(",")[0]) for r in rows[::10]] == pytest.approx([2.0, 2.1])
 
     def test_stratonovich_simulate_runs_heun(self, tmp_path):
         from cbflab.domain import random_field
@@ -539,9 +553,8 @@ class TestMoreExperiments:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 0
         cfg = parse_config(json.dumps(raw))
-        assert cfg.solver.scheme == "heun_stratonovich"
         heun = solve("stratonovich", random_field(cfg.domain, seed=5, amplitude=1.0),
-                     SolverConfig(dt=0.005, scheme="heun_stratonovich", t_end=0.05, record_stride=5),
+                     SolverConfig(dt=0.005, t_end=0.05, record_stride=5),
                      cfg.params, cfg.profile, path=sample_path(5, -1.0, 1.0, 0.005))
         rows = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
         assert [float(r.split(",")[1]) for r in rows] == heun.ledger["h_sq"].tolist()

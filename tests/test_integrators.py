@@ -1,4 +1,4 @@
-"""Time integration: schemes, energy ledger audits, analytic envelopes."""
+"""Time integration: step rules, energy ledger audits, analytic envelopes."""
 
 import dataclasses
 import math
@@ -87,22 +87,47 @@ def shear(dom, *modes):
     return SpectralVelocityField(dom, sum(single_mode_field(dom, [0, m]).coeffs for m in modes))
 
 
-def shear_error(system, u0, dt, params, path=None, t_end=1.0):
+def forced_response(lam, t_end, period, path=None, eps=0.0):
+    """
+    ``int_0^T exp(-lam (T - s)) z(s) cos(w s) ds`` at ``w = 2 pi / period``.
+    Without a path ``z = 1`` and the integral has a closed form; with one,
+    ``z = exp(-eps W)`` is smooth between the path nodes, and 16-point
+    Gauss-Legendre on each node interval meets roundoff.
+    """
+    w = 2.0 * math.pi / period
+    if path is None:
+        return (lam * math.cos(w * t_end) + w * math.sin(w * t_end) - lam * math.exp(-lam * t_end)) / (lam**2 + w**2)
+    edges = np.append(np.arange(0.0, t_end, path.dt_grid), t_end)
+    x, wts = np.polynomial.legendre.leggauss(16)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    s = (mid[:, None] + half[:, None] * x).ravel()
+    f = np.exp(-lam * (t_end - s) - eps * path.value(s)) * np.cos(w * s)
+    return float(np.sum((half[:, None] * wts).ravel() * f))
+
+
+def shear_error(system, u0, dt, params, path=None, t_end=1.0, profile=None):
     """
     Largest relative error over the modes of the shear ``u0`` of a solve
     against its closed form.  At ``r = 1`` the damping is ``beta u``, so each
     mode decays at its own rate, ``u(t) = u0 exp(-(mu |k|^2 + alpha + beta) t)``,
     times ``exp(eps W(t))`` in the noisy system; in the conjugated one
-    ``z^(1-r) = 1``.
+    ``z^(1-r) = 1``.  A periodic ``profile`` whose template lies in the modes
+    of ``u0``, all of one ``|k|``, adds its template times
+    :func:`forced_response`; the forced noisy system has no such form.
     """
-    scheme = "heun_stratonovich" if system == "stratonovich" else "imex_cn_ab2"
-    cfg = SolverConfig(dt=dt, scheme=scheme, t_end=t_end, record_stride=10**9)
-    end = solve(system, u0, cfg, params, zero_forcing(), path=path).states[-1].coeffs
-    growth = -(params.mu * u0.domain.k_sq + params.alpha + params.beta) * t_end
+    cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=10**9)
+    end = solve(system, u0, cfg, params, profile or zero_forcing(), path=path).states[-1].coeffs
+    modes = u0.coeffs != 0
+    lam = params.mu * u0.domain.k_sq + params.alpha + params.beta
+    growth = -lam * t_end
     if system == "stratonovich":
         growth += params.epsilon * (path.value(t_end) - path.value(0.0))
     exact = np.exp(growth) * u0.coeffs
-    modes = u0.coeffs != 0
+    if profile is not None:
+        assert system != "stratonovich" and np.all(profile.template.coeffs[~modes] == 0)
+        (lam,) = np.unique(lam[modes.any(axis=0)])
+        eps = params.epsilon if system == "conjugated" else 0.0
+        exact = exact + forced_response(lam, t_end, profile.period, path, eps) * profile.template.coeffs
     return float(np.max(np.abs(end - exact)[modes] / np.abs(exact)[modes]))
 
 
@@ -167,36 +192,43 @@ class TestStepping:
                      zero_forcing(), path=path)
         assert traj.ledger["z"].tolist() == [conjugation(path, 0.6, t) for t in traj.ledger["t"].tolist()]
 
-    @pytest.mark.parametrize("system,scheme", [("conjugated", "imex_cn_ab2"),
-                                               ("stratonovich", "heun_stratonovich")])
-    def test_short_path_window_fails_before_the_first_step(self, system, scheme, monkeypatch):
+    # each id names the system and the step rule it takes
+    @pytest.mark.parametrize("system", ["conjugated", "stratonovich"],
+                             ids=["conjugated-imex_cn_ab2", "stratonovich-heun_stratonovich"])
+    def test_short_path_window_fails_before_the_first_step(self, system, monkeypatch):
         calls = []
         monkeypatch.setattr(integrators, "_Kernel", lambda *args: calls.append(args))
         dom = make_domain(2, math.pi, 16)
-        cfg = SolverConfig(dt=0.01, scheme=scheme, t_start=0.0, t_end=0.5)
+        cfg = SolverConfig(dt=0.01, t_start=0.0, t_end=0.5)
         with pytest.raises(OutOfWindowError):
             solve(system, random_field(dom, seed=4, amplitude=0.5), cfg, params_with_eps(0.5),
                   zero_forcing(), path=sample_path(12, -1.0, 0.2, 0.01))
         assert calls == []
 
     def test_conjugated_weight_exponents(self):
-        # one Euler step isolates the weights: z^(-1) on advection, z^(1-r) on damping
+        # one AB2 startup step isolates the weights: z^(-1) on advection, z^(1-r) on damping
         dom = make_domain(2, math.pi, 16)
         u0 = random_field(dom, seed=5, amplitude=0.5)
         eps, r = 0.7, 3.0
         path = sample_path(10, -1.0, 1.0, 0.01)
         t0, dt = 0.25, 0.01
-        z = conjugation(path, eps, t0)
+        z0, z1 = conjugation(path, eps, t0), conjugation(path, eps, t0 + dt)
         from cbflab.operators import bilinear_B, nonlinear_C
         from cbflab.domain import dealias_coeffs, project_coeffs
 
-        cfg = SolverConfig(dt=dt, scheme="imex_euler", t_start=t0, t_end=t0 + dt)
+        cfg = SolverConfig(dt=dt, t_start=t0, t_end=t0 + dt)
         params = PhysicalParameters(2, 1.0, 1.0, 1.0, r, eps)
         got = solve("conjugated", u0, cfg, params, zero_forcing(), path=path).states[-1].coeffs
-        lam = params.mu * dom.k_sq + params.alpha
-        n_hat = -bilinear_B(u0, u0).coeffs / z - params.beta * z ** (1.0 - r) * nonlinear_C(u0, r).coeffs
-        n_hat = project_coeffs(dom, dealias_coeffs(dom, n_hat))
-        expect = np.exp(-lam * dt) * (u0.coeffs + dt * n_hat)
+
+        def n_hat(c, z):
+            u = SpectralVelocityField(dom, c)
+            n = -bilinear_B(u, u).coeffs / z - params.beta * z ** (1.0 - r) * nonlinear_C(u, r).coeffs
+            return project_coeffs(dom, dealias_coeffs(dom, n))
+
+        e1 = np.exp(-(params.mu * dom.k_sq + params.alpha) * dt)
+        n0 = n_hat(u0.coeffs, z0)
+        pred = e1 * (u0.coeffs + dt * n0)
+        expect = e1 * u0.coeffs + 0.5 * dt * (e1 * n0 + n_hat(pred, z1))
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-16)
 
     def test_blowup_guard(self):
@@ -220,7 +252,7 @@ class TestStepping:
     @pytest.mark.parametrize("kwargs,match", [
         ({"dt": 0.0}, "dt must be positive"),
         ({"dt": 0.01, "t_start": 1.0, "t_end": 0.5}, "t_end must not precede t_start"),
-        ({"dt": 0.01, "scheme": "rk4"}, "unknown scheme 'rk4'"),
+        ({"dt": 0.01, "record_stride": 0}, "record_stride must be an integer >= 1, got 0"),
         ({"dt": math.inf, "t_end": 1.0}, "dt must be positive and finite, got inf"),
         ({"dt": math.nan}, "dt must be positive and finite, got nan"),
         ({"dt": 0.01, "t_end": math.nan}, "t_start and t_end must be finite, got 0.0 and nan"),
@@ -274,7 +306,7 @@ class TestStratonovich:
         dom = make_domain(2, math.pi, 16)
         u0 = random_field(dom, seed=8, amplitude=0.4)
         path = sample_path(11, -1.0, 1.0, 1e-3)
-        cfg = SolverConfig(dt=1e-3, scheme="heun_stratonovich", t_start=0.0, t_end=0.2)
+        cfg = SolverConfig(dt=1e-3, t_start=0.0, t_end=0.2)
         a = solve("stratonovich", u0, cfg, params_with_eps(0.0), zero_forcing(), path=path)
         flat = sample_path(12, -1.0, 1.0, 1e-3)
         b = solve("stratonovich", u0, cfg, params_with_eps(0.0), zero_forcing(), path=flat)
@@ -288,7 +320,7 @@ class TestStratonovich:
         eps = 0.8
         path = sample_path(13, -1.0, 1.0, 0.01)
         dt = 0.01
-        cfg = SolverConfig(dt=dt, scheme="heun_stratonovich", t_start=0.0, t_end=dt,
+        cfg = SolverConfig(dt=dt, t_start=0.0, t_end=dt,
                            include_B=False, include_C=False)
         out = solve("stratonovich", u0, cfg, params_with_eps(eps), zero_forcing(), path=path)
         dw = path.value(dt) - path.value(0.0)
@@ -302,7 +334,7 @@ class TestStratonovich:
         path = sample_path(14, -1.0, 1.0, 0.025)
         errs = []
         for dt in (0.025, 0.0125, 0.00625):
-            cfg = SolverConfig(dt=dt, scheme="heun_stratonovich", t_start=0.0, t_end=T,
+            cfg = SolverConfig(dt=dt, t_start=0.0, t_end=T,
                                include_B=False, include_C=False)
             out = solve("stratonovich", u0, cfg, params_with_eps(eps), zero_forcing(), path=path)
             exact = math.exp(-PARAMS_2D.alpha * T + eps * path.value(T)) * u0.coeffs
@@ -318,19 +350,12 @@ class TestStratonovich:
         # in the factored variables each mode solves one scalar SDE, so both modes err alike
         assert shear_error("stratonovich", u0, 1e-2, params, path, t_end=0.2) <= 2e-3
 
-    def test_scheme_system_pairing(self):
-        dom = make_domain(2, math.pi, 8)
-        path = sample_path(15, -1.0, 1.0, 0.01)
-        cfg = SolverConfig(dt=0.01, scheme="heun_stratonovich", t_start=0.0, t_end=0.1)
-        with pytest.raises(ValueError):
-            solve("deterministic", zero_field(dom), cfg, PARAMS_2D, zero_forcing())
-        cfg2 = SolverConfig(dt=0.01, t_start=0.0, t_end=0.1)
-        with pytest.raises(ValueError):
-            solve("stratonovich", zero_field(dom), cfg2, PARAMS_2D, zero_forcing(), path=path)
-
 
 class TestExactSolutions:
-    """The shear ``single_mode_field(dom, [0, 1])`` at ``r = 1``, solved with every term on (:func:`shear_error`)."""
+    """
+    The shear ``single_mode_field(dom, [0, 1])`` at ``r = 1``, unforced and
+    forced in its own mode, solved with every term on (:func:`shear_error`).
+    """
 
     PARAMS = PhysicalParameters(2, 0.1, 0.5, 1.0, 1.0, 0.5)
 
@@ -342,6 +367,23 @@ class TestExactSolutions:
         path = sample_path(1, -1.0, 2.0, 1e-2) if system == "conjugated" else None
         errs = np.array([shear_error(system, u0, dt, self.PARAMS, path) for dt in (4e-2, 2e-2, 1e-2)])
         assert errs[-1] <= 5e-5
+        assert np.all(np.log2(errs[:-1] / errs[1:]) >= 1.95)
+
+    @pytest.mark.parametrize("system", ["deterministic", "conjugated"])
+    @pytest.mark.parametrize("N, dealias", [(16, 2.0 / 3.0), (24, 2.0 / 3.0), (16, 1.0)],
+                             ids=["rotational", "skew", "full-band"])
+    def test_forced_shear_second_order(self, system, N, dealias):
+        # f = A cos(w t) e in the shear's own mode keeps the flow a shear: its amplitude
+        # solves a' = -lam a + z A cos(w t).  T is no whole number of periods, where
+        # the errors would cancel (orders 3.8-4.0 at T = 1)
+        dom = make_domain(2, math.pi, N, dealias)
+        u0 = shear(dom, 1)
+        profile = periodic_forcing(single_mode_field(dom, [0, 1], amplitude=0.8), 0.5)
+        path = sample_path(1, -1.0, 2.0, 4e-2) if system == "conjugated" else None
+        errs = np.array([shear_error(system, u0, dt, self.PARAMS, path, t_end=0.96, profile=profile)
+                         for dt in (4e-2, 2e-2, 1e-2)])
+        # 2.4e-2 -> 1.0e-3 deterministic, 1.7e-2 -> 5.7e-4 conjugated; orders 2.2-2.5
+        assert errs[-1] <= 1.5e-3
         assert np.all(np.log2(errs[:-1] / errs[1:]) >= 1.95)
 
     def test_heun_mean_strong_order(self):
@@ -424,18 +466,18 @@ class TestSymmetry:
 
 
 class TestTimeOrder:
-    """Observed order of the end state at T = 0.4 on 24^2, against a dt = 1.25e-4 run of the same scheme."""
+    """Observed order of the end state at T = 0.4 on 24^2, against a dt = 1.25e-4 run of the same system."""
 
-    @pytest.mark.parametrize("system, scheme, least", [
-        ("deterministic", "imex_cn_ab2", 1.9),
+    # each id names the system, the step rule it takes and the least order
+    @pytest.mark.parametrize("system, least", [
+        pytest.param("deterministic", 1.9, id="deterministic-imex_cn_ab2-1.9"),
         # a path grid no finer than any dt: the step reads z on the path's own nodes
-        ("conjugated", "imex_cn_ab2", 1.9),
-        ("deterministic", "imex_euler", 0.9),
+        pytest.param("conjugated", 1.9, id="conjugated-imex_cn_ab2-1.9"),
         # at zero intensity the Heun step is the deterministic one, and the
         # forcing is the only term that depends on t
-        ("stratonovich", "heun_stratonovich", 1.9),
+        pytest.param("stratonovich", 1.9, id="stratonovich-heun_stratonovich-1.9"),
     ])
-    def test_observed_order(self, system, scheme, least):
+    def test_observed_order(self, system, least):
         dom = make_domain(2, math.pi, 24)
         profile = periodic_forcing(single_mode_field(dom, [0, 1], amplitude=0.3), 0.5, delta=0.5)
         params = params_with_eps(0.5 if system == "conjugated" else 0.0)
@@ -443,7 +485,7 @@ class TestTimeOrder:
         u0 = random_field(dom, seed=3, amplitude=1.0)
 
         def end(dt):
-            cfg = SolverConfig(dt=dt, scheme=scheme, t_end=0.4, record_stride=10**9)
+            cfg = SolverConfig(dt=dt, t_end=0.4, record_stride=10**9)
             return solve(system, u0, cfg, params, profile, path=path).states[-1].coeffs
 
         ref = end(1.25e-4)
@@ -560,7 +602,7 @@ class TestEnergyIdentity:
     def test_stratonovich_unsupported(self):
         dom = make_domain(2, math.pi, 8)
         path = sample_path(17, -1.0, 1.0, 0.01)
-        cfg = SolverConfig(dt=0.01, scheme="heun_stratonovich", t_start=0.0, t_end=0.05)
+        cfg = SolverConfig(dt=0.01, t_start=0.0, t_end=0.05)
         traj = solve("stratonovich", zero_field(dom), cfg, params_with_eps(0.3),
                      zero_forcing(), path=path)
         with pytest.raises(ValueError, match="missing-ledger"):
@@ -1097,14 +1139,16 @@ class TestWorkspace:
         first[...] = np.nan
         assert np.array_equal(kernel(a, 0.1, 1.3)[0], kept)
 
-    @pytest.mark.parametrize("system,scheme,d,N", [
-        ("conjugated", "imex_cn_ab2", 2, 16), ("conjugated", "imex_cn_ab2", 3, 8),
-        ("deterministic", "imex_euler", 2, 16), ("stratonovich", "heun_stratonovich", 2, 16)])
-    def test_solve_matches_fresh_workspaces(self, system, scheme, d, N, monkeypatch):
+    # each id names the system, the step rule it takes and the box
+    @pytest.mark.parametrize("system,d,N", [
+        pytest.param("conjugated", 2, 16, id="conjugated-imex_cn_ab2-2-16"),
+        pytest.param("conjugated", 3, 8, id="conjugated-imex_cn_ab2-3-8"),
+        pytest.param("stratonovich", 2, 16, id="stratonovich-heun_stratonovich-2-16")])
+    def test_solve_matches_fresh_workspaces(self, system, d, N, monkeypatch):
         dom = make_domain(d, math.pi, N)
         params = PhysicalParameters(d, 1.0, 1.0, 1.0, 3.0, 0.5)
         profile = periodic_forcing(random_field(dom, seed=93, amplitude=0.3), 0.5)
-        cfg = SolverConfig(dt=2e-3, scheme=scheme, t_start=0.0, t_end=0.02, record_stride=3)
+        cfg = SolverConfig(dt=2e-3, t_start=0.0, t_end=0.02, record_stride=3)
         u = random_field(dom, seed=94, amplitude=0.6)
         path = sample_path(95, -1.0, 1.0, 2e-3)
         reused = solve(system, u, cfg, params, profile, path=path)
@@ -1123,7 +1167,7 @@ class TestWorkspace:
         monkeypatch.setattr(integrators, "_Kernel", Fresh)
         again = solve(system, u, cfg, params, profile, path=path)
         # 10 steps: AB2 adds one startup evaluation, Heun evaluates twice per step
-        assert len(calls) == {"imex_cn_ab2": 11, "imex_euler": 10, "heun_stratonovich": 20}[scheme]
+        assert len(calls) == (20 if system == "stratonovich" else 11)
         assert len(built) == 1 and len({id(kernel) for kernel in calls}) == 1
         for name in _LEDGER:
             assert np.array_equal(reused.ledger[name], again.ledger[name]), name
@@ -1186,8 +1230,7 @@ class TestBoxState:
         dom = make_domain(d, math.pi, N)
         params = PhysicalParameters(d, 1.0, 1.0, 1.0, 3.0, 0.5)
         profile = periodic_forcing(random_field(dom, seed=80, amplitude=0.3), 0.5)
-        scheme = "heun_stratonovich" if system == "stratonovich" else "imex_cn_ab2"
-        cfg = SolverConfig(dt=2e-3, scheme=scheme, t_start=0.0, t_end=0.02, record_stride=4)
+        cfg = SolverConfig(dt=2e-3, t_start=0.0, t_end=0.02, record_stride=4)
         traj = solve(system, random_field(dom, seed=81, amplitude=0.6), cfg, params, profile,
                      path=sample_path(82, -1.0, 1.0, 2e-3))
         assert len(traj.states) == 4
@@ -1217,8 +1260,7 @@ class TestBoxState:
         real = SpectralVelocityField(dom, hermitian_part(dom, mixed))
         assert not np.array_equal(real.coeffs, mixed)
         profile = constant_forcing(random_field(dom, seed=85, amplitude=0.2))
-        scheme = "heun_stratonovich" if system == "stratonovich" else "imex_cn_ab2"
-        cfg = SolverConfig(dt=2e-3, scheme=scheme, t_start=0.0, t_end=0.01, record_stride=2)
+        cfg = SolverConfig(dt=2e-3, t_start=0.0, t_end=0.01, record_stride=2)
         path = sample_path(86, -1.0, 1.0, 2e-3)
         a = solve(system, u, cfg, params, profile, path=path)
         b = solve(system, real, cfg, params, profile, path=path)

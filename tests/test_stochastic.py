@@ -295,6 +295,9 @@ class TestWeightedIntegral:
         p = sample_path(3, -10.0, 2.0, 0.01)
         with pytest.raises(ValueError, match="unknown weight kind 'z3'"):
             weighted_forcing_integral(constant_forcing(self.g), 0.0, 1.0, path=p, epsilon=0.5, weight="z3")
+        # without a path the weight is never read, and it is checked all the same
+        with pytest.raises(ValueError, match="unknown weight kind 'foo'"):
+            weighted_forcing_integral(constant_forcing(self.g), 0.0, 1.0, weight="foo")
 
     def test_closed_tail_margin_detected(self):
         # omega(t) = t gives the z^2 weight exp(-2 t), whose slope 2 outgrows the rate 1

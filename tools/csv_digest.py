@@ -26,9 +26,11 @@ with the family's boundary state, a 2D ``pullback`` at ``tau = -0.41``, a
 horizon 0.7 is not ``dt`` times its step count (``0.1 * 7 != 0.7``), so an
 unwrap that read the last ledger time in place of ``tau + t`` would show.
 A ``simulate`` forces a 3D box with a bump template, the only config that
-reaches the ``curl(psi e_z)`` branch of ``bump_field``.  A last, conjugated
+reaches the ``curl(psi e_z)`` branch of ``bump_field``.  A conjugated
 ``simulate`` on a 12^3 box at 2/3 (``3c = N``) is the only 3D config whose
-right-hand side takes the skew-symmetric form.
+right-hand side takes the skew-symmetric form.  A last, conjugated
+``simulate`` from ``tau = 0.3`` to 0.5 reads its path off ``t = 0``, in a
+window that covers its span and would pass the pullback kinds' rule too.
 """
 
 from __future__ import annotations
@@ -149,6 +151,13 @@ def configs():
         "solver": {"dt": 5e-3, "record_stride": 4},
         "experiment": {"kind": "simulate", "system": "conjugated", "t_end": 0.1, "seed": 13,
                        "path_window": [-1.0, 1.0]},
+    }
+    out["simulate-conjugated-tau"] = {
+        "domain": {"N": 16}, "params": {"epsilon": 0.5},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": SINGLE_MODE},
+        "solver": {"dt": 5e-3},
+        "experiment": {"kind": "simulate", "system": "conjugated", "tau": 0.3, "t_end": 0.5, "seed": 14,
+                       "path_window": [-0.5, 1.0]},
     }
     return out
 
