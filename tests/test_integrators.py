@@ -320,8 +320,7 @@ class TestStratonovich:
         eps = 0.8
         path = sample_path(13, -1.0, 1.0, 0.01)
         dt = 0.01
-        cfg = SolverConfig(dt=dt, t_start=0.0, t_end=dt,
-                           include_B=False, include_C=False)
+        cfg = SolverConfig(dt=dt, t_start=0.0, t_end=dt, include_B=False, include_C=False)
         out = solve("stratonovich", u0, cfg, params_with_eps(eps), zero_forcing(), path=path)
         dw = path.value(dt) - path.value(0.0)
         factor = math.exp(-PARAMS_2D.alpha * dt) * (1.0 + eps * dw + 0.5 * (eps * dw) ** 2)
@@ -334,8 +333,7 @@ class TestStratonovich:
         path = sample_path(14, -1.0, 1.0, 0.025)
         errs = []
         for dt in (0.025, 0.0125, 0.00625):
-            cfg = SolverConfig(dt=dt, t_start=0.0, t_end=T,
-                               include_B=False, include_C=False)
+            cfg = SolverConfig(dt=dt, t_start=0.0, t_end=T, include_B=False, include_C=False)
             out = solve("stratonovich", u0, cfg, params_with_eps(eps), zero_forcing(), path=path)
             exact = math.exp(-PARAMS_2D.alpha * T + eps * path.value(T)) * u0.coeffs
             errs.append(np.max(np.abs(out.states[-1].coeffs - exact)))
