@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .domain import bump_field, make_domain, random_field, save_snapshot, single_mode_field
-from .integrators import _SYSTEMS, BlowupError, SolverConfig, _check_stride, _in_box, _step_count, solve
+from .integrators import _SYSTEMS, BlowupError, SolverConfig, _check_path_grid, _check_stride, _in_box, _step_count, solve
 from .operators import PhysicalParameters, validate_params
 from .pullback import (
     TemperedFamily,
@@ -404,10 +404,9 @@ def _resolve(data, overrides) -> RunConfig:
     window, path_dt = ex["path_window"], ex["path_dt"]
     if window is not None:
         _owned("experiment.path_window", _check_window, *window)
-    if system == "stratonovich" and (path_dt or dt) > dt:
-        # the Heun step would take interpolated, smoothed increments
-        raise ConfigError(f"experiment.path_dt: {path_dt} is coarser than solver.dt = {dt}; "
-                          "the stratonovich system needs the step's own increments")
+    if system == "stratonovich":
+        _owned("experiment.path_dt", _check_path_grid, "solver.dt", dt, path_dt or dt)
+        _owned("experiment.tau", _check_path_grid, "tau", tau, path_dt or dt)
 
     pulls_back = kind in ("pullback", "attractor", "semicontinuity", "tails")
     if pulls_back and horizons is None:

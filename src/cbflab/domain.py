@@ -109,9 +109,8 @@ class TorusDomain:
         set_attr(self, "measure", (2.0 * L) ** d)
         modes1 = np.fft.fftfreq(N, 1.0 / N)  # integer mode indices as floats
         set_attr(self, "modes", modes1)
-        k1 = (np.pi / L) * modes1
-        grids = np.meshgrid(*([k1] * d), indexing="ij")
-        kvec = np.stack(grids)
+        m = np.stack(np.meshgrid(*([modes1] * d), indexing="ij"))
+        kvec = (np.pi / L) * m
         set_attr(self, "kvec", kvec)
         k_sq = np.sum(kvec**2, axis=0)
         set_attr(self, "k_sq", k_sq)
@@ -122,11 +121,7 @@ class TorusDomain:
         set_attr(self, "coords", np.stack(np.meshgrid(*([x1] * d), indexing="ij")))
         # centering phase (-1)^(sum m_i): FFT index space samples at x = 0,
         # the box is centered, so true e^{i k . x} coefficients carry it
-        mgrids = np.meshgrid(*([modes1] * d), indexing="ij")
-        parity = np.zeros(mgrids[0].shape, dtype=int)
-        for mg in mgrids:
-            parity += np.abs(mg).astype(int)
-        phase = 1.0 - 2.0 * (parity % 2)
+        phase = 1.0 - 2.0 * (np.abs(m).sum(axis=0) % 2)
         set_attr(self, "phase", phase)
         rows = np.arange(N) if 2 * cut == N else np.r_[: cut + 1, N - cut : N]
         ix = np.ix_(*([rows] * (d - 1) + [np.arange(cut + 1)]))
@@ -194,11 +189,8 @@ def _projection(domain, k):
 
 def _mode_box(domain, max_mode):
     """Mask of the modes with ``|m_i| <= max_mode`` on every axis."""
-    mgrids = np.meshgrid(*([domain.modes] * domain.d), indexing="ij")
-    keep = np.ones_like(mgrids[0], dtype=bool)
-    for mg in mgrids:
-        keep &= np.abs(mg) <= max_mode
-    return keep
+    m = np.stack(np.meshgrid(*([domain.modes] * domain.d), indexing="ij"))
+    return np.all(np.abs(m) <= max_mode, axis=0)
 
 
 def make_domain(d, L, N, dealias_fraction=2.0 / 3.0) -> "TorusDomain":
@@ -343,6 +335,16 @@ def _box_hermitian(domain, box):
     return box
 
 
+def _copy_box_rows(dst, src, axis, c):
+    """``dst`` with the rows ``0..c`` and ``-c..-1`` of ``src`` along the negative ``axis``, and zeros between."""
+    tail = (slice(None),) * (-axis - 1)
+    n, m = dst.shape[axis] - c, src.shape[axis] - c
+    dst[(Ellipsis, slice(c + 1, n)) + tail] = 0.0
+    dst[(Ellipsis, slice(c + 1)) + tail] = src[(Ellipsis, slice(c + 1)) + tail]
+    dst[(Ellipsis, slice(n, None)) + tail] = src[(Ellipsis, slice(m, None)) + tail]
+    return dst
+
+
 def _inverse_shapes(domain, lead):
     """
     Buffer shapes of :func:`_box_inverse` for box arrays of leading shape
@@ -366,17 +368,13 @@ def _box_inverse(domain, box, bufs=None, out=None):
     into ``out``; fresh arrays stand in for those not given.
     """
     N, c = domain.N, domain.mode_cut
-    rows = domain.box_index[0].ravel()
     bufs = iter(bufs if bufs is not None else
                 [np.empty(s, dtype=np.complex128) for s in _inverse_shapes(domain, box.shape[: -domain.d])])
     x = box
     for axis in range(-domain.d, -1):
         buf = next(bufs)
         if x.shape[axis] < N:
-            tail = (slice(None),) * (-axis - 1)
-            buf[(Ellipsis, slice(c + 1, N - c)) + tail] = 0.0  # the rows outside the box
-            buf[(Ellipsis, rows) + tail] = x
-            x = buf
+            x = _copy_box_rows(buf, x, axis, c)
         x = np.fft.ifft(x, axis=axis, out=buf)
     return np.fft.irfft(x, n=N, axis=-1, out=out)
 
@@ -405,22 +403,21 @@ def _box_forward(domain, grid, bufs=None):
     every pass.  The passes write into ``bufs`` (see :func:`_forward_shapes`;
     fresh arrays when None), and the result is the last of them.
     """
-    rows = domain.box_index[0].ravel()
+    c = domain.mode_cut
     bufs = iter(bufs if bufs is not None else
                 [np.empty(s, dtype=np.complex128) for s in _forward_shapes(domain, grid.shape[: -domain.d])])
-    x = np.fft.rfft(grid, axis=-1, out=next(bufs))[..., : domain.mode_cut + 1]
+    x = np.fft.rfft(grid, axis=-1, out=next(bufs))[..., : c + 1]
     for axis in range(-2, -domain.d - 1, -1):
         x = np.fft.fft(x, axis=axis, out=next(bufs))
-        if x.shape[axis] > rows.size:
-            # mode "clip" takes into out directly; "raise" would buffer a copy
-            x = np.take(x, rows, axis=axis, out=next(bufs), mode="clip")
+        if x.shape[axis] > 2 * c + 1:
+            x = _copy_box_rows(next(bufs), x, axis, c)
     return x
 
 
 def _project(x, passes):
     """``x -> x - k (k.x)/|k|^2`` for each ``(k, |k|^2)`` pass."""
     for k, k_sq in passes:
-        x = x - k * (np.sum(k * x, axis=0) / k_sq)
+        x = x - k * ((k * x).sum(axis=0) / k_sq)
     return x
 
 
@@ -534,9 +531,8 @@ def single_mode_field(domain, mode, amplitude=1.0) -> SpectralVelocityField:
     coeffs = np.zeros(domain.shape, dtype=np.complex128)
     pos = tuple(int(m) % domain.N for m in mode)
     neg = tuple(int(-m) % domain.N for m in mode)
-    for comp in range(domain.d):
-        coeffs[(comp,) + pos] = 0.5 * amplitude * e[comp]
-        coeffs[(comp,) + neg] = 0.5 * amplitude * e[comp]
+    coeffs[(slice(None),) + pos] = 0.5 * amplitude * e
+    coeffs[(slice(None),) + neg] = 0.5 * amplitude * e
     return SpectralVelocityField(domain, coeffs)
 
 

@@ -121,6 +121,15 @@ def _step_count(t_start, t_end, dt) -> int:
     return n_steps
 
 
+def _check_path_grid(what, t, spacing):
+    """ValueError unless ``t`` is a whole multiple of the path grid ``spacing``, by the test of :func:`_step_count`."""
+    try:
+        _step_count(0.0, abs(t), spacing)
+    except ValueError:
+        raise ValueError(f"off-path-grid: {what} = {t} is not a multiple of the path grid {spacing}; the "
+                         "stratonovich step takes the path's increments between its nodes") from None
+
+
 class _Snapshots(Sequence):
     """
     Read-only sequence of the full Hermitian fields of a solve's box states.
@@ -180,19 +189,6 @@ def _in_box(dom, coeffs, what):
     return _box_part(dom, coeffs)
 
 
-def _half_divergence(k, flux, d):
-    """``sum_i k_i F_ij`` for a symmetric flux stored as its ``i <= j`` rows."""
-    div = np.zeros((d,) + flux.shape[1:], dtype=np.complex128)
-    p = 0
-    for i in range(d):
-        for j in range(i, d):
-            div[j] += k[i] * flux[p]
-            if i != j:
-                div[i] += k[j] * flux[p]
-            p += 1
-    return div
-
-
 def _nbytes(shape, dtype):
     return math.prod(shape) * np.dtype(dtype).itemsize
 
@@ -210,6 +206,8 @@ def _carve(buf, offset, specs):
 # box rows (a, b) of each vorticity row d_a u_b - d_b u_a: the one row of
 # 2D, the three of 3D
 _CURL = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
+# flux row of u_i u_j at [i, j], the flux holding the rows i <= j in order
+_SYM = {2: np.array([[0, 1], [1, 2]]), 3: np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])}
 
 
 class _Kernel:
@@ -286,22 +284,21 @@ class _Kernel:
                 np.multiply(k[a], x[b], out=w_hat)
                 w_hat -= k[b] * x[a]
         elif self.skew:  # the gradient rows i k_i uhat_j, one block of d rows per i
-            for i in range(d):
-                np.multiply(k[i], x[:d], out=x[d * (i + 1) : d * (i + 2)])
+            np.multiply(k[:, None], x[:d], out=x[d:].reshape((d,) + x[:d].shape))
         x[d:] *= 1j
         rows = _box_inverse(dom, x, self.inverse, self.grid_rows)
         u = rows[:d]
         u *= dom.N**d
-        speed_sq = np.sum(np.square(u, out=self.tmp), axis=0, out=self.speed_sq)
+        speed_sq = np.add.reduce(np.square(u, out=self.tmp), axis=0, out=self.speed_sq)
         # r = 1 needs no fork: x**0.0 is exactly 1.0 and 1.0 * x is x
         pw = np.power(speed_sq, 0.5 * (self.params.r - 1.0), out=self.pw)
         lr_density = np.multiply(pw, speed_sq, out=self.tmp[0])
         c2 = dom.box_weight * np.abs(coeffs) ** 2
         # ufunc sums, not np.vdot: BLAS would wake its threads on a 32^3 box
         f_pair = 0.0 if envelope is None else envelope * dom.measure * float(
-            np.sum(coeffs.real * self.g_weighted.real + coeffs.imag * self.g_weighted.imag))
-        row = (dom.measure * float(np.sum(c2)), dom.measure * float(np.sum(dom.box_k_sq * c2)),
-               dom.dx**d * float(np.sum(lr_density)), f_pair, z, float(np.sqrt(speed_sq.max())))
+            (coeffs.real * self.g_weighted.real + coeffs.imag * self.g_weighted.imag).sum())
+        row = (dom.measure * float(c2.sum()), dom.measure * float((dom.box_k_sq * c2).sum()),
+               dom.dx**d * float(lr_density.sum()), f_pair, z, math.sqrt(speed_sq.max()))
         return rows, pw, row
 
     def row(self, coeffs, t, z):
@@ -341,18 +338,18 @@ class _Kernel:
                     np.multiply(u[a], w[b], out=comb[i])
                     comb[i] -= np.multiply(u[b], w[a], out=self.tmp[0])
                 comb *= scale
-        else:
-            comb[...] = 0.0
-        if self.skew:
-            # (u . grad) u one block of gradient rows d_i u at a time, then the flux rows u_i u_j for i <= j
-            for i in range(d):
-                comb += np.multiply(w[d * i : d * (i + 1)], u[i], out=self.tmp)
+        elif self.skew:
+            # (u . grad) u = sum_i u_i d_i u in place in the gradient rows, then the flux rows u_i u_j, i <= j
+            grads = w.reshape((d,) + u.shape)
+            grads *= u[:, None]
+            np.add.reduce(grads, axis=0, out=comb, initial=0.0)
             comb *= -0.5 * nd / z
             p = d
             for i in range(d):
-                for j in range(i, d):
-                    np.multiply(u[i], u[j], out=self.stack[p])
-                    p += 1
+                np.multiply(u[i], u[i:], out=self.stack[p : p + d - i])
+                p += d - i
+        else:
+            comb[...] = 0.0
         if self.include_C:
             damp = np.multiply(pw, u, out=self.tmp)
             comb -= np.multiply(self.params.beta * z ** (1.0 - self.params.r), damp, out=self.tmp)
@@ -360,7 +357,9 @@ class _Kernel:
         out *= dom.box_scale
         n_hat = out[:d]
         if self.skew:
-            n_hat = n_hat - (0.5j / z) * _half_divergence(dom.box_kvec, out[d:], d)
+            # the flux divergence sum_i k_i F_ij, each sum taken 0 + (i = 0) + (i = 1) + ...
+            div = np.add.reduce(dom.box_kvec[:, None] * out[d:][_SYM[d]], axis=0, initial=0.0)
+            n_hat = n_hat - (0.5j / z) * div
         return _box_hermitian(dom, n_hat)
 
 
@@ -405,6 +404,8 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
 
     The path is evaluated on the whole step grid before the first step, so a
     path whose window is too short fails there (:class:`OutOfWindowError`).
+    A noisy solve at a positive intensity steps from node to node of the path:
+    ``dt`` and ``t_start + path.shift`` must be whole multiples of its grid.
     Every right-hand side goes through one :class:`_Kernel` built here,
     and the coefficients it returns are new arrays, so the ones a step keeps
     (the previous step's for AB2, the predictor's for Heun) outlive the next
@@ -424,6 +425,9 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     dt = config.dt
     n_steps = _step_count(config.t_start, config.t_end, dt)
 
+    if system == "stratonovich" and params.epsilon > 0:
+        _check_path_grid("dt", dt, path.dt_grid)
+        _check_path_grid("t_start + path.shift", config.t_start + path.shift, path.dt_grid)
     grid = config.t_start + dt * np.arange(n_steps + 1)
     # the conjugation factor at every node, and the Heun step's noise
     # increments (none outside the noisy system), from whole-grid path evaluations

@@ -146,7 +146,7 @@ def test_05_conjugation_equivalence():
     eps = 0.5
     params = params2(eps)
     u0 = random_field(dom, seed=5001, amplitude=1.0)
-    path = sample_path(5002, -2.0, 2.0, 1e-4)
+    path = sample_path(5002, -2.0, 2.0, 5e-5)  # both steps below go node to node on it
     prof = zero_forcing()
 
     def rel_gap(dt):

@@ -105,6 +105,23 @@ class TestParseConfig:
         raw["experiment"].update(system="conjugated", path_dt=path_dt)
         parse_config(json.dumps(raw))
 
+    @pytest.mark.parametrize("experiment, where", [
+        ({"tau": 0.005, "t_end": 0.105}, "experiment.tau"),
+        ({"tau": 0.0025, "t_end": 0.1025}, "experiment.tau"),
+        ({"path_dt": 0.003}, "experiment.path_dt"),
+    ], ids=["tau-half-node", "tau-quarter-node", "dt-off-grid"])
+    def test_stratonovich_steps_off_the_path_grid(self, experiment, where, tmp_path, capsys):
+        # the path's increments over these steps have variance 0.495 dt, 0.618 dt and 0.889 dt, not dt
+        raw = {"params": {"epsilon": 0.5}, "solver": {"dt": 0.01},
+               "experiment": {"kind": "simulate", "system": "stratonovich", "seed": 1, "t_end": 0.1,
+                              "path_window": [-1.0, 1.0], **experiment}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {where}: off-path-grid" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment, params", [
         ({"kind": "attractor"}, {"epsilon": 0.0, "epsilon_ladder": [0.5]}),
         ({"kind": "tails", "tail_radii": [0.5], "tail_epsilons": [0.0]}, {"epsilon": 0.3}),

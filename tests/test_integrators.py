@@ -330,7 +330,7 @@ class TestStratonovich:
         dom = make_domain(2, math.pi, 8)
         u0 = constant_field(dom, [0.5, 0.0])
         eps, T = 0.8, 0.5
-        path = sample_path(14, -1.0, 1.0, 0.025)
+        path = sample_path(14, -1.0, 1.0, 0.00625)  # every dt below steps on the path's nodes
         errs = []
         for dt in (0.025, 0.0125, 0.00625):
             cfg = SolverConfig(dt=dt, t_start=0.0, t_end=T, include_B=False, include_C=False)
@@ -338,6 +338,20 @@ class TestStratonovich:
             exact = math.exp(-PARAMS_2D.alpha * T + eps * path.value(T)) * u0.coeffs
             errs.append(np.max(np.abs(out.states[-1].coeffs - exact)))
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("path_dt, dt, t_start, shift", [(0.003, 0.01, 0.0, 0.0), (0.005, 0.005, 0.0025, 0.0),
+                                                              (0.005, 0.005, 0.0, 0.0025)],
+                             ids=["dt", "t_start", "shift"])
+    def test_steps_off_the_path_grid(self, path_dt, dt, t_start, shift):
+        # between its nodes the path is linear, so such a step would take a smoothed increment
+        u0 = constant_field(make_domain(2, math.pi, 8), [0.5, 0.0])
+        path = shift_path(sample_path(15, -1.0, 1.0, path_dt), shift)
+        with pytest.raises(ValueError, match="off-path-grid"):
+            solve("stratonovich", u0, SolverConfig(dt=dt, t_start=t_start, t_end=t_start + 4 * dt),
+                  params_with_eps(0.5), zero_forcing(), path=path)
+        # whole multiples of the grid, counted in the base path's time, step node to node
+        on_grid = SolverConfig(dt=2 * path_dt, t_start=-shift, t_end=-shift + 4 * path_dt)
+        assert solve("stratonovich", u0, on_grid, params_with_eps(0.5), zero_forcing(), path=path).ledger["t"].size == 3
 
     def test_heun_past_the_explicit_bound(self):
         # 64^2: an explicit linear step would be stable only for

@@ -16,7 +16,7 @@ from cbflab.domain import (
     single_mode_field,
     zero_field,
 )
-from cbflab.integrators import SolverConfig
+from cbflab.integrators import SolverConfig, solve
 from cbflab.operators import PhysicalParameters
 from cbflab.pullback import (
     EmptySetError,
@@ -530,6 +530,24 @@ class TestCutoffAndTails:
         u = zero_field(dom)
         with pytest.raises(ValueError, match="annulus-exceeds-box"):
             tail_mass(u, 3.0)
+
+    def test_box_share_of_the_whole_space(self):
+        # one forced bump solved from rest to T = 4 on the boxes [-L, L]^2, L = 2 pi, 4 pi and 8 pi, all at the
+        # grid spacing pi / 8: how far the torus stands in for R^2
+        params = PhysicalParameters(2, 0.1, 0.5, 1.0, 3.0)
+        cfg = SolverConfig(dt=5e-3, t_end=4.0, record_stride=10**9)
+        ends = []
+        for L, N in ((2 * math.pi, 32), (4 * math.pi, 64), (8 * math.pi, 128)):
+            dom = make_domain(2, L, N)
+            profile = constant_forcing(bump_field(dom, width=1.0, amplitude=2.0, support_radius=3.0))
+            ends.append(solve("deterministic", zero_field(dom), cfg, params, profile).states[-1])
+        h = [norms(u).h_norm_sq for u in ends]
+        # 9.18556, 9.18650 and 9.18609: a spread of 1.0e-4 relative
+        assert max(h) / min(h) - 1.0 <= 2e-4
+        # 0.982 and 1.005 of the tail outside k = 3 on the 8 pi box (sqrt(2) k / L = 0.68 on the 2 pi box)
+        assert all(abs(tail_mass(u, 3.0) / tail_mass(ends[-1], 3.0) - 1.0) <= 0.03 for u in ends)
+        # the 2 pi box accepts k = 4 (sqrt(2) k / L = 0.90), but its tail there is 0.519 of the 8 pi one
+        assert 0.45 <= tail_mass(ends[0], 4.0) / tail_mass(ends[-1], 4.0) <= 0.6
 
 
 class TestAttractorContainment:
