@@ -112,8 +112,6 @@ class TestCocycle:
 
     def test_conjugation_wrap_consistency(self):
         # endpoint matches the manual wrap / solve / unwrap route exactly
-        from cbflab.integrators import solve
-
         eps, tau, t = 0.5, 0.25, 0.5
         p = with_eps(eps)
         shifted = shift_path(self.omega, -tau)
