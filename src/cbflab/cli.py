@@ -40,7 +40,7 @@ from .pullback import (
 from .stochastic import _FORCING_KINDS, _QUAD_REL_TOL, ForcingProfile, _check_window, sample_path
 from .verification import run_all
 
-__all__ = ["RunConfig", "RunManifest", "ConfigError", "parse_config", "run", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 
 class ConfigError(ValueError):
@@ -60,24 +60,6 @@ class RunConfig:
     epsilon_ladder: list
     family: Optional[TemperedFamily]  # None for verify and simulate
     out_dir: str
-
-
-@dataclass
-class RunManifest:
-    """What a run did; ``health`` (missed accuracy targets) and ``failure`` are written when set."""
-
-    config: dict
-    config_sha256: str
-    versions: dict
-    wall_clock_s: float
-    artifacts: list
-    summary: dict
-    health: Optional[dict] = None
-    failure: Optional[dict] = None
-
-    def write(self, path):
-        payload = {k: v for k, v in vars(self).items() if v is not None}
-        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n")
 
 
 def _plain(obj):
@@ -285,10 +267,8 @@ _TABLE = (
     ("forcing.template.bump", "support_radius", None, "number", _POSITIVE),
     ("solver", "dt", 1e-3, "number", _POSITIVE),
     ("solver", "record_stride", 10, "integer", _check_stride),
-    ("solver", "include_B", True, "bool", None),
-    ("solver", "include_C", True, "bool", None),
     ("experiment", "kind", "simulate", "string", _one_of(tuple(_EXPERIMENTS))),
-    ("experiment", "system", "deterministic", "string", _one_of(_SYSTEMS)),
+    ("experiment", "system", "deterministic", "string", _one_of(_SYSTEMS)),  # simulate only
     ("experiment", "tau", 0.0, "number", None),
     ("experiment", "t_end", 1.0, "number", None),
     ("experiment", "horizons", None, "number list", _NONNEGATIVE),
@@ -397,14 +377,18 @@ def _resolve(data, overrides) -> RunConfig:
     kind, system, tau, horizons, dt = ex["kind"], ex["system"], ex["tau"], ex["horizons"], sv["dt"]
     if kind == "simulate":
         _owned("experiment.t_end", _step_count, tau, ex["t_end"], dt)
+    elif "system" in data.get("experiment", {}):
+        # every pullback kind solves the conjugated cocycle, and verify solves none
+        raise ConfigError(f"experiment.system: read only by simulate, not by {kind}")
     # the pullback kinds give each solve its own span, from the horizons
     solver = SolverConfig(dt=dt, t_start=tau, t_end=ex["t_end"] if kind == "simulate" else tau,
-                          record_stride=sv["record_stride"], include_B=sv["include_B"], include_C=sv["include_C"])
+                          record_stride=sv["record_stride"])
 
     window, path_dt = ex["path_window"], ex["path_dt"]
     if window is not None:
         _owned("experiment.path_window", _check_window, *window)
-    if system == "stratonovich":
+    # as in solve, a noisy step takes the path's increments only at a positive intensity
+    if system == "stratonovich" and params.epsilon > 0:
         _owned("experiment.path_dt", _check_path_grid, "solver.dt", dt, path_dt or dt)
         _owned("experiment.tau", _check_path_grid, "tau", tau, path_dt or dt)
 
@@ -460,31 +444,22 @@ def run(cfg: RunConfig) -> int:
     artifacts: list = []
     summary: dict = {}
     kind = cfg.experiment["kind"]
-    failure = None
+    # health (missed accuracy targets) and failure are written when set
+    manifest = {"config": cfg.raw, "versions": {"cbflab": __version__, "numpy": np.__version__},
+                "config_sha256": hashlib.sha256(json.dumps(cfg.raw, sort_keys=True).encode()).hexdigest()}
     try:
         status = _EXPERIMENTS[kind](cfg, out, artifacts, summary)
     except Exception as exc:  # experiment failure: report stage and fail
         print(f"error: experiment {kind!r} failed: {exc}", file=sys.stderr)
         status = 1
         blowup = isinstance(exc, BlowupError)
-        failure = {"stage": kind, "type": type(exc).__name__, "message": str(exc),
-                   "t": exc.t if blowup else None, "max_speed": exc.max_speed if blowup else None}
-    health = None
+        manifest["failure"] = {"stage": kind, "type": type(exc).__name__, "message": str(exc),
+                               "t": exc.t if blowup else None, "max_speed": exc.max_speed if blowup else None}
     rel = summary.get("forcing_integral_rel_error", 0.0)
     if rel > _QUAD_REL_TOL:
-        health = {"forcing_integral_rel_error": {"value": rel, "target": _QUAD_REL_TOL}}
-    canonical = json.dumps(cfg.raw, sort_keys=True)
-    manifest = RunManifest(
-        config=cfg.raw,
-        config_sha256=hashlib.sha256(canonical.encode()).hexdigest(),
-        versions={"cbflab": __version__, "numpy": np.__version__},
-        wall_clock_s=time.time() - start,
-        artifacts=sorted(artifacts),
-        summary=summary,
-        health=health,
-        failure=failure,
-    )
-    manifest.write(out / "manifest.json")
+        manifest["health"] = {"forcing_integral_rel_error": {"value": rel, "target": _QUAD_REL_TOL}}
+    manifest.update(wall_clock_s=time.time() - start, artifacts=sorted(artifacts), summary=summary)
+    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2, default=_plain) + "\n")
     return status
 
 

@@ -189,15 +189,16 @@ def _in_box(dom, coeffs, what):
     return _box_part(dom, coeffs)
 
 
-def _nbytes(shape, dtype):
-    return math.prod(shape) * np.dtype(dtype).itemsize
+def _nbytes(specs):
+    """Bytes of arrays of ``(shape, dtype)`` laid one after another."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs)
 
 
 def _carve(buf, offset, specs):
     """Arrays of ``(shape, dtype)`` laid one after another in a byte buffer, from ``offset``."""
     out = []
     for shape, dtype in specs:
-        n = _nbytes(shape, dtype)
+        n = _nbytes([(shape, dtype)])
         out.append(buf[offset : offset + n].view(dtype).reshape(shape))
         offset += n
     return out
@@ -238,17 +239,17 @@ class _Kernel:
     A solve builds one kernel, which keeps the box part of the forcing
     template (:class:`OutOfBoxError` when the template reaches outside the
     box) and every array a call writes into, so that a call allocates only
-    box-sized arrays.  ``stack`` holds the grid rows of the forward pass and
-    has a buffer of its own: the ``d`` combined rows, followed in the
-    skew-symmetric form by the ``d(d+1)/2`` flux rows.  The grid stage's
-    arrays (the inverse pass's input ``box_rows``, its ``inverse`` buffers
-    and output ``grid_rows``, the scratch rows ``tmp``, ``speed_sq = |u|^2``
-    and ``pw = |u|^(r-1)``) and the ``forward`` pass outputs are views of
-    one shared byte buffer: the forward pass starts when the grid stage is
-    done with its arrays.  The forward outputs alternate between the
-    buffer's two parts, before and after ``split``, so that no pass writes
-    over its own input.  The returned coefficients are a new array, never a
-    view of a buffer: callers may keep them across calls.
+    box-sized arrays.  Every such array is a view of one byte buffer.  The
+    grid stage lays the inverse pass's input ``box_rows`` and its
+    ``inverse`` pads but the last under its output ``grid_rows``, since the
+    last pass writes ``grid_rows`` when they are dead; the last pad, the
+    scratch rows ``tmp``, ``speed_sq = |u|^2`` and ``pw = |u|^(r-1)`` lie
+    above it.  The ``forward`` pass outputs lie one after another from the
+    start of the buffer, over the grid stage, which is done when the forward
+    pass starts.  ``stack`` lies above both: the grid rows of the forward
+    pass, the ``d`` combined rows followed in the skew-symmetric form by the
+    ``d(d+1)/2`` flux rows.  The returned coefficients are a new array,
+    never a view of a buffer: callers may keep them across calls.
     """
 
     def __init__(self, dom, params, profile, include_B, include_C):
@@ -262,16 +263,23 @@ class _Kernel:
         d, c16, f8 = dom.d, np.complex128, np.float64
         grid = (dom.N,) * d
         rows = d + (len(_CURL[d]) if self.rotational else d * d if self.skew else 0)
-        self.stack = np.empty((d + (d * (d + 1) // 2 if self.skew else 0),) + grid)
-        stage = [((rows,) + dom.box_phase.shape, c16), ((rows,) + grid, f8), ((d,) + grid, f8), (grid, f8), (grid, f8)]
-        stage += [(s, c16) for s in _inverse_shapes(dom, (rows,))]
-        forward = _forward_shapes(dom, self.stack.shape[:1])
-        split = max(_nbytes(s, c16) for s in forward[0::2])
-        size = max(sum(_nbytes(*spec) for spec in stage), split + max(_nbytes(s, c16) for s in forward[1::2]))
-        buf = np.empty(size, dtype=np.uint8)
+        stacked = d + (d * (d + 1) // 2 if self.skew else 0)
+        stack, grid_rows = [((stacked,) + grid, f8)], [((rows,) + grid, f8)]
+        pads = [(s, c16) for s in _inverse_shapes(dom, (rows,))]
+        forward = [(s, c16) for s in _forward_shapes(dom, (stacked,))]
+        below = [((rows,) + dom.box_phase.shape, c16)] + pads[:-1]
+        above = pads[-1:] + [((d,) + grid, f8), (grid, f8), (grid, f8)]
+        top = max(_nbytes(grid_rows), _nbytes(below))
+        # the forward outputs outgrow the grid stage on some 3D boxes, 12^3 at 2/3 among them
+        base = max(top + _nbytes(above), _nbytes(forward))
+        buf = np.empty(base + _nbytes(stack), dtype=np.uint8)
 
-        self.box_rows, self.grid_rows, self.tmp, self.speed_sq, self.pw, *self.inverse = _carve(buf, 0, stage)
-        self.forward = [_carve(buf, split * (k % 2), [(s, c16)])[0] for k, s in enumerate(forward)]
+        self.box_rows, *early = _carve(buf, 0, below)
+        self.grid_rows = _carve(buf, 0, grid_rows)[0]
+        last, self.tmp, self.speed_sq, self.pw = _carve(buf, top, above)
+        self.inverse = early + [last]
+        self.forward = _carve(buf, 0, forward)
+        self.stack = _carve(buf, base, stack)[0]
 
     def _grid(self, coeffs, z, envelope):
         """Grid rows of ``u`` and its derivative rows (unscaled), ``|u|^(r-1)`` and the ledger row at ``envelope``."""

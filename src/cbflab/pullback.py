@@ -77,9 +77,11 @@ class TemperedFamily:
 
     ``radius_fn`` maps pullback age ``t >= 0`` to the ball radius; growth must
     be sub-exponential, which is probed on the ladder ``{10, 20, 40, 80}`` at
-    construction.  Samples are drawn uniformly in the ball (Gaussian
-    direction on the low-mode divergence-free subspace, radius ``rho * U^(1/n)``)
-    and are deterministic per ``(sampler_seed, age)``.  With
+    construction: each rung's ``e^{-t} rho(t)^2`` is zero or below the one
+    before it, so the zero family is tempered too.  Samples are drawn
+    uniformly in the ball (Gaussian direction on the low-mode
+    divergence-free subspace, radius ``rho * U^(1/n)``) and are
+    deterministic per ``(sampler_seed, age)``.  With
     ``include_boundary`` the family also contains one spatially constant
     state of full radius, the slowest-decaying direction.
     """
@@ -98,7 +100,7 @@ class TemperedFamily:
             object.__setattr__(self, "radius_fn", fn)
         ladder = [10.0, 20.0, 40.0, 80.0]
         probe = [math.exp(-t) * fn(t) ** 2 for t in ladder]
-        if any(b >= a for a, b in zip(probe, probe[1:])):
+        if any(b >= a and b > 0 for a, b in zip(probe, probe[1:])):
             raise ValueError("family is not tempered: e^{-t} rho(t)^2 fails to decrease on the test ladder")
         _check_sample_count(self.sample_count)
 

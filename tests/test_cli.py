@@ -53,6 +53,10 @@ class TestParseConfig:
         # the step rule follows the system: no key chooses it
         with pytest.raises(ConfigError, match=r"solver: unknown key\(s\) \['scheme'\]"):
             parse_config(json.dumps({"solver": {"scheme": "imex_cn_ab2"}}))
+        # the term switches are the library's, for its exact-solution audits; no run turns a term off
+        for key in ("include_B", "include_C"):
+            with pytest.raises(ConfigError, match=rf"solver: unknown key\(s\) \['{key}'\]"):
+                parse_config(json.dumps({"solver": {key: False}}))
 
     def test_horizons_must_increase(self):
         with pytest.raises(ConfigError, match="horizons"):
@@ -120,6 +124,40 @@ class TestParseConfig:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: {where}: off-path-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stratonovich_rule_needs_a_positive_intensity(self, tmp_path):
+        # at zero intensity the noisy step reads no increment, as in solve
+        raw = {"domain": {"N": 16}, "solver": {"dt": 0.01},
+               "experiment": {"kind": "simulate", "system": "stratonovich", "seed": 1, "t_end": 0.05,
+                              "path_window": [-1.0, 1.0], "path_dt": 0.003}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "zero")]) == 0
+        cfg.write_text(json.dumps(dict(raw, params={"epsilon": 0.5})))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "noisy")]) == 2
+        assert not (tmp_path / "noisy").exists()
+
+    @pytest.mark.parametrize("system", ["conjugated", "stratonovich"])
+    @pytest.mark.parametrize("kind, experiment, params", [
+        ("verify", {}, {}),
+        ("pullback", {}, {}),
+        ("attractor", {}, {}),
+        ("semicontinuity", {}, {"epsilon_ladder": [0.5]}),
+        ("tails", {"tail_radii": [0.5]}, {}),
+    ], ids=["verify", "pullback", "attractor", "semicontinuity", "tails"])
+    def test_only_simulate_reads_the_system(self, kind, experiment, params, system, tmp_path, capsys):
+        # tau = 0.005 is off the 0.01 path grid: the key is rejected before any rule reads it
+        raw = {"domain": {"N": 16}, "params": params, "solver": {"dt": 0.01},
+               "experiment": dict(experiment, kind=kind, tau=0.005, horizons=[0.02], seed=1,
+                                  path_window=[-1.0, 1.0], family={"samples": 2})}
+        parse_config(json.dumps(raw))
+        raw["experiment"]["system"] = system
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: experiment.system: read only by simulate, not by {kind}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment, params", [
@@ -227,7 +265,6 @@ class TestParseConfig:
         ({}, {"domain": {"N": 16.5}}, "domain.N: expected an integer that is even and >= 4, got 16.5"),
         ({}, {"domain": {"L": "3"}}, "domain.L: expected a number > 0, got '3'"),
         ({}, {"domain": {"dealias": "0.5"}}, "domain.dealias: expected a number in (0, 1], got '0.5'"),
-        ({}, {"solver": {"include_B": "no"}}, "solver.include_B: expected true or false, got 'no'"),
         ({}, {"params": {"r": True}}, "params.r: expected a number >= 1, got True"),
         ({"family": {"include_boundary": "yes"}}, {},
          "experiment.family.include_boundary: expected true or false, got 'yes'"),
@@ -265,7 +302,7 @@ class TestParseConfig:
             "text-period", "text-delta", "text-gamma", "text-template-amplitude", "text-template-width",
             "zero-path-dt", "negative-path-dt", "text-seed", "negative-seed", "path-window-without-zero",
             "text-family-radius", "text-max-mode", "text-N", "fractional-N", "text-L", "text-dealias",
-            "text-include-B", "boolean-r", "text-include-boundary", "negative-max-mode",
+            "boolean-r", "text-include-boundary", "negative-max-mode",
             "unknown-template-key", "text-mu", "text-dt", "step-count-overflows",
             "period-underflows", "periodic-without-period", "template-outside-box",
             "delta-not-below-alpha", "forcing-without-template", "template-without-shape",
@@ -614,6 +651,18 @@ class TestMoreExperiments:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["summary"]["cloud_size"] == 2
         assert any(a.startswith("cloud_") for a in manifest["artifacts"])
+
+    @pytest.mark.parametrize("include_boundary", [False, True])
+    def test_attractor_of_the_zero_family(self, include_boundary, tmp_path):
+        out = tmp_path / "att"
+        raw = {"domain": {"N": 8}, "params": {"epsilon": 0.3}, "solver": {"dt": 0.01},
+               "experiment": {"kind": "attractor", "horizons": [0.02, 0.04], "seed": 1, "path_window": [-1.0, 1.0],
+                              "family": {"radius": 0.0, "samples": 2, "include_boundary": include_boundary}}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["attractor", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "attractor.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.0"]
 
     @pytest.mark.parametrize("kind, csvs", [
         ("attractor", ["attractor.csv", "cloud_000.csv", "cloud_001.csv", "cloud_002.csv"]),

@@ -1219,6 +1219,23 @@ class TestWorkspace:
         # the flux rows follow the d combined rows only in the skew-symmetric form
         assert kernel.stack.shape[0] == d + (d * (d + 1) // 2 if kernel.skew else 0)
 
+    @pytest.mark.parametrize("include_B", [True, False])
+    # at 12^3 the forward outputs outgrow the grid stage
+    @pytest.mark.parametrize("d,N,dealias", [(2, 16, 2.0 / 3.0), (2, 12, 2.0 / 3.0), (3, 8, 2.0 / 3.0), (3, 8, 1.0),
+                                             (3, 12, 2.0 / 3.0)])
+    def test_buffer_layout(self, d, N, dealias, include_B):
+        dom, params, profile, _, _ = self.problem(d, N, dealias)
+        kernel = _Kernel(dom, params, profile, include_B, True)
+        # one buffer holds every array
+        assert all(np.shares_memory(arr, kernel.stack.base) for arr in kernel_arrays(kernel))
+        # the inverse pass's input lies under its output, which its last pass reads from the last pad
+        assert np.shares_memory(kernel.box_rows, kernel.grid_rows)
+        assert not np.shares_memory(kernel.inverse[-1], kernel.grid_rows)
+        # the forward pass reads stack and writes each output once
+        for arr in kernel.forward + [kernel.grid_rows, kernel.tmp, kernel.pw]:
+            assert not np.shares_memory(kernel.stack, arr)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(kernel.forward) for b in kernel.forward[:i])
+
     def test_template_outside_the_box_is_rejected(self):
         dom = make_domain(2, math.pi, 32)
         params = PhysicalParameters(2, 1.0, 1.0, 1.0, 3.0)

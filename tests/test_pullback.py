@@ -243,6 +243,15 @@ class TestTemperedFamily:
     def test_exponential_growth_rejected(self):
         with pytest.raises(ValueError, match="tempered"):
             TemperedFamily(radius_fn=lambda t: math.exp(t), sample_count=2)
+        # e^{-t} rho(t)^2 is constant: it does not decrease
+        with pytest.raises(ValueError, match="tempered"):
+            TemperedFamily(radius_fn=lambda t: math.exp(t / 2), sample_count=2)
+
+    @pytest.mark.parametrize("include_boundary", [False, True])
+    def test_zero_radius_draws_zero_fields(self, include_boundary):
+        fam = TemperedFamily(radius_fn=0.0, sample_count=3, include_boundary=include_boundary)
+        samples = fam.samples(make_domain(2, math.pi, 8), 1.0)
+        assert len(samples) == 3 and not any(np.any(s.coeffs) for s in samples)
 
     @pytest.mark.parametrize("count", [2.5, 2.0, "3", True])
     def test_non_integer_sample_count_rejected(self, count):

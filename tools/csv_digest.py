@@ -31,6 +31,10 @@ reaches the ``curl(psi e_z)`` branch of ``bump_field``.  A conjugated
 right-hand side takes the skew-symmetric form.  A last, conjugated
 ``simulate`` from ``tau = 0.3`` to 0.5 reads its path off ``t = 0``, in a
 window that covers its span and would pass the pullback kinds' rule too.
+Two reach rules that once rejected them: an ``attractor`` of a family of
+radius 0 (``attractor-radius0``), and a ``stratonovich`` ``simulate`` at
+``epsilon: 0`` with ``dt`` 0.01 off its 0.003 path grid
+(``stratonovich-eps0-offgrid``), whose step reads no increment.
 """
 
 from __future__ import annotations
@@ -158,6 +162,20 @@ def configs():
         "solver": {"dt": 5e-3},
         "experiment": {"kind": "simulate", "system": "conjugated", "tau": 0.3, "t_end": 0.5, "seed": 14,
                        "path_window": [-0.5, 1.0]},
+    }
+    out["attractor-radius0"] = {
+        "domain": {"N": 8}, "params": {"epsilon": 0.3},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": SINGLE_MODE},
+        "solver": {"dt": 0.01},
+        "experiment": {"kind": "attractor", "horizons": [0.05, 0.1], "seed": 15, "path_window": [-1.0, 1.0],
+                       "family": {"radius": 0.0, "samples": 2, "include_boundary": True}},
+    }
+    out["stratonovich-eps0-offgrid"] = {
+        "domain": {"N": 16},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": SINGLE_MODE},
+        "solver": {"dt": 0.01},
+        "experiment": {"kind": "simulate", "system": "stratonovich", "t_end": 0.1, "seed": 16,
+                       "path_window": [-1.0, 1.0], "path_dt": 0.003},
     }
     return out
 
