@@ -265,6 +265,8 @@ class TestParseConfig:
         ({}, {"domain": {"N": 16.5}}, "domain.N: expected an integer that is even and >= 4, got 16.5"),
         ({}, {"domain": {"L": "3"}}, "domain.L: expected a number > 0, got '3'"),
         ({}, {"domain": {"dealias": "0.5"}}, "domain.dealias: expected a number in (0, 1], got '0.5'"),
+        # the term switches left the config table: a run names them as unknown keys
+        ({}, {"solver": {"include_B": "no"}}, "solver: unknown key(s) ['include_B']"),
         ({}, {"params": {"r": True}}, "params.r: expected a number >= 1, got True"),
         ({"family": {"include_boundary": "yes"}}, {},
          "experiment.family.include_boundary: expected true or false, got 'yes'"),
@@ -302,7 +304,7 @@ class TestParseConfig:
             "text-period", "text-delta", "text-gamma", "text-template-amplitude", "text-template-width",
             "zero-path-dt", "negative-path-dt", "text-seed", "negative-seed", "path-window-without-zero",
             "text-family-radius", "text-max-mode", "text-N", "fractional-N", "text-L", "text-dealias",
-            "boolean-r", "text-include-boundary", "negative-max-mode",
+            "text-include-B", "boolean-r", "text-include-boundary", "negative-max-mode",
             "unknown-template-key", "text-mu", "text-dt", "step-count-overflows",
             "period-underflows", "periodic-without-period", "template-outside-box",
             "delta-not-below-alpha", "forcing-without-template", "template-without-shape",
