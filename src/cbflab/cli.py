@@ -85,13 +85,13 @@ def _write_csv(path, header, rows):
 
 def _intensities(ex, epsilon, ladder):
     """
-    The noise intensities a run solves at, and whether it draws a path: a
-    simulate does when its system is noisy, and a pullback kind when one of
-    its intensities is positive (a cocycle at zero intensity is deterministic).
+    The noise intensities a run solves at, and whether it draws a path: when
+    one of them is positive and, for a simulate, its system is noisy (a solve
+    at zero intensity reads no path).
     """
     kind = ex["kind"]
     if kind == "simulate":
-        return [epsilon], ex["system"] != "deterministic"
+        return [epsilon], ex["system"] != "deterministic" and epsilon > 0
     eps = {"verify": [], "semicontinuity": ladder, "tails": ex["tail_epsilons"] or [epsilon]}.get(kind, [epsilon])
     return eps, any(e > 0 for e in eps)
 
@@ -266,7 +266,7 @@ _TABLE = (
     ("forcing.template.bump", "amplitude", 1.0, "number", None),
     ("forcing.template.bump", "support_radius", None, "number", _POSITIVE),
     ("solver", "dt", 1e-3, "number", _POSITIVE),
-    ("solver", "record_stride", 10, "integer", _check_stride),
+    ("solver", "record_stride", 10, "integer", _check_stride),  # still accepted; no effect
     ("experiment", "kind", "simulate", "string", _one_of(tuple(_EXPERIMENTS))),
     ("experiment", "system", "deterministic", "string", _one_of(_SYSTEMS)),  # simulate only
     ("experiment", "tau", 0.0, "number", None),
@@ -375,14 +375,12 @@ def _resolve(data, overrides) -> RunConfig:
         _owned("forcing.template", _in_box, domain, profile.template.coeffs, "its coefficients")
 
     kind, system, tau, horizons, dt = ex["kind"], ex["system"], ex["tau"], ex["horizons"], sv["dt"]
+    steps = [1]  # the step counts of the run's solves
     if kind == "simulate":
-        _owned("experiment.t_end", _step_count, tau, ex["t_end"], dt)
+        steps.append(_owned("experiment.t_end", _step_count, tau, ex["t_end"], dt))
     elif "system" in data.get("experiment", {}):
         # every pullback kind solves the conjugated cocycle, and verify solves none
         raise ConfigError(f"experiment.system: read only by simulate, not by {kind}")
-    # the pullback kinds give each solve its own span, from the horizons
-    solver = SolverConfig(dt=dt, t_start=tau, t_end=ex["t_end"] if kind == "simulate" else tau,
-                          record_stride=sv["record_stride"])
 
     window, path_dt = ex["path_window"], ex["path_dt"]
     if window is not None:
@@ -400,7 +398,11 @@ def _resolve(data, overrides) -> RunConfig:
     if pulls_back:
         # horizon h is a cocycle solve from tau - h to (tau - h) + h; tails solves only the last
         for h in horizons[-1:] if kind == "tails" else horizons:
-            _owned("experiment.horizons", _step_count, tau - h, (tau - h) + h, dt)
+            steps.append(_owned("experiment.horizons", _step_count, tau - h, (tau - h) + h, dt))
+    # a run writes only the last state of a solve, so each solve keeps its first and last;
+    # the pullback kinds give each solve its own span, from the horizons
+    solver = SolverConfig(dt=dt, t_start=tau, t_end=ex["t_end"] if kind == "simulate" else tau,
+                          record_stride=max(steps))
     if kind == "semicontinuity" and ladder is None:
         raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
     if kind == "tails" and ex["tail_radii"] is None:

@@ -15,6 +15,7 @@ the divergence-free constraint is the mode-wise condition ``k . uhat(k) = 0``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -79,7 +80,6 @@ class TorusDomain:
     kvec: np.ndarray = dc_field(init=False, repr=False)
     k_sq: np.ndarray = dc_field(init=False, repr=False)
     dealias_mask: np.ndarray = dc_field(init=False, repr=False)
-    coords: np.ndarray = dc_field(init=False, repr=False)
     phase: np.ndarray = dc_field(init=False, repr=False)
     # the dealiased half-spectrum box the solvers carry: leading axes keep the
     # rows |m| <= mode_cut in FFT order, the last axis keeps 0..mode_cut
@@ -117,8 +117,6 @@ class TorusDomain:
         cut = math.floor(self.dealias_fraction * (N // 2))
         set_attr(self, "mode_cut", cut)
         set_attr(self, "dealias_mask", _mode_box(self, cut))
-        x1 = -L + self.dx * np.arange(N)
-        set_attr(self, "coords", np.stack(np.meshgrid(*([x1] * d), indexing="ij")))
         # centering phase (-1)^(sum m_i): FFT index space samples at x = 0,
         # the box is centered, so true e^{i k . x} coefficients carry it
         phase = 1.0 - 2.0 * (np.abs(m).sum(axis=0) % 2)
@@ -150,6 +148,12 @@ class TorusDomain:
 
     def __hash__(self):
         return hash((self.d, self.L, self.N, self.dealias_fraction))
+
+    @functools.cached_property
+    def coords(self):
+        """Grid points ``(d, N, ..., N)``, built on first read."""
+        x1 = -self.L + self.dx * np.arange(self.N)
+        return np.stack(np.meshgrid(*([x1] * self.d), indexing="ij"))
 
     @property
     def spatial_axes(self):
@@ -231,7 +235,10 @@ class SpectralVelocityField:
                 unit = arr / peak
                 scale = _l2_norm(unit)
         if scale > 0:
-            div = np.abs(np.sum(dom.kvec * unit, axis=0)).max()
+            div = dom.kvec[0] * unit[0]
+            for k, u in zip(dom.kvec[1:], unit[1:]):
+                div += k * u
+            div = np.abs(div).max()
             if div > DIV_TOL * scale:
                 raise ValueError(
                     f"field is not divergence-free: max |k.uhat| = {peak * div:.3e} "

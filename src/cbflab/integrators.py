@@ -242,12 +242,13 @@ class _Kernel:
     box-sized arrays.  Every such array is a view of one byte buffer.  The
     grid stage lays the inverse pass's input ``box_rows`` and its
     ``inverse`` pads but the last under its output ``grid_rows``, since the
-    last pass writes ``grid_rows`` when they are dead; the last pad, the
-    scratch rows ``tmp``, ``speed_sq = |u|^2`` and ``pw = |u|^(r-1)`` lie
+    last pass writes ``grid_rows`` when they are dead; the scratch row
+    ``tmp``, ``speed_sq = |u|^2``, ``pw = |u|^(r-1)`` and the last pad lie
     above it.  The ``forward`` pass outputs lie one after another from the
     start of the buffer, over the grid stage, which is done when the forward
-    pass starts.  ``stack`` lies above both: the grid rows of the forward
-    pass, the ``d`` combined rows followed in the skew-symmetric form by the
+    pass starts.  ``stack`` lies above both, over the last pad, which is
+    dead once ``grid_rows`` is written: the grid rows of the forward pass,
+    the ``d`` combined rows followed in the skew-symmetric form by the
     ``d(d+1)/2`` flux rows.  The returned coefficients are a new array,
     never a view of a buffer: callers may keep them across calls.
     """
@@ -268,15 +269,15 @@ class _Kernel:
         pads = [(s, c16) for s in _inverse_shapes(dom, (rows,))]
         forward = [(s, c16) for s in _forward_shapes(dom, (stacked,))]
         below = [((rows,) + dom.box_phase.shape, c16)] + pads[:-1]
-        above = pads[-1:] + [((d,) + grid, f8), (grid, f8), (grid, f8)]
+        above = [(grid, f8)] * 3 + pads[-1:]
         top = max(_nbytes(grid_rows), _nbytes(below))
         # the forward outputs outgrow the grid stage on some 3D boxes, 12^3 at 2/3 among them
-        base = max(top + _nbytes(above), _nbytes(forward))
-        buf = np.empty(base + _nbytes(stack), dtype=np.uint8)
+        base = max(top + _nbytes(above[:3]), _nbytes(forward))
+        buf = np.empty(max(top + _nbytes(above), base + _nbytes(stack)), dtype=np.uint8)
 
         self.box_rows, *early = _carve(buf, 0, below)
         self.grid_rows = _carve(buf, 0, grid_rows)[0]
-        last, self.tmp, self.speed_sq, self.pw = _carve(buf, top, above)
+        self.tmp, self.speed_sq, self.pw, last = _carve(buf, top, above)
         self.inverse = early + [last]
         self.forward = _carve(buf, 0, forward)
         self.stack = _carve(buf, base, stack)[0]
@@ -297,10 +298,12 @@ class _Kernel:
         rows = _box_inverse(dom, x, self.inverse, self.grid_rows)
         u = rows[:d]
         u *= dom.N**d
-        speed_sq = np.add.reduce(np.square(u, out=self.tmp), axis=0, out=self.speed_sq)
+        speed_sq = np.square(u[0], out=self.speed_sq)
+        for ui in u[1:]:
+            speed_sq += np.square(ui, out=self.tmp)
         # r = 1 needs no fork: x**0.0 is exactly 1.0 and 1.0 * x is x
         pw = np.power(speed_sq, 0.5 * (self.params.r - 1.0), out=self.pw)
-        lr_density = np.multiply(pw, speed_sq, out=self.tmp[0])
+        lr_density = np.multiply(pw, speed_sq, out=self.tmp)
         c2 = dom.box_weight * np.abs(coeffs) ** 2
         # ufunc sums, not np.vdot: BLAS would wake its threads on a 32^3 box
         f_pair = 0.0 if envelope is None else envelope * dom.measure * float(
@@ -344,7 +347,7 @@ class _Kernel:
                 for i in range(3):
                     a, b = (i + 1) % 3, (i + 2) % 3
                     np.multiply(u[a], w[b], out=comb[i])
-                    comb[i] -= np.multiply(u[b], w[a], out=self.tmp[0])
+                    comb[i] -= np.multiply(u[b], w[a], out=self.tmp)
                 comb *= scale
         elif self.skew:
             # (u . grad) u = sum_i u_i d_i u in place in the gradient rows, then the flux rows u_i u_j, i <= j
@@ -359,8 +362,9 @@ class _Kernel:
         else:
             comb[...] = 0.0
         if self.include_C:
-            damp = np.multiply(pw, u, out=self.tmp)
-            comb -= np.multiply(self.params.beta * z ** (1.0 - self.params.r), damp, out=self.tmp)
+            coef = self.params.beta * z ** (1.0 - self.params.r)
+            for ci, ui in zip(comb, u):
+                ci -= np.multiply(coef, np.multiply(pw, ui, out=self.tmp), out=self.tmp)
         out = _box_forward(dom, self.stack, self.forward)
         out *= dom.box_scale
         n_hat = out[:d]
@@ -399,8 +403,8 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     Integrate one trajectory and populate its energy ledger.
 
     ``system`` is ``'deterministic'``, ``'conjugated'`` or ``'stratonovich'``.
-    The conjugated and noisy forms need a path; the noise intensity is read
-    from ``params.epsilon``.
+    The conjugated and noisy forms need a path at a positive intensity
+    ``params.epsilon``; without one they take ``z = 1`` and ``dW = 0``.
 
     The step loop carries the state on the dealiased half-spectrum box (see
     :mod:`cbflab.domain`) and records the box state every ``record_stride``
@@ -426,8 +430,8 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     verdict = validate_params(params)
     if not verdict.admissible:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
-    if system in ("conjugated", "stratonovich") and path is None:
-        raise ValueError(f"system {system!r} needs a sampled path")
+    if system != "deterministic" and path is None and params.epsilon > 0:
+        raise ValueError(f"system {system!r} needs a sampled path at epsilon = {params.epsilon}")
 
     dom = initial.domain
     dt = config.dt
@@ -439,11 +443,11 @@ def solve(system, initial: SpectralVelocityField, config: SolverConfig,
     grid = config.t_start + dt * np.arange(n_steps + 1)
     # the conjugation factor at every node, and the Heun step's noise
     # increments (none outside the noisy system), from whole-grid path evaluations
-    if system == "conjugated":
+    if system == "conjugated" and path is not None:
         zs = conjugation(path, params.epsilon, grid)
     else:
         zs = [1.0] * (n_steps + 1)
-    if system == "stratonovich":
+    if system == "stratonovich" and path is not None:
         noise = (params.epsilon * (path.value(grid[:-1] + dt) - path.value(grid[:-1]))).tolist()
     else:
         noise = [0.0] * n_steps

@@ -65,6 +65,7 @@ class TestParseConfig:
     def test_stochastic_needs_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(json.dumps({
+                "params": {"epsilon": 0.5},
                 "experiment": {"kind": "simulate", "system": "conjugated"},
             }))
 
@@ -163,7 +164,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("experiment, params", [
         ({"kind": "attractor"}, {"epsilon": 0.0, "epsilon_ladder": [0.5]}),
         ({"kind": "tails", "tail_radii": [0.5], "tail_epsilons": [0.0]}, {"epsilon": 0.3}),
-    ], ids=["attractor-unused-ladder", "tails-zero-intensities"])
+        ({"kind": "simulate", "system": "conjugated"}, {}),
+        ({"kind": "simulate", "system": "stratonovich"}, {}),
+    ], ids=["attractor-unused-ladder", "tails-zero-intensities", "conjugated-simulate", "stratonovich-simulate"])
     def test_run_without_a_path_needs_no_seed(self, experiment, params, tmp_path, monkeypatch):
         """Neither run solves at a positive intensity, so it needs neither a seed nor a path window."""
         def no_path(*args):
@@ -505,7 +508,7 @@ class TestRun:
         }))
         assert run(cfg) == 0
         # two expansions: the initial field, which random_field builds on the box, and the final
-        # state; the other five of the six snapshots recorded stay box states
+        # state, the only other snapshot a run's solve records
         assert len(calls) == 2
         assert (tmp_path / "final_state.csv").exists()
 
@@ -665,6 +668,26 @@ class TestMoreExperiments:
         assert main(["attractor", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "attractor.csv").read_text().strip().split("\n")[1:]
         assert [row.split(",")[1] for row in rows] == ["0.0"]
+
+    def test_record_stride_has_no_effect(self, tmp_path, monkeypatch):
+        from cbflab.integrators import solve
+
+        trajectories = []
+        monkeypatch.setattr(cli, "solve", lambda *args, **kw: trajectories.append(solve(*args, **kw)) or trajectories[-1])
+        raw = {"domain": {"d": 3, "N": 8}, "params": {"r": 4.0, "epsilon": 0.5},
+               "experiment": {"kind": "simulate", "system": "conjugated", "t_end": 0.1, "seed": 2,
+                              "path_window": [-1.0, 1.0]}}
+        for stride in (1, 10):
+            raw.update(solver={"dt": 0.01, "record_stride": stride}, output={"dir": str(tmp_path / f"s{stride}")})
+            assert run(parse_config(json.dumps(raw))) == 0
+        for name in ("trajectory.csv", "final_state.csv"):
+            assert (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s10" / name).read_bytes()
+        assert [len(traj.states) for traj in trajectories] == [2, 2]
+
+    def test_pullback_solves_keep_their_ends(self):
+        raw = {"solver": {"dt": 0.01, "record_stride": 1},
+               "experiment": {"kind": "attractor", "horizons": [0.02, 0.05]}}
+        assert parse_config(json.dumps(raw)).solver.record_stride == 5
 
     @pytest.mark.parametrize("kind, csvs", [
         ("attractor", ["attractor.csv", "cloud_000.csv", "cloud_001.csv", "cloud_002.csv"]),

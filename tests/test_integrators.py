@@ -183,6 +183,21 @@ class TestStepping:
         for a, b in zip(det.states, conj.states):
             assert np.array_equal(a.coeffs, b.coeffs)
 
+    @pytest.mark.parametrize("system", ["conjugated", "stratonovich"])
+    def test_zero_intensity_needs_no_path(self, system):
+        # without a path the solve takes z = 1 and dW = 0: the bits of the solve that reads one
+        dom = make_domain(2, math.pi, 16)
+        u0 = random_field(dom, seed=4, amplitude=0.5)
+        prof = periodic_forcing(random_field(dom, seed=5, amplitude=0.3), 0.5)
+        cfg = SolverConfig(dt=2e-3, t_start=0.0, t_end=0.1, record_stride=10)
+        given = solve(system, u0, cfg, params_with_eps(0.0), prof, path=sample_path(9, -2.0, 2.0, 2e-3))
+        pathless = solve(system, u0, cfg, params_with_eps(0.0), prof)
+        assert pathless.path is None and len(pathless.states) == 6
+        for name in _LEDGER:
+            assert given.ledger[name].tobytes() == pathless.ledger[name].tobytes(), name
+        for a, b in zip(given.states, pathless.states):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
     def test_conjugation_factor_per_node(self):
         # one path evaluation per solve gives the scalar process's value at every node
         dom = make_domain(2, math.pi, 16)
@@ -269,7 +284,7 @@ class TestStepping:
     def test_solve_rejected(self, system, match):
         dom = make_domain(2, math.pi, 8)
         with pytest.raises(ValueError, match=match):
-            solve(system, zero_field(dom), SolverConfig(dt=0.01, t_end=0.02), PARAMS_2D, zero_forcing())
+            solve(system, zero_field(dom), SolverConfig(dt=0.01, t_end=0.02), params_with_eps(0.5), zero_forcing())
 
     def test_energy_overflow_is_a_blowup(self):
         # every coefficient finite, the energy not: the guard fires at the first row, before the CFL test
@@ -1206,8 +1221,13 @@ class TestWorkspace:
         kernel = _Kernel(dom, params, profile, True, True)
         kernel(coeffs, 0.2, 1.3)
         assert peak(lambda: kernel(coeffs, 0.2, 1.3)) < field_bytes
-        # a fresh kernel allocates every grid and transform array
-        assert peak(lambda: _Kernel(dom, params, profile, True, True)(coeffs, 0.2, 1.3)) > 3 * field_bytes
+        # a fresh kernel allocates its whole buffer
+        assert peak(lambda: _Kernel(dom, params, profile, True, True)(coeffs, 0.2, 1.3)) > kernel.stack.base.nbytes
+
+    def test_rotational_buffer_bytes(self):
+        dom = make_domain(3, math.pi, 32)
+        kernel = _Kernel(dom, PhysicalParameters(3, 1.0, 1.0, 1.0, 5.0), zero_forcing(), True, True)
+        assert kernel.rotational and kernel.stack.base.nbytes == 3_440_640
 
     @pytest.mark.parametrize("include_B", [True, False])
     @pytest.mark.parametrize("d,N,dealias", [(2, 16, 2.0 / 3.0), (2, 12, 2.0 / 3.0), (3, 8, 1.0)])
@@ -1232,7 +1252,7 @@ class TestWorkspace:
         assert np.shares_memory(kernel.box_rows, kernel.grid_rows)
         assert not np.shares_memory(kernel.inverse[-1], kernel.grid_rows)
         # the forward pass reads stack and writes each output once
-        for arr in kernel.forward + [kernel.grid_rows, kernel.tmp, kernel.pw]:
+        for arr in kernel.forward + [kernel.grid_rows, kernel.tmp, kernel.speed_sq, kernel.pw]:
             assert not np.shares_memory(kernel.stack, arr)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(kernel.forward) for b in kernel.forward[:i])
 

@@ -31,10 +31,13 @@ reaches the ``curl(psi e_z)`` branch of ``bump_field``.  A conjugated
 right-hand side takes the skew-symmetric form.  A last, conjugated
 ``simulate`` from ``tau = 0.3`` to 0.5 reads its path off ``t = 0``, in a
 window that covers its span and would pass the pullback kinds' rule too.
-Two reach rules that once rejected them: an ``attractor`` of a family of
-radius 0 (``attractor-radius0``), and a ``stratonovich`` ``simulate`` at
+Three reach rules that once rejected them: an ``attractor`` of a family of
+radius 0 (``attractor-radius0``), a ``stratonovich`` ``simulate`` at
 ``epsilon: 0`` with ``dt`` 0.01 off its 0.003 path grid
-(``stratonovich-eps0-offgrid``), whose step reads no increment.
+(``stratonovich-eps0-offgrid``), whose step reads no increment, and a
+``conjugated`` ``simulate`` at ``epsilon: 0`` with no seed or path window
+(``simulate-conjugated-eps0-nopath``).  ``simulate-3d-bump-stride1`` is
+``simulate-3d-bump`` at ``record_stride: 1``, and its hashes equal those at 10.
 """
 
 from __future__ import annotations
@@ -177,6 +180,13 @@ def configs():
         "experiment": {"kind": "simulate", "system": "stratonovich", "t_end": 0.1, "seed": 16,
                        "path_window": [-1.0, 1.0], "path_dt": 0.003},
     }
+    out["simulate-conjugated-eps0-nopath"] = {
+        "domain": {"N": 16},
+        "forcing": {"kind": "periodic", "period": 0.5, "template": SINGLE_MODE},
+        "solver": {"dt": 0.01},
+        "experiment": {"kind": "simulate", "system": "conjugated", "t_end": 0.1},
+    }
+    out["simulate-3d-bump-stride1"] = dict(out["simulate-3d-bump"], solver={"dt": 0.01, "record_stride": 1})
     return out
 
 
