@@ -266,7 +266,7 @@ _TABLE = (
     ("forcing.template.bump", "amplitude", 1.0, "number", None),
     ("forcing.template.bump", "support_radius", None, "number", _POSITIVE),
     ("solver", "dt", 1e-3, "number", _POSITIVE),
-    ("solver", "record_stride", 10, "integer", _check_stride),  # still accepted; no effect
+    ("solver", "record_stride", 10, "integer", _check_stride),  # still accepted; the run sets its own
     ("experiment", "kind", "simulate", "string", _one_of(tuple(_EXPERIMENTS))),
     ("experiment", "system", "deterministic", "string", _one_of(_SYSTEMS)),  # simulate only
     ("experiment", "tau", 0.0, "number", None),
@@ -403,6 +403,7 @@ def _resolve(data, overrides) -> RunConfig:
     # the pullback kinds give each solve its own span, from the horizons
     solver = SolverConfig(dt=dt, t_start=tau, t_end=ex["t_end"] if kind == "simulate" else tau,
                           record_stride=max(steps))
+    sv["record_stride"] = solver.record_stride  # so the manifest's config says what ran
     if kind == "semicontinuity" and ladder is None:
         raise ConfigError("params.epsilon_ladder: required for the semicontinuity experiment")
     if kind == "tails" and ex["tail_radii"] is None:

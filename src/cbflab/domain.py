@@ -85,12 +85,10 @@ class TorusDomain:
     # rows |m| <= mode_cut in FFT order, the last axis keeps 0..mode_cut
     box_index: tuple = dc_field(init=False, repr=False)
     box_phase: np.ndarray = dc_field(init=False, repr=False)
-    box_scale: np.ndarray = dc_field(init=False, repr=False)
     box_kvec: np.ndarray = dc_field(init=False, repr=False)
     box_k_sq: np.ndarray = dc_field(init=False, repr=False)
     box_weight: np.ndarray = dc_field(init=False, repr=False)
     box_projection: tuple = dc_field(init=False, repr=False)
-    box_reflect: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -124,12 +122,7 @@ class TorusDomain:
         rows = np.arange(N) if 2 * cut == N else np.r_[: cut + 1, N - cut : N]
         ix = np.ix_(*([rows] * (d - 1) + [np.arange(cut + 1)]))
         set_attr(self, "box_index", ix)
-        # box row of -m for every box row m, the rows being 0..c, then -c..-1
-        reflect = -np.arange(rows.size) % rows.size
-        set_attr(self, "box_reflect", np.ix_(*([reflect] * (d - 1))))
         set_attr(self, "box_phase", phase[ix])
-        # the phase and 1/N^d of a forward pass onto the box
-        set_attr(self, "box_scale", self.box_phase / N**d)
         set_attr(self, "box_k_sq", k_sq[ix])
         # first derivatives take the first pass's wavevectors: a zero Nyquist
         # wavenumber, as for any real field
@@ -305,12 +298,6 @@ def leray_project(domain, raw) -> SpectralVelocityField:
 # min(2 mode_cut + 1, N), hold the leading-axis rows |m_i| <= mode_cut in FFT
 # order and the real transform's columns 0..mode_cut.  A real field's other
 # coefficients are uhat(-k) = conj(uhat(k)) or, outside the box, zero.
-#
-# The pruned transforms write every pass into a buffer the caller passes in,
-# shaped by _inverse_shapes and _forward_shapes (fresh arrays when none are
-# passed), so that a solve can build its buffers once and reuse them at every
-# step.  A pass writes the whole of its buffer, the zero rows of a pad
-# included, so a buffer may hold anything between calls.
 
 
 def _box_neg(domain):
@@ -332,93 +319,6 @@ def _box_full(domain, box):
     neg = _box_neg(domain)
     full[neg[:-1] + (neg[-1][..., 1 : m + 1],)] = np.conj(box[..., 1 : m + 1])
     return full
-
-
-def _box_hermitian(domain, box):
-    """Make the self-conjugate columns (last-axis 0, and N/2 when kept) Hermitian in place."""
-    for j in (0, domain.N // 2) if 2 * domain.mode_cut == domain.N else (0,):
-        col = box[..., j]
-        col[...] = 0.5 * (col + np.conj(col[(Ellipsis,) + domain.box_reflect]))
-    return box
-
-
-def _copy_box_rows(dst, src, axis, c):
-    """``dst`` with the rows ``0..c`` and ``-c..-1`` of ``src`` along the negative ``axis``, and zeros between."""
-    tail = (slice(None),) * (-axis - 1)
-    n, m = dst.shape[axis] - c, src.shape[axis] - c
-    dst[(Ellipsis, slice(c + 1, n)) + tail] = 0.0
-    dst[(Ellipsis, slice(c + 1)) + tail] = src[(Ellipsis, slice(c + 1)) + tail]
-    dst[(Ellipsis, slice(n, None)) + tail] = src[(Ellipsis, slice(m, None)) + tail]
-    return dst
-
-
-def _inverse_shapes(domain, lead):
-    """
-    Buffer shapes of :func:`_box_inverse` for box arrays of leading shape
-    ``lead``: one per leading axis, in pass order, which takes the
-    zero-padded input (when the box drops rows) and the pass's output in its
-    place.
-    """
-    shape = list(lead) + list(domain.box_phase.shape)
-    shapes = []
-    for axis in range(-domain.d, -1):
-        shape[axis] = domain.N
-        shapes.append(tuple(shape))
-    return shapes
-
-
-def _box_inverse(domain, box, bufs=None, out=None):
-    """
-    Real grid rows of box coefficients: ``irfftn``, zero-padding one leading
-    axis at a time.  The leading-axis passes write into ``bufs`` (see
-    :func:`_inverse_shapes`), each in place in its pad, and the last pass
-    into ``out``; fresh arrays stand in for those not given.
-    """
-    N, c = domain.N, domain.mode_cut
-    bufs = iter(bufs if bufs is not None else
-                [np.empty(s, dtype=np.complex128) for s in _inverse_shapes(domain, box.shape[: -domain.d])])
-    x = box
-    for axis in range(-domain.d, -1):
-        buf = next(bufs)
-        if x.shape[axis] < N:
-            x = _copy_box_rows(buf, x, axis, c)
-        x = np.fft.ifft(x, axis=axis, out=buf)
-    return np.fft.irfft(x, n=N, axis=-1, out=out)
-
-
-def _forward_shapes(domain, lead):
-    """
-    Output shapes of the passes of :func:`_box_forward` for grid rows of
-    leading shape ``lead``, in order: the ``rfft``, then per leading axis the
-    ``fft`` and (when the box drops rows) its kept rows.
-    """
-    kept = domain.box_phase.shape[0]
-    shape = list(lead) + [domain.N] * (domain.d - 1) + [domain.N // 2 + 1]
-    shapes = [tuple(shape)]
-    shape[-1] = domain.mode_cut + 1
-    for axis in range(-2, -domain.d - 1, -1):
-        shapes.append(tuple(shape))
-        if kept < domain.N:
-            shape[axis] = kept
-            shapes.append(tuple(shape))
-    return shapes
-
-
-def _box_forward(domain, grid, bufs=None):
-    """
-    Box coefficients of real grid rows: ``rfftn`` keeping the box rows after
-    every pass.  The passes write into ``bufs`` (see :func:`_forward_shapes`;
-    fresh arrays when None), and the result is the last of them.
-    """
-    c = domain.mode_cut
-    bufs = iter(bufs if bufs is not None else
-                [np.empty(s, dtype=np.complex128) for s in _forward_shapes(domain, grid.shape[: -domain.d])])
-    x = np.fft.rfft(grid, axis=-1, out=next(bufs))[..., : c + 1]
-    for axis in range(-2, -domain.d - 1, -1):
-        x = np.fft.fft(x, axis=axis, out=next(bufs))
-        if x.shape[axis] > 2 * c + 1:
-            x = _copy_box_rows(next(bufs), x, axis, c)
-    return x
 
 
 def _project(x, passes):

@@ -32,18 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import (
-    SpectralVelocityField,
-    _box_forward,
-    _box_full,
-    _box_hermitian,
-    _box_inverse,
-    _box_part,
-    _energy_sq,
-    _forward_shapes,
-    _inverse_shapes,
-    _project,
-)
+from .domain import SpectralVelocityField, _box_full, _box_part, _energy_sq, _project
 from .operators import PhysicalParameters, validate_params
 from .stochastic import _NO_FORCING, ForcingProfile, WienerPath, conjugation
 
@@ -204,6 +193,100 @@ def _carve(buf, offset, specs):
     return out
 
 
+# The pruned passes between the box (see cbflab.domain) and the grid.  Each
+# pass writes into a buffer of the kernel's, shaped by _inverse_shapes and
+# _forward_shapes, and writes the whole of it, the zero rows of a pad
+# included, so a buffer may hold anything between calls.
+
+
+def _box_reflect(dom):
+    """Leading-axis index of the box row of ``-m`` for every box row ``m``, the rows being 0..c, then -c..-1."""
+    reflect = -np.arange(dom.box_phase.shape[0]) % dom.box_phase.shape[0]
+    return np.ix_(*([reflect] * (dom.d - 1)))
+
+
+def _box_hermitian(dom, box, reflect):
+    """Make the self-conjugate columns (last-axis 0, and N/2 when kept) Hermitian in place, by :func:`_box_reflect`."""
+    for j in (0, dom.N // 2) if 2 * dom.mode_cut == dom.N else (0,):
+        col = box[..., j]
+        col[...] = 0.5 * (col + np.conj(col[(Ellipsis,) + reflect]))
+    return box
+
+
+def _copy_box_rows(dst, src, axis, c):
+    """``dst`` with the rows ``0..c`` and ``-c..-1`` of ``src`` along the negative ``axis``, and zeros between."""
+    tail = (slice(None),) * (-axis - 1)
+    n, m = dst.shape[axis] - c, src.shape[axis] - c
+    dst[(Ellipsis, slice(c + 1, n)) + tail] = 0.0
+    dst[(Ellipsis, slice(c + 1)) + tail] = src[(Ellipsis, slice(c + 1)) + tail]
+    dst[(Ellipsis, slice(n, None)) + tail] = src[(Ellipsis, slice(m, None)) + tail]
+    return dst
+
+
+def _inverse_shapes(dom, lead):
+    """
+    Buffer shapes of :func:`_box_inverse` for box arrays of leading shape
+    ``lead``: one per leading axis, in pass order, which takes the
+    zero-padded input (when the box drops rows) and the pass's output in its
+    place.
+    """
+    shape = list(lead) + list(dom.box_phase.shape)
+    shapes = []
+    for axis in range(-dom.d, -1):
+        shape[axis] = dom.N
+        shapes.append(tuple(shape))
+    return shapes
+
+
+def _box_inverse(dom, box, bufs, out):
+    """
+    Real grid rows of box coefficients: ``irfftn``, zero-padding one leading
+    axis at a time.  The leading-axis passes write into ``bufs`` (see
+    :func:`_inverse_shapes`), each in place in its pad, and the last pass
+    into ``out``.
+    """
+    x = box
+    for axis, buf in zip(range(-dom.d, -1), bufs):
+        if x.shape[axis] < dom.N:
+            x = _copy_box_rows(buf, x, axis, dom.mode_cut)
+        x = np.fft.ifft(x, axis=axis, out=buf)
+    return np.fft.irfft(x, n=dom.N, axis=-1, out=out)
+
+
+def _forward_shapes(dom, lead):
+    """
+    Output shapes of the passes of :func:`_box_forward` for grid rows of
+    leading shape ``lead``, in order: the ``rfft``, then per leading axis the
+    ``fft`` and (when the box drops rows) its kept rows.
+    """
+    kept = dom.box_phase.shape[0]
+    shape = list(lead) + [dom.N] * (dom.d - 1) + [dom.N // 2 + 1]
+    shapes = [tuple(shape)]
+    shape[-1] = dom.mode_cut + 1
+    for axis in range(-2, -dom.d - 1, -1):
+        shapes.append(tuple(shape))
+        if kept < dom.N:
+            shape[axis] = kept
+            shapes.append(tuple(shape))
+    return shapes
+
+
+def _box_forward(dom, grid, bufs):
+    """
+    Box coefficients of real grid rows: ``rfftn`` keeping the box rows after
+    every pass.  The passes write into ``bufs`` (see :func:`_forward_shapes`),
+    and the result is the last of them.
+    """
+    c = dom.mode_cut
+    bufs = iter(bufs)
+    x = np.fft.rfft(grid, axis=-1, out=next(bufs))[..., : c + 1]
+    for axis in range(-2, -dom.d - 1, -1):
+        x = np.fft.fft(x, axis=axis, out=next(bufs))
+        if x.shape[axis] > 2 * c + 1:
+            x = _copy_box_rows(next(bufs), x, axis, c)
+    return x
+
+
 # box rows (a, b) of each vorticity row d_a u_b - d_b u_a: the one row of
 # 2D, the three of 3D
 _CURL = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
@@ -260,6 +343,9 @@ class _Kernel:
         self.g_weighted = None if self.g_box is None else dom.box_weight * self.g_box
         self.rotational = include_B and 3 * dom.mode_cut < dom.N
         self.skew = include_B and not self.rotational
+        # the phase and 1/N^d of the forward pass onto the box, and the row reflection of its Hermitian columns
+        self.scale = dom.box_phase / dom.N**dom.d
+        self.reflect = _box_reflect(dom)
 
         d, c16, f8 = dom.d, np.complex128, np.float64
         grid = (dom.N,) * d
@@ -366,13 +452,13 @@ class _Kernel:
             for ci, ui in zip(comb, u):
                 ci -= np.multiply(coef, np.multiply(pw, ui, out=self.tmp), out=self.tmp)
         out = _box_forward(dom, self.stack, self.forward)
-        out *= dom.box_scale
+        out *= self.scale
         n_hat = out[:d]
         if self.skew:
             # the flux divergence sum_i k_i F_ij, each sum taken 0 + (i = 0) + (i = 1) + ...
             div = np.add.reduce(dom.box_kvec[:, None] * out[d:][_SYM[d]], axis=0, initial=0.0)
             n_hat = n_hat - (0.5j / z) * div
-        return _box_hermitian(dom, n_hat)
+        return _box_hermitian(dom, n_hat, self.reflect)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domain import (
+    ShapeMismatchError,
     SpectralVelocityField,
     _energy_sq,
     _hermitian_gaussian,
@@ -344,11 +345,18 @@ def sample_attractor(tau, omega, params: PhysicalParameters, profile: ForcingPro
 def hausdorff_semidistance(a, b) -> float:
     """
     ``sup_{x in a} inf_{y in b} d(x, y)``; asymmetric.  Accepts lists of
-    spectral fields (L^2 metric) or plain point arrays (Euclidean metric).
+    spectral fields (L^2 metric) or plain point arrays (Euclidean metric);
+    ShapeMismatchError when one cloud holds fields and the other points, or
+    when the fields do not all live on one domain.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySetError("empty-set: both clouds must be non-empty")
-    if isinstance(a[0], SpectralVelocityField):
+    fields = isinstance(a[0], SpectralVelocityField)
+    if fields != isinstance(b[0], SpectralVelocityField):
+        raise ShapeMismatchError("one cloud holds fields and the other plain points")
+    if fields:
+        if any(p.domain != a[0].domain for p in (*a, *b)):
+            raise ShapeMismatchError("the clouds' fields live on different domains")
         scale = math.sqrt(a[0].domain.measure)
         fa = [p.coeffs.ravel() for p in a]
         fb = [p.coeffs.ravel() for p in b]

@@ -684,6 +684,24 @@ class TestMoreExperiments:
             assert (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s10" / name).read_bytes()
         assert [len(traj.states) for traj in trajectories] == [2, 2]
 
+    @pytest.mark.parametrize("raw, stride", [
+        ({"domain": {"d": 3, "N": 8}, "params": {"r": 5.0, "epsilon": 0.5},
+          "solver": {"dt": 2e-3, "record_stride": 10},
+          "experiment": {"kind": "simulate", "system": "conjugated", "t_end": 0.1, "seed": 1,
+                         "path_window": [-1.0, 1.0], "path_dt": 2e-3}}, 50),
+        ({"domain": {"N": 8}, "params": {"epsilon": 0.25}, "solver": {"dt": 5e-3, "record_stride": 10**9},
+          "experiment": {"kind": "attractor", "horizons": [0.25, 0.5], "seed": 1,
+                         "family": {"samples": 2}, "path_window": [-4.0, 1.0], "path_dt": 5e-3}}, 100),
+    ], ids=["simulate-3d32", "attractor-2d64"])
+    def test_manifest_echoes_the_stride_the_run_used(self, raw, stride, tmp_path):
+        # the time grids of two benchmark workloads, on small boxes: each solve keeps its ends
+        raw["output"] = {"dir": str(tmp_path)}
+        assert run(parse_config(json.dumps(raw))) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["solver"]["record_stride"] == stride
+        echoed = json.dumps(manifest["config"], sort_keys=True).encode()
+        assert manifest["config_sha256"] == hashlib.sha256(echoed).hexdigest()
+
     def test_pullback_solves_keep_their_ends(self):
         raw = {"solver": {"dt": 0.01, "record_stride": 1},
                "experiment": {"kind": "attractor", "horizons": [0.02, 0.05]}}

@@ -42,7 +42,13 @@ from cbflab.integrators import (
     uniform_estimates_check,
     _LEDGER,
     _Kernel,
+    _box_forward,
+    _box_hermitian,
+    _box_inverse,
+    _box_reflect,
+    _forward_shapes,
     _initial_box,
+    _inverse_shapes,
 )
 from cbflab.operators import (
     PhysicalParameters,
@@ -1115,8 +1121,89 @@ class TestFusedRhs:
 
 def kernel_arrays(kernel):
     """Every array a kernel writes into, the transform buffers included."""
-    return [a for name, value in vars(kernel).items() if name not in ("g_box", "g_weighted")
+    return [a for name, value in vars(kernel).items() if name not in ("g_box", "g_weighted", "scale")
             for a in (value if isinstance(value, list) else [value]) if isinstance(a, np.ndarray)]
+
+
+class TestPrunedPasses:
+    """The kernel's pruned transforms between the box and the grid, and its Hermitian columns."""
+
+    @staticmethod
+    def half_spectrum(dom, box):
+        """The box array stored in numpy's ``rfftn`` layout, zero outside the box."""
+        stored = np.zeros(box.shape[:1] + (dom.N,) * (dom.d - 1) + (dom.N // 2 + 1,), dtype=np.complex128)
+        stored[(slice(None),) + dom.box_index] = box
+        return stored
+
+    @pytest.mark.parametrize("d,N,dealias", [(2, 24, 2.0 / 3.0), (2, 64, 2.0 / 3.0),
+                                             (3, 32, 2.0 / 3.0), (2, 12, 1.0), (3, 8, 1.0)])
+    def test_pruned_transforms_match_numpy(self, d, N, dealias):
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(70)
+        shape = (3,) + dom.box_phase.shape
+        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(1, d + 1))
+        inverse = [np.empty(s, dtype=np.complex128) for s in _inverse_shapes(dom, (3,))]
+        got = _box_inverse(dom, box, inverse, np.empty((3,) + (N,) * d))
+        assert np.array_equal(got, np.fft.irfftn(self.half_spectrum(dom, box), s=(N,) * d, axes=axes))
+        grid = rng.standard_normal((4,) + (N,) * d)
+        expect = np.fft.rfftn(grid, axes=axes)[(slice(None),) + dom.box_index]
+        forward = [np.empty(s, dtype=np.complex128) for s in _forward_shapes(dom, (4,))]
+        assert np.array_equal(_box_forward(dom, grid, forward), expect)
+
+    @pytest.mark.parametrize("d,N,dealias", [(2, 24, 2.0 / 3.0), (3, 32, 2.0 / 3.0), (2, 12, 1.0), (3, 8, 1.0)])
+    def test_one_inverse_buffer_per_leading_axis(self, d, N, dealias):
+        # each leading-axis pass runs in place in the buffer that holds its padded input
+        dom = make_domain(d, math.pi, N, dealias)
+        box = dom.box_phase.shape
+        expect = [(3,) + (N,) * (i + 1) + box[i + 1 :] for i in range(d - 1)]
+        assert _inverse_shapes(dom, (3,)) == expect
+
+    @pytest.mark.parametrize("d,N,dealias", [(2, 24, 2.0 / 3.0), (3, 16, 2.0 / 3.0), (2, 12, 1.0), (3, 8, 1.0)])
+    def test_transforms_into_stale_buffers(self, d, N, dealias):
+        # buffers full of NaN, as a reused workspace may hand them over: every
+        # pass writes the whole buffer, the zero rows of the pads included
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(73)
+        shape = (3,) + dom.box_phase.shape
+        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid = rng.standard_normal((4,) + (N,) * d)
+        axes = tuple(range(1, d + 1))
+
+        def stale(shapes):
+            return [np.full(s, np.nan, dtype=complex) for s in shapes]
+
+        def irfftn(box):
+            return np.fft.irfftn(self.half_spectrum(dom, box), s=(N,) * d, axes=axes)
+
+        def rfftn(grid):
+            return np.fft.rfftn(grid, axes=axes)[(slice(None),) + dom.box_index]
+
+        inverse = stale(_inverse_shapes(dom, (3,)))
+        out = np.full((3,) + (N,) * d, np.nan)
+        assert _box_inverse(dom, box, inverse, out) is out
+        assert np.array_equal(out, irfftn(box))
+        forward = stale(_forward_shapes(dom, (4,)))
+        got = _box_forward(dom, grid, forward)
+        assert got is forward[-1]
+        assert np.array_equal(got, rfftn(grid))
+        # a second call through the same buffers
+        assert np.array_equal(_box_inverse(dom, 2.0 * box, inverse, out), irfftn(2.0 * box))
+        assert np.array_equal(_box_forward(dom, 2.0 * grid, forward), rfftn(2.0 * grid))
+
+    @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
+    def test_hermitian_columns_match_flip_and_roll(self, d, N, dealias):
+        dom = make_domain(d, math.pi, N, dealias)
+        rng = np.random.default_rng(74)
+        shape = (d,) + dom.box_phase.shape
+        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expect = box.copy()
+        for j in (0, N // 2) if 2 * dom.mode_cut == N else (0,):
+            col = expect[..., j]
+            axes = tuple(range(1, col.ndim))
+            col[...] = 0.5 * (col + np.conj(np.roll(np.flip(col, axis=axes), 1, axis=axes)))
+        assert np.array_equal(_box_hermitian(dom, box, _box_reflect(dom)), expect)
 
 
 class TestWorkspace:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cbflab.domain import (
+    ShapeMismatchError,
     SpectralVelocityField,
     bump_field,
     constant_field,
@@ -398,6 +399,22 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(EmptySetError):
             hausdorff_semidistance([], [[0.0]])
+
+    @pytest.mark.parametrize("other", [{"L": 2 * math.pi}, {"N": 24}], ids=["L", "N"])
+    def test_fields_on_different_domains_rejected(self, other):
+        # other L: the distance would take the first cloud's measure; other N: the rows would not broadcast
+        box = {"d": 2, "L": math.pi, "N": 16}
+        a = [random_field(make_domain(**box), seed=1)]
+        b = [random_field(make_domain(**{**box, **other}), seed=2)]
+        for x, y in ((a, b), (b, a), (a + b, a)):
+            with pytest.raises(ShapeMismatchError, match="different domains"):
+                hausdorff_semidistance(x, y)
+
+    def test_fields_against_points_rejected(self):
+        a = [zero_field(make_domain(2, math.pi, 8))]
+        for x, y in ((a, [[0.0, 0.0]]), ([[0.0, 0.0]], a)):
+            with pytest.raises(ShapeMismatchError, match="fields and the other plain points"):
+                hausdorff_semidistance(x, y)
 
     @staticmethod
     def reference(a, b):
